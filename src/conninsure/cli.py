@@ -430,6 +430,17 @@ def client_claim(state_dir, cycleid, domain, out):
 # ---------------------------------------------------------------------------
 
 
+# Simulated server identity file: one frame holding these fields.
+_SIM_SERVER = wire.Record(
+    None,
+    None,
+    ("domain", wire.TEXT),
+    ("scheme_id", wire.U64),
+    ("cert", wire.BYTES),
+    ("secret", wire.BYTES),
+)
+
+
 @main.group()
 def simserver():
     """Simulated TLS servers for the client CLI."""
@@ -448,12 +459,7 @@ def simserver_init(domain, out, cert_out, seed):
     rng = RandomSource(seed)
     cert, secret = make_self_signed_cert(domain, crypto.SCHEME_ED25519, rng,
                                          now=int(_time.time()))
-    body = (
-        wire.pack(wire.TAG_TEXT, wire.text(domain))
-        + wire.pack(wire.TAG_UINT, wire.u64(crypto.SCHEME_ED25519))
-        + wire.pack(wire.TAG_BYTES, cert)
-        + wire.pack(wire.TAG_BYTES, secret)
-    )
+    body = _SIM_SERVER.encode_body((domain, crypto.SCHEME_ED25519, cert, secret))
     with open(out, "wb") as fh:
         fh.write(wire.frame(body))
     if cert_out:
@@ -464,11 +470,10 @@ def simserver_init(domain, out, cert_out, seed):
 
 def _load_sim_server(path: str) -> SimServer:
     with open(path, "rb") as fh:
-        body = wire.read_frame(wire.buffer_reader(fh.read()))
-    raw = wire.fields(body, wire.TAG_TEXT, wire.TAG_UINT, wire.TAG_BYTES,
-                      wire.TAG_BYTES)
-    return SimServer(wire.decode_text(raw[0]), raw[2], raw[3],
-                     wire.decode_u64(raw[1]))
+        domain, scheme_id, cert, secret = _SIM_SERVER.decode_body(
+            wire.only_frame(fh.read())
+        )
+    return SimServer(domain, cert, secret, scheme_id)
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,26 @@ from dataclasses import dataclass
 from . import crypto, merkle, tlssim, wire
 from .errors import (
     CorruptionError,
-    EncodingError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
     SequencingError,
 )
-from .insurer import RegistrationRequest
+from .insurer import (
+    ACK_CERTS_REQUEST,
+    ACK_CERTS_RESPONSE,
+    BEGIN_CYCLE_REQUEST,
+    BEGIN_CYCLE_RESPONSE,
+    REGISTER_RESPONSE,
+    SUBMIT_VOUCHERS_REQUEST,
+    SUBMIT_VOUCHERS_RESPONSE,
+    RegistrationRequest,
+)
 from .model import (
     PAD_DOMAIN,
     Claim,
     Contract,
     CycleRecord,
-    RollbackDelta,
     RollbackEntry,
     Voucher,
     apply_rollback,
@@ -40,6 +47,22 @@ from .rand import DEFAULT, RandomSource
 STATE_FILE = "state.tlv"
 ARCHIVE_FILE = "archive.tlv"
 ROLLBACK_FILE = "rollback.tlv"
+
+# state.tlv: one frame holding these fields (no enclosing tag).
+_STATE = wire.Record(
+    None,
+    None,
+    ("public", wire.PUBLIC_KEY),
+    ("secret", wire.BYTES),
+    ("params", wire.GROUP_PARAMS),
+    ("x", wire.VARINT),
+    ("y", wire.VARINT),
+    ("contract", Contract.CODEC),
+    ("certs", wire.BYTES_LIST),
+    ("current_index", wire.U64),
+    ("warnings", wire.list_of(wire.pair(("cycle", wire.U64), ("domain", wire.TEXT)))),
+    ("open_cycle", wire.optional(CycleRecord.CODEC)),
+)
 
 
 @dataclass(frozen=True)
@@ -116,7 +139,7 @@ class ClientState:
             trapdoor_proof=proof,
             requested_delta_t=requested_delta_t,
         )
-        contract = Contract.from_bytes(channel.request(request.to_bytes()))
+        (contract,) = REGISTER_RESPONSE.decode_body(channel.request(request.to_bytes()))
         if contract.pk_a != keypair.public or contract.chameleon != chameleon_kp.public:
             raise InsurerMisbehavior("contract does not embed the applicant's keys")
         contract.validate()
@@ -128,30 +151,17 @@ class ClientState:
         """Run the certificate-list download exchange and open a cycle."""
         if self.open_cycle is not None:
             raise SequencingError("previous cycle not submitted yet")
-        body = channel.request(
-            wire.pack(
-                wire.REQ_BEGIN_CYCLE, wire.pack(wire.TAG_UINT, wire.u64(self.customer))
-            )
+        cycleid, new_certs = BEGIN_CYCLE_RESPONSE.decode_body(
+            channel.request(BEGIN_CYCLE_REQUEST.encode((self.customer,)))
         )
-        raw = wire.fields(body, wire.TAG_BYTES, wire.TAG_LIST)
-        cycleid = raw[0]
-        new_certs = wire.decode_list(wire.pack(wire.TAG_LIST, raw[1]))
 
         digest = wire.cert_list_digest(new_certs)
         payload = wire.encode_signed_payload(
             "Certificates", self.customer, cycleid, now, digest
         )
         sig_a = crypto.sign(self.keypair, payload)
-        resp = channel.request(
-            wire.pack(
-                wire.REQ_ACK_CERTS,
-                wire.pack(wire.TAG_UINT, wire.u64(self.customer))
-                + wire.pack(wire.TAG_BYTES, cycleid)
-                + wire.pack(wire.TAG_UINT, wire.u64(now))
-                + wire.pack(wire.TAG_BYTES, sig_a),
-            )
-        )
-        chsig = wire.decode_chameleon_signature(resp)
+        request = ACK_CERTS_REQUEST.encode((self.customer, cycleid, now, sig_a))
+        (chsig,) = ACK_CERTS_RESPONSE.decode_body(channel.request(request))
         self._verify_countersignature(payload, chsig, "Certificates")
 
         index = self.current_index + 1
@@ -212,21 +222,10 @@ class ClientState:
             "Vouchers", self.customer, cycle.cycleid, now, tree.root
         )
         sig_a = crypto.sign(self.keypair, payload)
-        body = channel.request(
-            wire.pack(
-                wire.REQ_SUBMIT_VOUCHERS,
-                wire.pack(wire.TAG_UINT, wire.u64(self.customer))
-                + wire.pack(wire.TAG_BYTES, cycle.cycleid)
-                + wire.pack(wire.TAG_UINT, wire.u64(now))
-                + wire.pack(wire.TAG_BYTES, tree.root)
-                + wire.pack(wire.TAG_BYTES, sig_a),
-            )
+        request = SUBMIT_VOUCHERS_REQUEST.encode(
+            (self.customer, cycle.cycleid, now, tree.root, sig_a)
         )
-        raw = wire.fields(body, wire.TAG_CHAMELEON_SIG, wire.TAG_UINT)
-        chsig = wire.decode_chameleon_signature(
-            wire.pack(wire.TAG_CHAMELEON_SIG, raw[0])
-        )
-        covered = wire.decode_u64(raw[1]) == 1
+        chsig, covered = SUBMIT_VOUCHERS_RESPONSE.decode_body(channel.request(request))
         self._verify_countersignature(payload, chsig, "Vouchers")
 
         cycle.t_prime = now
@@ -301,32 +300,12 @@ class ClientState:
 
     def save(self, directory: str) -> None:
         os.makedirs(directory, exist_ok=True)
-        body = (
-            wire.encode_public_key(self.keypair.public)
-            + wire.pack(wire.TAG_BYTES, self.keypair.secret)
-            + wire.encode_group_params(self.chameleon_kp.params)
-            + wire.pack(wire.TAG_INT, wire.varint(self.chameleon_kp.x))
-            + wire.pack(wire.TAG_INT, wire.varint(self.chameleon_kp.y))
-            + self.contract.to_bytes()
-            + wire.encode_list(self.certs)
-            + wire.pack(wire.TAG_UINT, wire.u64(self.current_index))
-            + wire.pack(
-                wire.TAG_LIST,
-                b"".join(
-                    wire.pack(
-                        wire.TAG_PAIR,
-                        wire.pack(wire.TAG_UINT, wire.u64(index))
-                        + wire.pack(wire.TAG_TEXT, wire.text(domain)),
-                    )
-                    for index, domain in self.warnings
-                ),
-            )
-            + (
-                self.open_cycle.to_bytes()
-                if self.open_cycle is not None
-                else wire.pack(wire.TAG_CYCLE_RECORD, b"")
-            )
-        )
+        kp = self.chameleon_kp
+        body = _STATE.encode_body((
+            self.keypair.public, self.keypair.secret, kp.params, kp.x, kp.y,
+            self.contract, self.certs, self.current_index, self.warnings,
+            self.open_cycle,
+        ))
         tmp = os.path.join(directory, STATE_FILE + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(wire.frame(body))
@@ -344,13 +323,13 @@ class ClientState:
             tmp = path + ".tmp"
             with open(tmp, "wb") as fh:
                 for entry in self.rollback_entries:
-                    fh.write(wire.frame(_rollback_entry_bytes(entry)))
+                    fh.write(wire.frame(entry.to_bytes()))
             os.replace(tmp, path)
             self._rollback_compacted = False
         else:
             with open(path, "ab") as fh:
                 for entry in self.rollback_entries[self._rollback_on_disk :]:
-                    fh.write(wire.frame(_rollback_entry_bytes(entry)))
+                    fh.write(wire.frame(entry.to_bytes()))
         self._rollback_on_disk = len(self.rollback_entries)
 
     def prune_rollbacks(self, now: int,
@@ -370,69 +349,25 @@ class ClientState:
     @classmethod
     def load(cls, directory: str) -> "ClientState":
         with open(os.path.join(directory, STATE_FILE), "rb") as fh:
-            data = fh.read()
-        body = wire.read_frame(wire.buffer_reader(data))
-        raw = wire.fields(
-            body,
-            wire.TAG_PUBKEY,
-            wire.TAG_BYTES,
-            wire.TAG_GROUP_PARAMS,
-            wire.TAG_INT,
-            wire.TAG_INT,
-            wire.TAG_CONTRACT,
-            wire.TAG_LIST,
-            wire.TAG_UINT,
-            wire.TAG_LIST,
-            wire.TAG_CYCLE_RECORD,
-        )
-        keypair = crypto.SigKeyPair(
-            wire.decode_public_key(wire.pack(wire.TAG_PUBKEY, raw[0])), raw[1]
-        )
-        params = wire.decode_group_params(wire.pack(wire.TAG_GROUP_PARAMS, raw[2]))
-        chameleon_kp = crypto.ChameleonKeyPair(
-            params, wire.decode_varint(raw[3]), wire.decode_varint(raw[4])
-        )
+            body = wire.only_frame(fh.read())
+        (public, secret, params, x, y, contract, certs, current_index, warnings,
+         open_cycle) = _STATE.decode_body(body)
         state = cls(
-            keypair,
-            chameleon_kp,
-            Contract.from_bytes(wire.pack(wire.TAG_CONTRACT, raw[5])),
+            crypto.SigKeyPair(public, secret),
+            crypto.ChameleonKeyPair(params, x, y),
+            contract,
         )
-        state.certs = wire.decode_list(wire.pack(wire.TAG_LIST, raw[6]))
-        state.current_index = wire.decode_u64(raw[7])
-        for tag, value in wire.iter_items(raw[8]):
-            if tag != wire.TAG_PAIR:
-                raise EncodingError("bad warning entry")
-            index, domain = wire.fields(value, wire.TAG_UINT, wire.TAG_TEXT)
-            state.warnings.append((wire.decode_u64(index), wire.decode_text(domain)))
-        if raw[9]:
-            state.open_cycle = CycleRecord.from_bytes(
-                wire.pack(wire.TAG_CYCLE_RECORD, raw[9])
-            )
-
-        rollback_path = os.path.join(directory, ROLLBACK_FILE)
-        if os.path.exists(rollback_path):
-            with open(rollback_path, "rb") as fh:
-                blob = fh.read()
-            reader = wire.buffer_reader(blob)
-            while True:
-                try:
-                    entry_bytes = wire.read_frame(reader)
-                except EncodingError:
-                    break
-                state.rollback_entries.append(_rollback_entry_from_bytes(entry_bytes))
+        state.certs = certs
+        state.current_index = current_index
+        state.warnings = list(warnings)
+        state.open_cycle = open_cycle
+        state.rollback_entries = [
+            RollbackEntry.from_bytes(b) for b in _log_frames(directory, ROLLBACK_FILE)
+        ]
         state._rollback_on_disk = len(state.rollback_entries)
-
-        archive_path = os.path.join(directory, ARCHIVE_FILE)
-        if os.path.exists(archive_path):
-            with open(archive_path, "rb") as fh:
-                blob = fh.read()
-            reader = wire.buffer_reader(blob)
-            while True:
-                try:
-                    record_bytes = wire.read_frame(reader)
-                except EncodingError:
-                    break
-                state.archive.append(CycleRecord.from_bytes(record_bytes))
+        state.archive = [
+            CycleRecord.from_bytes(b) for b in _log_frames(directory, ARCHIVE_FILE)
+        ]
         state._archived_on_disk = len(state.archive)
 
         # Evidence completeness: never hold evidence with an invalid signature.
@@ -445,20 +380,10 @@ class ClientState:
         return state
 
 
-def _rollback_entry_bytes(entry: RollbackEntry) -> bytes:
-    return wire.pack(
-        wire.TAG_PAIR,
-        entry.delta.to_bytes() + wire.pack(wire.TAG_UINT, wire.u64(entry.cycle_time)),
-    )
-
-
-def _rollback_entry_from_bytes(data: bytes) -> RollbackEntry:
-    body = wire.unpack_exact(data, wire.TAG_PAIR)
-    delta_tag, delta_body, offset = wire.unpack(body)
-    if delta_tag != wire.TAG_ROLLBACK_DELTA:
-        raise EncodingError("bad rollback log entry")
-    stamp = wire.decode_u64(wire.fields(body[offset:], wire.TAG_UINT)[0])
-    return RollbackEntry(
-        RollbackDelta.from_bytes(wire.pack(delta_tag, delta_body)), stamp
-    )
-
+def _log_frames(directory: str, name: str):
+    """Frames of an append-only client log; a torn frame raises EncodingError."""
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        return []
+    with open(path, "rb") as fh:
+        return list(wire.iter_frames(fh.read()))

@@ -427,9 +427,10 @@ def chameleon_sign(
     context: bytes,
     rng: RandomSource = DEFAULT,
     y_comb: FixedBaseComb | None = None,
-) -> ChameleonSignature:
+) -> tuple[ChameleonSignature, int]:
     """Sign message toward one recipient; convincing only to them.
 
+    Returns the signature and the chameleon hash CH(m, r) it covers.
     Callers with record-keeping duties (the insurer) must log (message, r)
     so forged collisions can be uncovered later.
     """
@@ -437,7 +438,7 @@ def chameleon_sign(
     r = rng.below(params.q)
     ch = chameleon_hash(params, recipient.y, message, r, y_comb)
     inner = sign(signer, _chameleon_digest(params, ch, context))
-    return ChameleonSignature(r, inner, context)
+    return ChameleonSignature(r, inner, context), ch
 
 
 def chameleon_verify(

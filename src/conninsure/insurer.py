@@ -46,14 +46,76 @@ class ChameleonRecord:
     ch: bytes
 
 
+_RECORD_FIELDS = (
+    ("customer", wire.U64),
+    ("message", wire.BYTES),
+    ("r", wire.VARINT),
+    ("ch", wire.BYTES),
+)
+
+
 @dataclass
 class _OpenCycle:
+    customer: int
     cycleid: bytes
     certs: list
     state: str = _PENDING
     t: int | None = None
 
 
+_BEGIN_FIELDS = (
+    ("customer", wire.U64), ("cycleid", wire.BYTES), ("certs", wire.BYTES_LIST)
+)
+_OPEN_CYCLE = wire.Record(
+    wire.TAG_PAIR, _OpenCycle, *_BEGIN_FIELDS, ("state", wire.TEXT), ("t", wire.OPT_U64)
+)
+
+_SNAPSHOT_FIELDS = (
+    ("public", wire.PUBLIC_KEY),
+    ("secret", wire.BYTES),
+    ("certs", wire.BYTES_LIST),
+    ("cert_version", wire.U64),
+    ("policy_days", wire.U64),
+    ("recency_window", wire.U64),
+    ("next_customer", wire.U64),
+    ("contracts", wire.list_of(Contract.CODEC, key=lambda c: c.customer)),
+    ("open_cycles", wire.list_of(_OPEN_CYCLE, key=lambda oc: oc.customer)),
+    (
+        "records",
+        wire.list_of(wire.Record(wire.TAG_PAIR, ChameleonRecord, *_RECORD_FIELDS)),
+    ),
+    ("used_cycleids", wire.BYTES_LIST),
+)
+
+# Log events, by tag.  SETUP and SNAPSHOT carry the full state.
+_SNAPSHOT = wire.Record(wire.LOG_SNAPSHOT, None, *_SNAPSHOT_FIELDS)
+_EVENTS = {
+    wire.LOG_SETUP: wire.Record(wire.LOG_SETUP, None, *_SNAPSHOT_FIELDS),
+    wire.LOG_SNAPSHOT: _SNAPSHOT,
+    wire.LOG_REGISTER: wire.Record(
+        wire.LOG_REGISTER, None, ("contract", Contract.CODEC)
+    ),
+    wire.LOG_UPDATE_CERTS: wire.Record(
+        wire.LOG_UPDATE_CERTS, None, ("certs", wire.BYTES_LIST), ("version", wire.U64)
+    ),
+    wire.LOG_BEGIN_CYCLE: wire.Record(wire.LOG_BEGIN_CYCLE, _OpenCycle, *_BEGIN_FIELDS),
+    # ACK_CERTS: the record's fields with the cycle's t after the customer.
+    wire.LOG_ACK_CERTS: wire.Record(
+        wire.LOG_ACK_CERTS, None, _RECORD_FIELDS[0], ("t", wire.U64), *_RECORD_FIELDS[1:]
+    ),
+    wire.LOG_SUBMIT_VOUCHERS: wire.Record(
+        wire.LOG_SUBMIT_VOUCHERS, ChameleonRecord, *_RECORD_FIELDS
+    ),
+}
+
+
+@wire.codec(
+    wire.REQ_REGISTER,
+    ("pk_a", wire.PUBLIC_KEY),
+    ("chameleon", wire.CHAMELEON_PUBLIC),
+    ("trapdoor_proof", wire.TRAPDOOR_PROOF),
+    ("requested_delta_t", wire.U64),
+)
 @dataclass
 class RegistrationRequest:
     pk_a: crypto.PublicKey
@@ -61,34 +123,40 @@ class RegistrationRequest:
     trapdoor_proof: crypto.TrapdoorProof
     requested_delta_t: int
 
-    def to_bytes(self) -> bytes:
-        body = (
-            wire.encode_public_key(self.pk_a)
-            + wire.encode_chameleon_public(self.chameleon)
-            + wire.encode_trapdoor_proof(self.trapdoor_proof)
-            + wire.pack(wire.TAG_UINT, wire.u64(self.requested_delta_t))
-        )
-        return wire.pack(wire.REQ_REGISTER, body)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "RegistrationRequest":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.REQ_REGISTER),
-            wire.TAG_PUBKEY,
-            wire.TAG_CHAMELEON_PUB,
-            wire.TAG_TRAPDOOR_PROOF,
-            wire.TAG_UINT,
-        )
-        return cls(
-            pk_a=wire.decode_public_key(wire.pack(wire.TAG_PUBKEY, raw[0])),
-            chameleon=wire.decode_chameleon_public(
-                wire.pack(wire.TAG_CHAMELEON_PUB, raw[1])
-            ),
-            trapdoor_proof=wire.decode_trapdoor_proof(
-                wire.pack(wire.TAG_TRAPDOOR_PROOF, raw[2])
-            ),
-            requested_delta_t=wire.decode_u64(raw[3]),
-        )
+# Endpoint messages.  Responses are RESP_OK items; the client decodes the
+# body that the channel unwraps with the same table.
+REGISTER_RESPONSE = wire.Record(wire.RESP_OK, None, ("contract", Contract.CODEC))
+BEGIN_CYCLE_REQUEST = wire.Record(wire.REQ_BEGIN_CYCLE, None, ("customer", wire.U64))
+BEGIN_CYCLE_RESPONSE = wire.Record(
+    wire.RESP_OK, None, ("cycleid", wire.BYTES), ("certs", wire.BYTES_LIST)
+)
+ACK_CERTS_REQUEST = wire.Record(
+    wire.REQ_ACK_CERTS, None,
+    ("customer", wire.U64), ("cycleid", wire.BYTES), ("t", wire.U64),
+    ("sig_a", wire.BYTES),
+)
+ACK_CERTS_RESPONSE = wire.Record(wire.RESP_OK, None, ("chsig", wire.CHAMELEON_SIGNATURE))
+SUBMIT_VOUCHERS_REQUEST = wire.Record(
+    wire.REQ_SUBMIT_VOUCHERS, None,
+    ("customer", wire.U64), ("cycleid", wire.BYTES), ("t_prime", wire.U64),
+    ("root", wire.BYTES), ("sig_a", wire.BYTES),
+)
+SUBMIT_VOUCHERS_RESPONSE = wire.Record(
+    wire.RESP_OK, None, ("chsig", wire.CHAMELEON_SIGNATURE), ("covered", wire.BOOL)
+)
+# by_digest 0 looks the key up as a chameleon hash, anything else as a
+# message digest.
+LOOKUP_RECORD_REQUEST = wire.Record(
+    wire.REQ_LOOKUP_RECORD, None, ("by_digest", wire.U64), ("key", wire.BYTES)
+)
+LOOKUP_MISS_RESPONSE = wire.Record(wire.RESP_OK, None, ("found", wire.BOOL))
+LOOKUP_HIT_RESPONSE = wire.Record(
+    wire.RESP_OK, None, ("found", wire.BOOL), ("message", wire.BYTES), ("r", wire.VARINT)
+)
+ERROR_RESPONSE = wire.Record(
+    wire.RESP_ERR, None, ("code", wire.U64), ("message", wire.TEXT)
+)
 
 
 class Insurer:
@@ -139,38 +207,30 @@ class Insurer:
         insurer = cls(keypair, initial_certs, policy_days, recency_window, rng, log_path)
         if log_path:
             insurer._log_file = open(log_path, "ab")
-            insurer._append_event(wire.LOG_SETUP, insurer._snapshot_body())
+            insurer._append_event(wire.LOG_SETUP, insurer._snapshot_values())
         return insurer
 
     @classmethod
     def load(cls, log_path: str, rng: RandomSource = DEFAULT) -> "Insurer":
         """Rebuild state from the last snapshot plus the event tail."""
-        records = []
         with open(log_path, "rb") as fh:
-            data = fh.read()
-        offset = 0
-        while offset < len(data):
-            if offset + 4 > len(data):
-                raise EncodingError("truncated log frame")
-            length = int.from_bytes(data[offset : offset + 4], "big")
-            payload = data[offset + 4 : offset + 4 + length]
-            if len(payload) != length:
-                raise EncodingError("truncated log frame payload")
-            records.append(payload)
-            offset += 4 + length
-
+            frames = list(wire.iter_frames(fh.read()))
         start = 0
-        for i, payload in enumerate(records):
-            tag = payload[0] if payload else 0
-            if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
+        for i, payload in enumerate(frames):
+            if payload and payload[0] in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
                 start = i
         insurer = None
-        for payload in records[start:]:
+        for payload in frames[start:]:
             tag, body, _ = wire.unpack(payload)
+            event = _EVENTS.get(tag)
+            if event is None:
+                raise EncodingError(f"unknown log event tag 0x{tag:02x}")
             if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-                insurer = cls._from_snapshot_body(body, rng)
+                insurer = cls._from_snapshot(event.decode_body(body), rng)
+            elif insurer is None:
+                raise EncodingError("log does not start with a snapshot")
             else:
-                insurer._replay_event(tag, body)
+                insurer._replay_event(tag, event.decode_body(body))
         if insurer is None:
             raise EncodingError("log contains no snapshot")
         insurer._log_path = log_path
@@ -182,164 +242,78 @@ class Insurer:
             self._log_file.close()
             self._log_file = None
 
-    def _append_event(self, tag: int, body: bytes) -> None:
+    def _append_event(self, tag: int, value) -> None:
+        """Append one event, encoded by its table in _EVENTS, and fsync it;
+        every SNAPSHOT_INTERVAL events, do the same with a snapshot."""
         if not self._log_file:
             return
-        self._log_file.write(wire.frame(wire.pack(tag, body)))
-        self._log_file.flush()
-        os.fsync(self._log_file.fileno())
+        self._write_frame(_EVENTS[tag].encode(value))
         self._events_since_snapshot += 1
         if tag not in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
             if self._events_since_snapshot >= SNAPSHOT_INTERVAL:
-                self._log_file.write(
-                    wire.frame(wire.pack(wire.LOG_SNAPSHOT, self._snapshot_body()))
-                )
-                self._log_file.flush()
+                self._write_frame(_SNAPSHOT.encode(self._snapshot_values()))
                 self._events_since_snapshot = 0
 
-    def _snapshot_body(self) -> bytes:
-        contracts = b"".join(c.to_bytes() for c in self.contracts.values())
-        open_cycles = b"".join(
-            wire.pack(
-                wire.TAG_PAIR,
-                wire.pack(wire.TAG_UINT, wire.u64(customer))
-                + wire.pack(wire.TAG_BYTES, oc.cycleid)
-                + wire.encode_list(oc.certs)
-                + wire.pack(wire.TAG_TEXT, wire.text(oc.state))
-                + wire.pack(wire.TAG_UINT, wire.u64(0 if oc.t is None else oc.t + 1)),
-            )
-            for customer, oc in sorted(self.open_cycles.items())
-        )
-        recs = b"".join(
-            wire.pack(
-                wire.TAG_PAIR,
-                wire.pack(wire.TAG_UINT, wire.u64(rec.customer))
-                + wire.pack(wire.TAG_BYTES, rec.message)
-                + wire.pack(wire.TAG_INT, wire.varint(rec.r))
-                + wire.pack(wire.TAG_BYTES, rec.ch),
-            )
-            for rec in self.records
-        )
-        used = b"".join(wire.pack(wire.TAG_BYTES, c) for c in sorted(self._used_cycleids))
+    def _write_frame(self, payload: bytes) -> None:
+        self._log_file.write(wire.frame(payload))
+        self._log_file.flush()
+        os.fsync(self._log_file.fileno())
+
+    def _snapshot_values(self) -> tuple:
         return (
-            wire.encode_public_key(self.keypair.public)
-            + wire.pack(wire.TAG_BYTES, self.keypair.secret)
-            + wire.encode_list(self.certs)
-            + wire.pack(wire.TAG_UINT, wire.u64(self.cert_version))
-            + wire.pack(wire.TAG_UINT, wire.u64(self.policy_days))
-            + wire.pack(wire.TAG_UINT, wire.u64(self.recency_window))
-            + wire.pack(wire.TAG_UINT, wire.u64(self._next_customer))
-            + wire.pack(wire.TAG_LIST, contracts)
-            + wire.pack(wire.TAG_LIST, open_cycles)
-            + wire.pack(wire.TAG_LIST, recs)
-            + wire.pack(wire.TAG_LIST, used)
+            self.keypair.public,
+            self.keypair.secret,
+            self.certs,
+            self.cert_version,
+            self.policy_days,
+            self.recency_window,
+            self._next_customer,
+            self.contracts,
+            self.open_cycles,
+            self.records,
+            sorted(self._used_cycleids),
         )
 
     def snapshot_bytes(self) -> bytes:
         """Canonical serialization of the full state (also used by tests)."""
         with self._lock:
-            return self._snapshot_body()
+            return _SNAPSHOT.encode_body(self._snapshot_values())
 
     @classmethod
-    def _from_snapshot_body(cls, body: bytes, rng: RandomSource) -> "Insurer":
-        raw = wire.fields(
-            body,
-            wire.TAG_PUBKEY,
-            wire.TAG_BYTES,
-            wire.TAG_LIST,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-            wire.TAG_LIST,
-            wire.TAG_LIST,
-            wire.TAG_LIST,
-            wire.TAG_LIST,
-        )
-        public = wire.decode_public_key(wire.pack(wire.TAG_PUBKEY, raw[0]))
+    def _from_snapshot(cls, values: tuple, rng: RandomSource) -> "Insurer":
+        (public, secret, certs, cert_version, policy_days, recency_window,
+         next_customer, contracts, open_cycles, records, used) = values
         insurer = cls(
-            keypair=crypto.SigKeyPair(public, raw[1]),
-            certs=wire.decode_list(wire.pack(wire.TAG_LIST, raw[2])),
-            policy_days=wire.decode_u64(raw[4]),
-            recency_window=wire.decode_u64(raw[5]),
-            rng=rng,
+            crypto.SigKeyPair(public, secret), certs, policy_days, recency_window, rng
         )
-        insurer.cert_version = wire.decode_u64(raw[3])
-        insurer._next_customer = wire.decode_u64(raw[6])
-        for tag, value in wire.iter_items(raw[7]):
-            contract = Contract.from_bytes(wire.pack(tag, value))
-            insurer.contracts[contract.customer] = contract
-        for tag, value in wire.iter_items(raw[8]):
-            f = wire.fields(
-                value,
-                wire.TAG_UINT,
-                wire.TAG_BYTES,
-                wire.TAG_LIST,
-                wire.TAG_TEXT,
-                wire.TAG_UINT,
-            )
-            t_raw = wire.decode_u64(f[4])
-            insurer.open_cycles[wire.decode_u64(f[0])] = _OpenCycle(
-                cycleid=f[1],
-                certs=wire.decode_list(wire.pack(wire.TAG_LIST, f[2])),
-                state=wire.decode_text(f[3]),
-                t=None if t_raw == 0 else t_raw - 1,
-            )
-        for tag, value in wire.iter_items(raw[9]):
-            f = wire.fields(
-                value, wire.TAG_UINT, wire.TAG_BYTES, wire.TAG_INT, wire.TAG_BYTES
-            )
-            insurer._store_record(
-                ChameleonRecord(
-                    customer=wire.decode_u64(f[0]),
-                    message=f[1],
-                    r=wire.decode_varint(f[2]),
-                    ch=f[3],
-                )
-            )
-        for tag, value in wire.iter_items(raw[10]):
-            insurer._used_cycleids.add(value)
+        insurer.cert_version = cert_version
+        insurer._next_customer = next_customer
+        insurer.contracts = contracts
+        insurer.open_cycles = open_cycles
+        for record in records:
+            insurer._store_record(record)
+        insurer._used_cycleids = set(used)
         return insurer
 
-    def _replay_event(self, tag: int, body: bytes) -> None:
+    def _replay_event(self, tag: int, value) -> None:
         if tag == wire.LOG_REGISTER:
-            contract = Contract.from_bytes(body)
+            (contract,) = value
             self.contracts[contract.customer] = contract
             self._next_customer = max(self._next_customer, contract.customer + 1)
         elif tag == wire.LOG_UPDATE_CERTS:
-            raw = wire.fields(body, wire.TAG_LIST, wire.TAG_UINT)
-            self.certs = wire.decode_list(wire.pack(wire.TAG_LIST, raw[0]))
-            self.cert_version = wire.decode_u64(raw[1])
+            self.certs, self.cert_version = value
         elif tag == wire.LOG_BEGIN_CYCLE:
-            raw = wire.fields(body, wire.TAG_UINT, wire.TAG_BYTES, wire.TAG_LIST)
-            customer = wire.decode_u64(raw[0])
-            self.open_cycles[customer] = _OpenCycle(
-                cycleid=raw[1], certs=wire.decode_list(wire.pack(wire.TAG_LIST, raw[2]))
-            )
-            self._used_cycleids.add(raw[1])
+            self.open_cycles[value.customer] = value
+            self._used_cycleids.add(value.cycleid)
         elif tag == wire.LOG_ACK_CERTS:
-            raw = wire.fields(
-                body, wire.TAG_UINT, wire.TAG_UINT, wire.TAG_BYTES, wire.TAG_INT,
-                wire.TAG_BYTES,
-            )
-            customer = wire.decode_u64(raw[0])
+            customer, t, message, r, ch = value
             cycle = self.open_cycles[customer]
             cycle.state = _ACKED
-            cycle.t = wire.decode_u64(raw[1])
-            self._store_record(
-                ChameleonRecord(customer, raw[2], wire.decode_varint(raw[3]), raw[4])
-            )
-        elif tag == wire.LOG_SUBMIT_VOUCHERS:
-            raw = wire.fields(
-                body, wire.TAG_UINT, wire.TAG_BYTES, wire.TAG_INT, wire.TAG_BYTES
-            )
-            customer = wire.decode_u64(raw[0])
-            self.open_cycles.pop(customer, None)
-            self._store_record(
-                ChameleonRecord(customer, raw[1], wire.decode_varint(raw[2]), raw[3])
-            )
+            cycle.t = t
+            self._store_record(ChameleonRecord(customer, message, r, ch))
         else:
-            raise EncodingError(f"unknown log event tag 0x{tag:02x}")
+            self.open_cycles.pop(value.customer, None)
+            self._store_record(value)
 
     # -- record log ----------------------------------------------------------
 
@@ -352,15 +326,11 @@ class Insurer:
         self, contract: Contract, message: bytes, context: bytes
     ) -> crypto.ChameleonSignature:
         """Chameleon-sign and append the (message, r) pair to the record log."""
-        sig = crypto.chameleon_sign(
+        sig, ch = crypto.chameleon_sign(
             self.keypair, contract.chameleon, message, context, self.rng
         )
-        ch = contract.chameleon.params.element_bytes(
-            crypto.chameleon_hash(
-                contract.chameleon.params, contract.chameleon.y, message, sig.r
-            )
-        )
-        self._store_record(ChameleonRecord(contract.customer, message, sig.r, ch))
+        ch_bytes = contract.chameleon.params.element_bytes(ch)
+        self._store_record(ChameleonRecord(contract.customer, message, sig.r, ch_bytes))
         return sig
 
     def lookup_record(
@@ -403,7 +373,7 @@ class Insurer:
                 delta_t=request.requested_delta_t,
             )
             self.contracts[customer] = contract
-            self._append_event(wire.LOG_REGISTER, contract.to_bytes())
+            self._append_event(wire.LOG_REGISTER, (contract,))
             return contract
 
     def _contract(self, customer: int) -> Contract:
@@ -424,15 +394,10 @@ class Insurer:
                 if cycleid not in self._used_cycleids:
                     break
             self._used_cycleids.add(cycleid)
-            snapshot = list(self.certs)
-            self.open_cycles[customer] = _OpenCycle(cycleid, snapshot)
-            self._append_event(
-                wire.LOG_BEGIN_CYCLE,
-                wire.pack(wire.TAG_UINT, wire.u64(customer))
-                + wire.pack(wire.TAG_BYTES, cycleid)
-                + wire.encode_list(snapshot),
-            )
-            return snapshot, cycleid
+            cycle = _OpenCycle(customer, cycleid, list(self.certs))
+            self.open_cycles[customer] = cycle
+            self._append_event(wire.LOG_BEGIN_CYCLE, cycle)
+            return cycle.certs, cycleid
 
     def _check_recent(self, stamp: int, now: int) -> None:
         if abs(now - stamp) > self.recency_window:
@@ -461,12 +426,7 @@ class Insurer:
             cycle.t = t
             record = self.records[-1]
             self._append_event(
-                wire.LOG_ACK_CERTS,
-                wire.pack(wire.TAG_UINT, wire.u64(customer))
-                + wire.pack(wire.TAG_UINT, wire.u64(t))
-                + wire.pack(wire.TAG_BYTES, record.message)
-                + wire.pack(wire.TAG_INT, wire.varint(record.r))
-                + wire.pack(wire.TAG_BYTES, record.ch),
+                wire.LOG_ACK_CERTS, (customer, t, record.message, record.r, record.ch)
             )
             return sig
 
@@ -494,14 +454,7 @@ class Insurer:
                 contract, payload, chameleon_context(customer, "Vouchers")
             )
             del self.open_cycles[customer]
-            record = self.records[-1]
-            self._append_event(
-                wire.LOG_SUBMIT_VOUCHERS,
-                wire.pack(wire.TAG_UINT, wire.u64(customer))
-                + wire.pack(wire.TAG_BYTES, record.message)
-                + wire.pack(wire.TAG_INT, wire.varint(record.r))
-                + wire.pack(wire.TAG_BYTES, record.ch),
-            )
+            self._append_event(wire.LOG_SUBMIT_VOUCHERS, self.records[-1])
             return sig, covered
 
     def update_cert_list(self, adds: list[bytes], removes: list[bytes]) -> int:
@@ -517,11 +470,7 @@ class Insurer:
                 raise ParameterError("certificate list must not become empty")
             self.certs = updated
             self.cert_version += 1
-            self._append_event(
-                wire.LOG_UPDATE_CERTS,
-                wire.encode_list(self.certs)
-                + wire.pack(wire.TAG_UINT, wire.u64(self.cert_version)),
-            )
+            self._append_event(wire.LOG_UPDATE_CERTS, (self.certs, self.cert_version))
             return self.cert_version
 
 
@@ -559,14 +508,7 @@ def _error_response(exc: Exception) -> bytes:
         if isinstance(exc, exc_type):
             code = exc_code
             break
-    body = wire.pack(wire.TAG_UINT, wire.u64(code)) + wire.pack(
-        wire.TAG_TEXT, wire.text(str(exc) or exc.__class__.__name__)
-    )
-    return wire.pack(wire.RESP_ERR, body)
-
-
-def _ok(body: bytes) -> bytes:
-    return wire.pack(wire.RESP_OK, body)
+    return ERROR_RESPONSE.encode((code, str(exc) or exc.__class__.__name__))
 
 
 def handle_request(insurer: Insurer, request: bytes, now: int) -> bytes:
@@ -577,55 +519,26 @@ def handle_request(insurer: Insurer, request: bytes, now: int) -> bytes:
             raise EncodingError("trailing bytes after request")
         if tag == wire.REQ_REGISTER:
             contract = insurer.register(RegistrationRequest.from_bytes(request), now)
-            return _ok(contract.to_bytes())
+            return REGISTER_RESPONSE.encode((contract,))
         if tag == wire.REQ_BEGIN_CYCLE:
-            customer = wire.decode_u64(wire.fields(body, wire.TAG_UINT)[0])
+            (customer,) = BEGIN_CYCLE_REQUEST.decode_body(body)
             certs, cycleid = insurer.begin_cycle(customer, now)
-            return _ok(wire.pack(wire.TAG_BYTES, cycleid) + wire.encode_list(certs))
+            return BEGIN_CYCLE_RESPONSE.encode((cycleid, certs))
         if tag == wire.REQ_ACK_CERTS:
-            raw = wire.fields(
-                body, wire.TAG_UINT, wire.TAG_BYTES, wire.TAG_UINT, wire.TAG_BYTES
-            )
-            sig = insurer.ack_certificates(
-                wire.decode_u64(raw[0]), raw[1], wire.decode_u64(raw[2]), raw[3], now
-            )
-            return _ok(wire.encode_chameleon_signature(sig))
+            sig = insurer.ack_certificates(*ACK_CERTS_REQUEST.decode_body(body), now)
+            return ACK_CERTS_RESPONSE.encode((sig,))
         if tag == wire.REQ_SUBMIT_VOUCHERS:
-            raw = wire.fields(
-                body,
-                wire.TAG_UINT,
-                wire.TAG_BYTES,
-                wire.TAG_UINT,
-                wire.TAG_BYTES,
-                wire.TAG_BYTES,
-            )
-            sig, covered = insurer.accept_vouchers(
-                wire.decode_u64(raw[0]),
-                raw[1],
-                wire.decode_u64(raw[2]),
-                raw[3],
-                raw[4],
-                now,
-            )
-            return _ok(
-                wire.encode_chameleon_signature(sig)
-                + wire.pack(wire.TAG_UINT, wire.u64(1 if covered else 0))
-            )
+            args = SUBMIT_VOUCHERS_REQUEST.decode_body(body)
+            return SUBMIT_VOUCHERS_RESPONSE.encode(insurer.accept_vouchers(*args, now))
         if tag == wire.REQ_LOOKUP_RECORD:
-            raw = wire.fields(body, wire.TAG_UINT, wire.TAG_BYTES)
-            kind = wire.decode_u64(raw[0])
-            if kind == 0:
-                found = insurer.lookup_record(ch=raw[1])
+            by_digest, key = LOOKUP_RECORD_REQUEST.decode_body(body)
+            if by_digest == 0:
+                found = insurer.lookup_record(ch=key)
             else:
-                found = insurer.lookup_record(message_digest=raw[1])
+                found = insurer.lookup_record(message_digest=key)
             if found is None:
-                return _ok(wire.pack(wire.TAG_UINT, wire.u64(0)))
-            message, r = found
-            return _ok(
-                wire.pack(wire.TAG_UINT, wire.u64(1))
-                + wire.pack(wire.TAG_BYTES, message)
-                + wire.pack(wire.TAG_INT, wire.varint(r))
-            )
+                return LOOKUP_MISS_RESPONSE.encode((False,))
+            return LOOKUP_HIT_RESPONSE.encode((True, *found))
         raise EncodingError(f"unknown endpoint tag 0x{tag:02x}")
     except CIError as exc:
         return _error_response(exc)

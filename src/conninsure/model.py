@@ -8,7 +8,7 @@ insurer/client stores, each serialized per contract.
 from dataclasses import dataclass, field
 
 from . import crypto, wire
-from .errors import ClaimFormatError, CorruptionError, EncodingError, ParameterError
+from .errors import ClaimFormatError, CorruptionError, ParameterError
 
 VOUCHER_R_LEN = 32
 DEFAULT_RETENTION_DAYS = 365
@@ -36,6 +36,17 @@ def registration_context(pk_a: crypto.PublicKey) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+@wire.codec(
+    wire.TAG_CONTRACT,
+    ("customer", wire.U64),
+    ("pk_in", wire.PUBLIC_KEY),
+    ("pk_a", wire.PUBLIC_KEY),
+    ("chameleon", wire.CHAMELEON_PUBLIC),
+    ("trapdoor_proof", wire.TRAPDOOR_PROOF),
+    ("t0", wire.U64),
+    ("t_end", wire.U64),
+    ("delta_t", wire.U64),
+)
 @dataclass(frozen=True)
 class Contract:
     customer: int
@@ -61,53 +72,19 @@ class Contract:
         if not ok:
             raise ClaimFormatError("trapdoor proof does not verify")
 
-    def to_bytes(self) -> bytes:
-        body = (
-            wire.pack(wire.TAG_UINT, wire.u64(self.customer))
-            + wire.encode_public_key(self.pk_in)
-            + wire.encode_public_key(self.pk_a)
-            + wire.encode_chameleon_public(self.chameleon)
-            + wire.encode_trapdoor_proof(self.trapdoor_proof)
-            + wire.pack(wire.TAG_UINT, wire.u64(self.t0))
-            + wire.pack(wire.TAG_UINT, wire.u64(self.t_end))
-            + wire.pack(wire.TAG_UINT, wire.u64(self.delta_t))
-        )
-        return wire.pack(wire.TAG_CONTRACT, body)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Contract":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_CONTRACT),
-            wire.TAG_UINT,
-            wire.TAG_PUBKEY,
-            wire.TAG_PUBKEY,
-            wire.TAG_CHAMELEON_PUB,
-            wire.TAG_TRAPDOOR_PROOF,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-        )
-        return cls(
-            customer=wire.decode_u64(raw[0]),
-            pk_in=wire.decode_public_key(wire.pack(wire.TAG_PUBKEY, raw[1])),
-            pk_a=wire.decode_public_key(wire.pack(wire.TAG_PUBKEY, raw[2])),
-            chameleon=wire.decode_chameleon_public(
-                wire.pack(wire.TAG_CHAMELEON_PUB, raw[3])
-            ),
-            trapdoor_proof=wire.decode_trapdoor_proof(
-                wire.pack(wire.TAG_TRAPDOOR_PROOF, raw[4])
-            ),
-            t0=wire.decode_u64(raw[5]),
-            t_end=wire.decode_u64(raw[6]),
-            delta_t=wire.decode_u64(raw[7]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Vouchers and TLS evidence
 # ---------------------------------------------------------------------------
 
 
+@wire.codec(
+    wire.TAG_VOUCHER,
+    ("customer", wire.U64),
+    ("domain", wire.TEXT),
+    ("cycleid", wire.BYTES),
+    ("r", wire.BYTES),
+)
 @dataclass(frozen=True)
 class Voucher:
     """Connection proof tuple: one per domain per update cycle, fresh r."""
@@ -123,32 +100,16 @@ class Voucher:
         if len(self.r) != VOUCHER_R_LEN:
             raise ParameterError("voucher randomness must be 32 bytes")
 
-    def to_bytes(self) -> bytes:
-        body = (
-            wire.pack(wire.TAG_UINT, wire.u64(self.customer))
-            + wire.pack(wire.TAG_TEXT, wire.text(self.domain))
-            + wire.pack(wire.TAG_BYTES, self.cycleid)
-            + wire.pack(wire.TAG_BYTES, self.r)
-        )
-        return wire.pack(wire.TAG_VOUCHER, body)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Voucher":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_VOUCHER),
-            wire.TAG_UINT,
-            wire.TAG_TEXT,
-            wire.TAG_BYTES,
-            wire.TAG_BYTES,
-        )
-        return cls(
-            customer=wire.decode_u64(raw[0]),
-            domain=wire.decode_text(raw[1]),
-            cycleid=raw[2],
-            r=raw[3],
-        )
-
-
+@wire.codec(
+    wire.TAG_TRANSCRIPT,
+    ("client_random", wire.BYTES),
+    ("server_random", wire.BYTES),
+    ("server_dh_params", wire.BYTES),
+    ("signature", wire.BYTES),
+    ("hash_alg", wire.U64),
+    ("sig_alg", wire.U64),
+)
 @dataclass(frozen=True)
 class HandshakeTranscript:
     """The TLS 1.2 DHE handshake fragment the judge re-verifies.
@@ -168,38 +129,13 @@ class HandshakeTranscript:
         if len(self.client_random) != 32 or len(self.server_random) != 32:
             raise ParameterError("handshake randoms must be 32 bytes")
 
-    def to_bytes(self) -> bytes:
-        body = (
-            wire.pack(wire.TAG_BYTES, self.client_random)
-            + wire.pack(wire.TAG_BYTES, self.server_random)
-            + wire.pack(wire.TAG_BYTES, self.server_dh_params)
-            + wire.pack(wire.TAG_BYTES, self.signature)
-            + wire.pack(wire.TAG_UINT, wire.u64(self.hash_alg))
-            + wire.pack(wire.TAG_UINT, wire.u64(self.sig_alg))
-        )
-        return wire.pack(wire.TAG_TRANSCRIPT, body)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "HandshakeTranscript":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_TRANSCRIPT),
-            wire.TAG_BYTES,
-            wire.TAG_BYTES,
-            wire.TAG_BYTES,
-            wire.TAG_BYTES,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-        )
-        return cls(
-            client_random=raw[0],
-            server_random=raw[1],
-            server_dh_params=raw[2],
-            signature=raw[3],
-            hash_alg=wire.decode_u64(raw[4]),
-            sig_alg=wire.decode_u64(raw[5]),
-        )
-
-
+@wire.codec(
+    wire.TAG_EVIDENCE,
+    ("cert_bob", wire.BYTES),
+    ("voucher", Voucher.CODEC),
+    ("transcript", HandshakeTranscript.CODEC),
+)
 @dataclass(frozen=True)
 class VoucherEvidence:
     """Voucher plus the presented certificate and the server's signature."""
@@ -208,36 +144,20 @@ class VoucherEvidence:
     voucher: Voucher
     transcript: HandshakeTranscript
 
-    def to_bytes(self) -> bytes:
-        body = (
-            wire.pack(wire.TAG_BYTES, self.cert_bob)
-            + self.voucher.to_bytes()
-            + self.transcript.to_bytes()
-        )
-        return wire.pack(wire.TAG_EVIDENCE, body)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "VoucherEvidence":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_EVIDENCE),
-            wire.TAG_BYTES,
-            wire.TAG_VOUCHER,
-            wire.TAG_TRANSCRIPT,
-        )
-        return cls(
-            cert_bob=raw[0],
-            voucher=Voucher.from_bytes(wire.pack(wire.TAG_VOUCHER, raw[1])),
-            transcript=HandshakeTranscript.from_bytes(
-                wire.pack(wire.TAG_TRANSCRIPT, raw[2])
-            ),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Merkle inclusion proof (tree construction lives in merkle.py)
 # ---------------------------------------------------------------------------
 
 
+@wire.codec(
+    wire.TAG_INCLUSION_PROOF,
+    ("leaf_index", wire.U64),
+    (
+        "path",
+        wire.list_of(wire.pair(("sibling", wire.DIGEST), ("sibling_is_left", wire.BOOL))),
+    ),
+)
 @dataclass(frozen=True)
 class InclusionProof:
     """Audit path from a leaf to the committed root.
@@ -248,46 +168,36 @@ class InclusionProof:
     leaf_index: int
     path: tuple
 
-    def to_bytes(self) -> bytes:
-        steps = b"".join(
-            wire.pack(
-                wire.TAG_PAIR,
-                wire.pack(wire.TAG_BYTES, digest)
-                + wire.pack(wire.TAG_UINT, wire.u64(1 if sibling_is_left else 0)),
-            )
-            for digest, sibling_is_left in self.path
-        )
-        body = wire.pack(wire.TAG_UINT, wire.u64(self.leaf_index)) + wire.pack(
-            wire.TAG_LIST, steps
-        )
-        return wire.pack(wire.TAG_INCLUSION_PROOF, body)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "InclusionProof":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_INCLUSION_PROOF),
-            wire.TAG_UINT,
-            wire.TAG_LIST,
-        )
-        path = []
-        for tag, value in wire.iter_items(raw[1]):
-            if tag != wire.TAG_PAIR:
-                raise EncodingError("bad inclusion-proof step")
-            digest, flag = wire.fields(value, wire.TAG_BYTES, wire.TAG_UINT)
-            if len(digest) != wire.DIGEST_LEN:
-                raise EncodingError("bad sibling digest length")
-            path.append((digest, wire.decode_u64(flag) == 1))
-        return cls(leaf_index=wire.decode_u64(raw[0]), path=tuple(path))
-
 
 # ---------------------------------------------------------------------------
 # Cycle records and claims
 # ---------------------------------------------------------------------------
 
 
+@wire.codec(
+    wire.TAG_CYCLE_RECORD,
+    ("cycle_index", wire.U64),
+    ("cycleid", wire.BYTES),
+    ("list_size", wire.U64),
+    ("cert_digest", wire.BYTES),
+    ("t", wire.OPT_U64),
+    ("sig_a_certs", wire.OPT_BYTES),
+    ("chsig_certs", wire.optional(wire.CHAMELEON_SIGNATURE)),
+    ("t_prime", wire.OPT_U64),
+    ("voucher_root", wire.OPT_BYTES),
+    ("sig_a_vouchers", wire.OPT_BYTES),
+    ("chsig_vouchers", wire.optional(wire.CHAMELEON_SIGNATURE)),
+    ("tree_seed", wire.OPT_BYTES),
+    ("covered", wire.OPT_BOOL),
+    ("covered_self", wire.OPT_BOOL),
+    ("evidences", wire.list_of(VoucherEvidence.CODEC, key=lambda ev: ev.voucher.domain)),
+)
 @dataclass
 class CycleRecord:
-    """Per-cycle transcript; client side also keeps the tree seed."""
+    """Per-cycle transcript; client side also keeps the tree seed.
+
+    evidences maps each domain to its evidence, encoded in domain order.
+    """
 
     cycle_index: int
     cycleid: bytes
@@ -305,99 +215,21 @@ class CycleRecord:
     covered_self: bool | None = None
     evidences: dict = field(default_factory=dict)
 
-    def to_bytes(self) -> bytes:
-        def opt_bytes(value):
-            return wire.pack(wire.TAG_BYTES, b"" if value is None else value)
 
-        def opt_uint(value):
-            return wire.pack(wire.TAG_UINT, wire.u64(0 if value is None else value + 1))
-
-        evs = b"".join(
-            self.evidences[domain].to_bytes() for domain in sorted(self.evidences)
-        )
-        body = (
-            wire.pack(wire.TAG_UINT, wire.u64(self.cycle_index))
-            + wire.pack(wire.TAG_BYTES, self.cycleid)
-            + wire.pack(wire.TAG_UINT, wire.u64(self.list_size))
-            + wire.pack(wire.TAG_BYTES, self.cert_digest)
-            + opt_uint(self.t)
-            + opt_bytes(self.sig_a_certs)
-            + _opt_chameleon(self.chsig_certs)
-            + opt_uint(self.t_prime)
-            + opt_bytes(self.voucher_root)
-            + opt_bytes(self.sig_a_vouchers)
-            + _opt_chameleon(self.chsig_vouchers)
-            + opt_bytes(self.tree_seed)
-            + opt_uint(None if self.covered is None else int(self.covered))
-            + opt_uint(None if self.covered_self is None else int(self.covered_self))
-            + wire.pack(wire.TAG_LIST, evs)
-        )
-        return wire.pack(wire.TAG_CYCLE_RECORD, body)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CycleRecord":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_CYCLE_RECORD),
-            wire.TAG_UINT,
-            wire.TAG_BYTES,
-            wire.TAG_UINT,
-            wire.TAG_BYTES,
-            wire.TAG_UINT,
-            wire.TAG_BYTES,
-            wire.TAG_CHAMELEON_SIG,
-            wire.TAG_UINT,
-            wire.TAG_BYTES,
-            wire.TAG_BYTES,
-            wire.TAG_CHAMELEON_SIG,
-            wire.TAG_BYTES,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-            wire.TAG_LIST,
-        )
-
-        def from_opt_uint(value):
-            v = wire.decode_u64(value)
-            return None if v == 0 else v - 1
-
-        evidences = {}
-        for tag, value in wire.iter_items(raw[14]):
-            if tag != wire.TAG_EVIDENCE:
-                raise EncodingError("bad evidence entry in cycle record")
-            ev = VoucherEvidence.from_bytes(wire.pack(wire.TAG_EVIDENCE, value))
-            evidences[ev.voucher.domain] = ev
-        covered = from_opt_uint(raw[12])
-        covered_self = from_opt_uint(raw[13])
-        return cls(
-            cycle_index=wire.decode_u64(raw[0]),
-            cycleid=raw[1],
-            list_size=wire.decode_u64(raw[2]),
-            cert_digest=raw[3],
-            t=from_opt_uint(raw[4]),
-            sig_a_certs=raw[5] or None,
-            chsig_certs=_decode_opt_chameleon(raw[6]),
-            t_prime=from_opt_uint(raw[7]),
-            voucher_root=raw[8] or None,
-            sig_a_vouchers=raw[9] or None,
-            chsig_vouchers=_decode_opt_chameleon(raw[10]),
-            tree_seed=raw[11] or None,
-            covered=None if covered is None else bool(covered),
-            covered_self=None if covered_self is None else bool(covered_self),
-            evidences=evidences,
-        )
-
-
-def _opt_chameleon(sig: crypto.ChameleonSignature | None) -> bytes:
-    if sig is None:
-        return wire.pack(wire.TAG_CHAMELEON_SIG, b"")
-    return wire.encode_chameleon_signature(sig)
-
-
-def _decode_opt_chameleon(body: bytes) -> crypto.ChameleonSignature | None:
-    if not body:
-        return None
-    return wire.decode_chameleon_signature(wire.pack(wire.TAG_CHAMELEON_SIG, body))
-
-
+@wire.codec(
+    wire.TAG_CLAIM,
+    ("contract", Contract.CODEC),
+    ("certs", wire.BYTES_TUPLE),
+    ("cycleid", wire.BYTES),
+    ("t", wire.U64),
+    ("t_prime", wire.U64),
+    ("chsig_certs", wire.CHAMELEON_SIGNATURE),
+    ("chsig_vouchers", wire.CHAMELEON_SIGNATURE),
+    ("voucher_root", wire.BYTES),
+    ("proof", InclusionProof.CODEC),
+    ("evidence", VoucherEvidence.CODEC),
+    ("cert_index", wire.U64),
+)
 @dataclass(frozen=True)
 class Claim:
     """Self-contained insurance-case bundle; the judge needs only pk_IN."""
@@ -414,64 +246,18 @@ class Claim:
     evidence: VoucherEvidence
     cert_index: int
 
-    def to_bytes(self) -> bytes:
-        body = (
-            self.contract.to_bytes()
-            + wire.encode_list(list(self.certs))
-            + wire.pack(wire.TAG_BYTES, self.cycleid)
-            + wire.pack(wire.TAG_UINT, wire.u64(self.t))
-            + wire.pack(wire.TAG_UINT, wire.u64(self.t_prime))
-            + wire.encode_chameleon_signature(self.chsig_certs)
-            + wire.encode_chameleon_signature(self.chsig_vouchers)
-            + wire.pack(wire.TAG_BYTES, self.voucher_root)
-            + self.proof.to_bytes()
-            + self.evidence.to_bytes()
-            + wire.pack(wire.TAG_UINT, wire.u64(self.cert_index))
-        )
-        return wire.pack(wire.TAG_CLAIM, body)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Claim":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_CLAIM),
-            wire.TAG_CONTRACT,
-            wire.TAG_LIST,
-            wire.TAG_BYTES,
-            wire.TAG_UINT,
-            wire.TAG_UINT,
-            wire.TAG_CHAMELEON_SIG,
-            wire.TAG_CHAMELEON_SIG,
-            wire.TAG_BYTES,
-            wire.TAG_INCLUSION_PROOF,
-            wire.TAG_EVIDENCE,
-            wire.TAG_UINT,
-        )
-        return cls(
-            contract=Contract.from_bytes(wire.pack(wire.TAG_CONTRACT, raw[0])),
-            certs=tuple(wire.decode_list(wire.pack(wire.TAG_LIST, raw[1]))),
-            cycleid=raw[2],
-            t=wire.decode_u64(raw[3]),
-            t_prime=wire.decode_u64(raw[4]),
-            chsig_certs=wire.decode_chameleon_signature(
-                wire.pack(wire.TAG_CHAMELEON_SIG, raw[5])
-            ),
-            chsig_vouchers=wire.decode_chameleon_signature(
-                wire.pack(wire.TAG_CHAMELEON_SIG, raw[6])
-            ),
-            voucher_root=raw[7],
-            proof=InclusionProof.from_bytes(
-                wire.pack(wire.TAG_INCLUSION_PROOF, raw[8])
-            ),
-            evidence=VoucherEvidence.from_bytes(wire.pack(wire.TAG_EVIDENCE, raw[9])),
-            cert_index=wire.decode_u64(raw[10]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Rollback deltas
 # ---------------------------------------------------------------------------
 
 
+@wire.codec(
+    wire.TAG_ROLLBACK_DELTA,
+    ("cycle_index", wire.U64),
+    ("added", wire.list_of(wire.pair(("position", wire.U64), ("digest", wire.BYTES)))),
+    ("removed", wire.list_of(wire.pair(("position", wire.U64), ("cert", wire.BYTES)))),
+)
 @dataclass(frozen=True)
 class RollbackDelta:
     """Reverses update cycle i: apply(C_i) = C_{i-1} exactly.
@@ -483,54 +269,6 @@ class RollbackDelta:
     cycle_index: int
     added: tuple
     removed: tuple
-
-    def to_bytes(self) -> bytes:
-        added = b"".join(
-            wire.pack(
-                wire.TAG_PAIR,
-                wire.pack(wire.TAG_UINT, wire.u64(pos))
-                + wire.pack(wire.TAG_BYTES, digest),
-            )
-            for pos, digest in self.added
-        )
-        removed = b"".join(
-            wire.pack(
-                wire.TAG_PAIR,
-                wire.pack(wire.TAG_UINT, wire.u64(pos))
-                + wire.pack(wire.TAG_BYTES, cert),
-            )
-            for pos, cert in self.removed
-        )
-        body = (
-            wire.pack(wire.TAG_UINT, wire.u64(self.cycle_index))
-            + wire.pack(wire.TAG_LIST, added)
-            + wire.pack(wire.TAG_LIST, removed)
-        )
-        return wire.pack(wire.TAG_ROLLBACK_DELTA, body)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "RollbackDelta":
-        raw = wire.fields(
-            wire.unpack_exact(data, wire.TAG_ROLLBACK_DELTA),
-            wire.TAG_UINT,
-            wire.TAG_LIST,
-            wire.TAG_LIST,
-        )
-
-        def pairs(payload):
-            out = []
-            for tag, value in wire.iter_items(payload):
-                if tag != wire.TAG_PAIR:
-                    raise EncodingError("bad delta entry")
-                pos, blob = wire.fields(value, wire.TAG_UINT, wire.TAG_BYTES)
-                out.append((wire.decode_u64(pos), blob))
-            return tuple(out)
-
-        return cls(
-            cycle_index=wire.decode_u64(raw[0]),
-            added=pairs(raw[1]),
-            removed=pairs(raw[2]),
-        )
 
 
 def compute_rollback(
@@ -569,8 +307,11 @@ def apply_rollback(current: list[bytes], delta: RollbackDelta) -> list[bytes]:
     return work
 
 
+@wire.codec(wire.TAG_PAIR, ("delta", RollbackDelta.CODEC), ("cycle_time", wire.U64))
 @dataclass(frozen=True)
 class RollbackEntry:
+    """One line of the client's rollback log."""
+
     delta: RollbackDelta
     cycle_time: int
 

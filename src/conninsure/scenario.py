@@ -145,7 +145,7 @@ def run_scenario(
             delta_t + 1 if late_cycle == index else CYCLE_PERIOD
         )
         clock.now = submit_at
-        closed = client.submit_cycle(channel, now=clock.now)
+        closed = client.submit_cycle(channel, now=clock.now, rng=rng)
         report.cycle_reports.append(
             CycleReport(
                 index=index,

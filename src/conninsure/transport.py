@@ -13,14 +13,7 @@ import time
 
 from . import wire
 from .errors import CIError, EncodingError
-from .insurer import EXCEPTION_BY_CODE, Insurer, handle_request
-
-
-def _raise_error_response(body: bytes) -> None:
-    raw = wire.fields(body, wire.TAG_UINT, wire.TAG_TEXT)
-    code = wire.decode_u64(raw[0])
-    message = wire.decode_text(raw[1])
-    raise EXCEPTION_BY_CODE.get(code, CIError)(message)
+from .insurer import ERROR_RESPONSE, EXCEPTION_BY_CODE, Insurer, handle_request
 
 
 def unwrap_response(response: bytes) -> bytes:
@@ -31,7 +24,8 @@ def unwrap_response(response: bytes) -> bytes:
     if tag == wire.RESP_OK:
         return body
     if tag == wire.RESP_ERR:
-        _raise_error_response(body)
+        code, message = ERROR_RESPONSE.decode_body(body)
+        raise EXCEPTION_BY_CODE.get(code, CIError)(message)
     raise EncodingError(f"unknown response tag 0x{tag:02x}")
 
 

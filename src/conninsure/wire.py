@@ -5,9 +5,16 @@ the client-insurer channel.
 Layout of one TLV item: tag (1 byte) || length (4-byte big-endian) || value.
 Compound records nest TLV items in a fixed field order, so every encoding
 is an injective function of the abstract value.
+
+Each compound layout is declared once, as a field table: a `Record` of
+ordered (attribute name, field kind) pairs from which both the encoder and
+the decoder are derived.  Decoders accept only canonical encodings, so
+decode followed by encode returns the input bytes.
 """
 
 import struct
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import crypto
 from .errors import EncodingError, ParameterError
@@ -54,6 +61,9 @@ LOG_SUBMIT_VOUCHERS = 0x36
 LOG_SNAPSHOT = 0x37
 
 _MAX_LEN = 0xFFFFFFFF
+_HEADER = struct.Struct(">BI")
+_LENGTH = struct.Struct(">I")
+_U64_ITEM = struct.Struct(">BIQ")
 
 SIGNED_PAYLOAD_LABELS = ("Certificates", "Vouchers")
 CYCLEID_LEN = 32
@@ -63,7 +73,7 @@ DIGEST_LEN = 32
 def pack(tag: int, payload: bytes) -> bytes:
     if len(payload) > _MAX_LEN:
         raise EncodingError("payload too large for a 4-byte length")
-    return bytes([tag]) + struct.pack(">I", len(payload)) + payload
+    return _HEADER.pack(tag, len(payload)) + payload
 
 
 def unpack(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
@@ -90,16 +100,29 @@ def unpack_exact(data: bytes, expected_tag: int) -> bytes:
 
 def fields(payload: bytes, *expected_tags: int) -> list[bytes]:
     """Split a compound payload into exactly the expected ordered fields."""
-    out = []
+    return _split(payload, [(tag, None) for tag in expected_tags])
+
+
+def _split(data: bytes, parsers) -> list:
+    """Parse data as exactly one item per (tag, parse) pair, in order."""
+    values = []
     offset = 0
-    for want in expected_tags:
-        tag, value, offset = unpack(payload, offset)
-        if tag != want:
-            raise EncodingError(f"expected field tag 0x{want:02x}, got 0x{tag:02x}")
-        out.append(value)
-    if offset != len(payload):
+    try:
+        for tag, parse in parsers:
+            got, length = _HEADER.unpack_from(data, offset)
+            if got != tag:
+                raise EncodingError(f"expected field tag 0x{tag:02x}, got 0x{got:02x}")
+            start = offset + 5
+            offset = start + length
+            value = data[start:offset]
+            if len(value) != length:
+                raise EncodingError("truncated TLV value")
+            values.append(value if parse is None else parse(value))
+    except struct.error:
+        raise EncodingError("truncated TLV header") from None
+    if offset != len(data):
         raise EncodingError("trailing bytes after last field")
-    return out
+    return values
 
 
 def iter_items(payload: bytes):
@@ -161,18 +184,204 @@ def encode_list(items: list[bytes], item_tag: int = TAG_BYTES) -> bytes:
 
 
 def decode_list(data: bytes, item_tag: int = TAG_BYTES) -> list[bytes]:
-    payload = unpack_exact(data, TAG_LIST)
+    return _list_items(unpack_exact(data, TAG_LIST), item_tag, None)
+
+
+def _list_items(payload: bytes, item_tag: int, parse) -> list:
     out = []
     for tag, value in iter_items(payload):
         if tag != item_tag:
             raise EncodingError(f"unexpected list item tag 0x{tag:02x}")
-        out.append(value)
+        out.append(value if parse is None else parse(value))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Field tables
+# ---------------------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """How one field's value maps to one TLV item: item(value) returns the
+    whole item, parse(payload) the value (None: the payload is the value)."""
+
+    tag: int
+    item: Callable
+    parse: Callable | None
+
+
+def _u64_item(value: int) -> bytes:
+    try:
+        return _U64_ITEM.pack(TAG_UINT, 8, value)
+    except struct.error:
+        raise EncodingError("value out of u64 range") from None
+
+
+def _parse_bool(data: bytes) -> bool:
+    value = decode_u64(data)
+    if value > 1:
+        raise EncodingError("boolean field must be 0 or 1")
+    return value == 1
+
+
+def _parse_opt_u64(data: bytes) -> int | None:
+    value = decode_u64(data)
+    return None if value == 0 else value - 1
+
+
+def _parse_opt_bool(data: bytes) -> bool | None:
+    value = decode_u64(data)
+    if value > 2:
+        raise EncodingError("optional boolean field must be 0, 1 or 2")
+    return None if value == 0 else value == 2
+
+
+def _parse_digest(data: bytes) -> bytes:
+    if len(data) != DIGEST_LEN:
+        raise EncodingError("digest field must be 32 bytes")
+    return data
+
+
+def _parse_bytes_list(data: bytes) -> list[bytes]:
+    return decode_list(pack(TAG_LIST, data))
+
+
+U64 = Kind(TAG_UINT, _u64_item, decode_u64)
+BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v), None)
+DIGEST = Kind(TAG_BYTES, BYTES.item, _parse_digest)
+TEXT = Kind(TAG_TEXT, lambda v: pack(TAG_TEXT, text(v)), decode_text)
+VARINT = Kind(TAG_INT, lambda v: pack(TAG_INT, varint(v)), decode_varint)
+BOOL = Kind(TAG_UINT, lambda v: _u64_item(1 if v else 0), _parse_bool)
+# Optional scalars: None is 0 (or empty), a value v is v + 1 (False 1, True 2).
+OPT_U64 = Kind(TAG_UINT, lambda v: _u64_item(0 if v is None else v + 1), _parse_opt_u64)
+OPT_BOOL = Kind(
+    TAG_UINT, lambda v: _u64_item(0 if v is None else 1 + bool(v)), _parse_opt_bool
+)
+OPT_BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v or b""), lambda b: b or None)
+# Lists of byte strings go through encode_list/decode_list, looked up at call
+# time, so wrappers installed on those two functions see every such list.
+BYTES_LIST = Kind(TAG_LIST, lambda v: encode_list(v), _parse_bytes_list)
+BYTES_TUPLE = Kind(TAG_LIST, BYTES_LIST.item, lambda b: tuple(_parse_bytes_list(b)))
+
+
+def list_of(kind: Kind, key=None) -> Kind:
+    """A TAG_LIST of items of one kind, decoded as a tuple.
+
+    With key, the value is a dict {key(item): item} instead, encoded in
+    strictly increasing key order; the decoder rejects any other order.
+    """
+
+    def parse_items(data: bytes):
+        out = _list_items(data, kind.tag, kind.parse)
+        if key is None:
+            return tuple(out)
+        keys = [key(value) for value in out]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise EncodingError("list entries must be strictly sorted by key")
+        return dict(zip(keys, out))
+
+    def encode(values) -> bytes:
+        if key is not None:
+            values = [values[k] for k in sorted(values)]
+        return pack(TAG_LIST, b"".join(map(kind.item, values)))
+
+    return Kind(TAG_LIST, encode, parse_items)
+
+
+class Record:
+    """A record type's field table: ordered (attribute name, kind) pairs.
+
+    encode reads the named attributes and decode passes the field values to
+    constructor in table order.  With constructor None the value is a plain
+    tuple in table order and the names only document the fields.  A Record
+    is itself a kind, for records nested in other records; with tag None it
+    is a bare field sequence, used through encode_body and decode_body.
+    """
+
+    def __init__(self, tag: int | None, constructor, *fields: tuple[str, Kind]):
+        self.tag = tag
+        self.item = self.encode
+        self.parse = self.decode_body
+        names = [name for name, _ in fields]
+        self._items = tuple(kind.item for _, kind in fields)
+        self._parsers = tuple((kind.tag, kind.parse) for _, kind in fields)
+        if constructor is None:
+            self._make = lambda *values: values
+            self._values = tuple
+        else:
+            self._make = constructor
+            getter = attrgetter(*names)
+            self._values = getter if len(names) > 1 else lambda obj: (getter(obj),)
+
+    def encode_body(self, value) -> bytes:
+        return b"".join([item(v) for item, v in zip(self._items, self._values(value))])
+
+    def encode(self, value) -> bytes:
+        return pack(self.tag, self.encode_body(value))
+
+    def decode_body(self, body: bytes):
+        return self._make(*_split(body, self._parsers))
+
+    def decode(self, data: bytes):
+        return self.decode_body(unpack_exact(data, self.tag))
+
+
+def pair(*fields: tuple[str, Kind]) -> Record:
+    """A TAG_PAIR item holding a tuple of fields."""
+    return Record(TAG_PAIR, None, *fields)
+
+
+def optional(record: Record) -> Kind:
+    """A record field that may be None, encoded as the record's empty item."""
+    empty = pack(record.tag, b"")
+    return Kind(
+        record.tag,
+        lambda value: empty if value is None else record.encode(value),
+        lambda data: record.decode_body(data) if data else None,
+    )
+
+
+def codec(tag: int, *fields: tuple[str, Kind]):
+    """Class decorator: CODEC, to_bytes and from_bytes from one field table."""
+
+    def attach(cls):
+        record = cls.CODEC = Record(tag, cls, *fields)
+
+        def to_bytes(self) -> bytes:
+            return record.encode(self)
+
+        def from_bytes(cls, data: bytes):
+            return record.decode(data)
+
+        cls.to_bytes = to_bytes
+        cls.from_bytes = classmethod(from_bytes)
+        return cls
+
+    return attach
 
 
 # ---------------------------------------------------------------------------
 # Signed payloads and the certificate-list digest
 # ---------------------------------------------------------------------------
+
+_SIGNED_PAYLOAD = Record(
+    TAG_SIGNED_PAYLOAD,
+    None,
+    ("label", TEXT),
+    ("customer", U64),
+    ("cycleid", BYTES),
+    ("timestamp", U64),
+    ("body_digest", BYTES),
+)
+
+
+def _check_signed_payload(label: str, cycleid: bytes, body_digest: bytes) -> None:
+    if label not in SIGNED_PAYLOAD_LABELS:
+        raise EncodingError(f"unknown payload label {label!r}")
+    if len(cycleid) != CYCLEID_LEN:
+        raise EncodingError("cycleid must be 32 bytes")
+    if len(body_digest) != DIGEST_LEN:
+        raise EncodingError("body digest must be 32 bytes")
 
 
 def encode_signed_payload(
@@ -183,31 +392,14 @@ def encode_signed_payload(
     For "Certificates" the digest commits to the ordered list C; for
     "Vouchers" it is the Merkle root over the cycle's vouchers.
     """
-    if label not in SIGNED_PAYLOAD_LABELS:
-        raise EncodingError(f"unknown payload label {label!r}")
-    if len(cycleid) != CYCLEID_LEN:
-        raise EncodingError("cycleid must be 32 bytes")
-    if len(body_digest) != DIGEST_LEN:
-        raise EncodingError("body digest must be 32 bytes")
-    body = (
-        pack(TAG_TEXT, text(label))
-        + pack(TAG_UINT, u64(customer))
-        + pack(TAG_BYTES, cycleid)
-        + pack(TAG_UINT, u64(timestamp))
-        + pack(TAG_BYTES, body_digest)
-    )
-    return pack(TAG_SIGNED_PAYLOAD, body)
+    _check_signed_payload(label, cycleid, body_digest)
+    return _SIGNED_PAYLOAD.encode((label, customer, cycleid, timestamp, body_digest))
 
 
 def decode_signed_payload(data: bytes) -> tuple[str, int, bytes, int, bytes]:
-    body = unpack_exact(data, TAG_SIGNED_PAYLOAD)
-    raw = fields(body, TAG_TEXT, TAG_UINT, TAG_BYTES, TAG_UINT, TAG_BYTES)
-    label = decode_text(raw[0])
-    if label not in SIGNED_PAYLOAD_LABELS:
-        raise EncodingError(f"unknown payload label {label!r}")
-    if len(raw[2]) != CYCLEID_LEN or len(raw[4]) != DIGEST_LEN:
-        raise EncodingError("bad cycleid or digest length")
-    return label, decode_u64(raw[1]), raw[2], decode_u64(raw[3]), raw[4]
+    value = _SIGNED_PAYLOAD.decode(data)
+    _check_signed_payload(value[0], value[2], value[4])
+    return value
 
 
 def cert_list_digest(certs: list[bytes]) -> bytes:
@@ -224,72 +416,32 @@ def cert_list_digest(certs: list[bytes]) -> bytes:
 # Codecs for crypto types
 # ---------------------------------------------------------------------------
 
+PUBLIC_KEY = Record(TAG_PUBKEY, crypto.PublicKey, ("scheme_id", U64), ("data", BYTES))
+GROUP_PARAMS = Record(
+    TAG_GROUP_PARAMS, crypto.GroupParams, ("p", VARINT), ("q", VARINT), ("g", VARINT)
+)
+CHAMELEON_PUBLIC = Record(
+    TAG_CHAMELEON_PUB, crypto.ChameleonPublicKey, ("params", GROUP_PARAMS), ("y", VARINT)
+)
+CHAMELEON_SIGNATURE = Record(
+    TAG_CHAMELEON_SIG,
+    crypto.ChameleonSignature,
+    ("r", VARINT),
+    ("inner_sig", BYTES),
+    ("context", BYTES),
+)
+TRAPDOOR_PROOF = Record(
+    TAG_TRAPDOOR_PROOF, crypto.TrapdoorProof, ("u", VARINT), ("c", VARINT), ("z", VARINT)
+)
 
-def encode_public_key(pk: crypto.PublicKey) -> bytes:
-    body = pack(TAG_UINT, u64(pk.scheme_id)) + pack(TAG_BYTES, pk.data)
-    return pack(TAG_PUBKEY, body)
-
-
-def decode_public_key(data: bytes) -> crypto.PublicKey:
-    raw = fields(unpack_exact(data, TAG_PUBKEY), TAG_UINT, TAG_BYTES)
-    return crypto.PublicKey(decode_u64(raw[0]), raw[1])
-
-
-def encode_group_params(params: crypto.GroupParams) -> bytes:
-    body = (
-        pack(TAG_INT, varint(params.p))
-        + pack(TAG_INT, varint(params.q))
-        + pack(TAG_INT, varint(params.g))
-    )
-    return pack(TAG_GROUP_PARAMS, body)
-
-
-def decode_group_params(data: bytes) -> crypto.GroupParams:
-    raw = fields(unpack_exact(data, TAG_GROUP_PARAMS), TAG_INT, TAG_INT, TAG_INT)
-    return crypto.GroupParams(
-        decode_varint(raw[0]), decode_varint(raw[1]), decode_varint(raw[2])
-    )
-
-
-def encode_chameleon_public(pub: crypto.ChameleonPublicKey) -> bytes:
-    body = encode_group_params(pub.params) + pack(TAG_INT, varint(pub.y))
-    return pack(TAG_CHAMELEON_PUB, body)
-
-
-def decode_chameleon_public(data: bytes) -> crypto.ChameleonPublicKey:
-    raw = fields(unpack_exact(data, TAG_CHAMELEON_PUB), TAG_GROUP_PARAMS, TAG_INT)
-    params = decode_group_params(pack(TAG_GROUP_PARAMS, raw[0]))
-    return crypto.ChameleonPublicKey(params, decode_varint(raw[1]))
-
-
-def encode_chameleon_signature(sig: crypto.ChameleonSignature) -> bytes:
-    body = (
-        pack(TAG_INT, varint(sig.r))
-        + pack(TAG_BYTES, sig.inner_sig)
-        + pack(TAG_BYTES, sig.context)
-    )
-    return pack(TAG_CHAMELEON_SIG, body)
-
-
-def decode_chameleon_signature(data: bytes) -> crypto.ChameleonSignature:
-    raw = fields(unpack_exact(data, TAG_CHAMELEON_SIG), TAG_INT, TAG_BYTES, TAG_BYTES)
-    return crypto.ChameleonSignature(decode_varint(raw[0]), raw[1], raw[2])
-
-
-def encode_trapdoor_proof(proof: crypto.TrapdoorProof) -> bytes:
-    body = (
-        pack(TAG_INT, varint(proof.u))
-        + pack(TAG_INT, varint(proof.c))
-        + pack(TAG_INT, varint(proof.z))
-    )
-    return pack(TAG_TRAPDOOR_PROOF, body)
-
-
-def decode_trapdoor_proof(data: bytes) -> crypto.TrapdoorProof:
-    raw = fields(unpack_exact(data, TAG_TRAPDOOR_PROOF), TAG_INT, TAG_INT, TAG_INT)
-    return crypto.TrapdoorProof(
-        decode_varint(raw[0]), decode_varint(raw[1]), decode_varint(raw[2])
-    )
+encode_public_key, decode_public_key = PUBLIC_KEY.encode, PUBLIC_KEY.decode
+encode_group_params, decode_group_params = GROUP_PARAMS.encode, GROUP_PARAMS.decode
+encode_chameleon_public = CHAMELEON_PUBLIC.encode
+decode_chameleon_public = CHAMELEON_PUBLIC.decode
+encode_chameleon_signature = CHAMELEON_SIGNATURE.encode
+decode_chameleon_signature = CHAMELEON_SIGNATURE.decode
+encode_trapdoor_proof = TRAPDOOR_PROOF.encode
+decode_trapdoor_proof = TRAPDOOR_PROOF.decode
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +452,39 @@ def decode_trapdoor_proof(data: bytes) -> crypto.TrapdoorProof:
 def frame(payload: bytes) -> bytes:
     if len(payload) > _MAX_LEN:
         raise EncodingError("frame payload too large")
-    return struct.pack(">I", len(payload)) + payload
+    return _LENGTH.pack(len(payload)) + payload
 
 
 def read_frame(read_exact) -> bytes:
     """Read one frame via read_exact(n) -> exactly n bytes (or raises)."""
     header = read_exact(4)
-    (length,) = struct.unpack(">I", header)
+    (length,) = _LENGTH.unpack(header)
     if length == 0:
         return b""
     return read_exact(length)
 
 
-def buffer_reader(data: bytes):
-    """read_exact over an in-memory buffer, for read_frame on file contents."""
+def iter_frames(data: bytes):
+    """Yield the payload of each frame in a buffer of back-to-back frames.
+
+    Stops at a clean end; a partial frame raises EncodingError with its
+    byte offset.
+    """
     offset = 0
+    size = len(data)
+    while offset < size:
+        end = offset + 4
+        if end <= size:
+            end += _LENGTH.unpack_from(data, offset)[0]
+        if end > size:
+            raise EncodingError(f"partial frame at byte offset {offset}")
+        yield data[offset + 4 : end]
+        offset = end
 
-    def read_exact(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(data):
-            raise EncodingError("short read")
-        out = data[offset : offset + n]
-        offset += n
-        return out
 
-    return read_exact
+def only_frame(data: bytes) -> bytes:
+    """The payload of a buffer that holds exactly one frame."""
+    frames = list(iter_frames(data))
+    if len(frames) != 1:
+        raise EncodingError(f"expected one frame, found {len(frames)}")
+    return frames[0]

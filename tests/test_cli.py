@@ -76,6 +76,20 @@ class TestSimulate:
             del x["elapsed_s"]
         assert a == b
 
+    def test_same_seed_gives_identical_claim_bytes(self, runner, tmp_path):
+        """Every random draw of a run, the Merkle tree seeds included, comes
+        from --seed, so the claim file is a function of the arguments."""
+        blobs = []
+        for name in ("a.ciclaim", "b.ciclaim"):
+            path = tmp_path / name
+            _invoke(
+                runner, "simulate", "--scenario", "mitm", "--cycles", "2",
+                "--domains", "3", "--seed", "5", "--rogue-cycle", "2",
+                "--claim-out", str(path),
+            )
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 class TestJudgeCli:
     def test_truncated_claim_parse_error_exit(self, runner, tmp_path):

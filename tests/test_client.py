@@ -6,6 +6,7 @@ import pytest
 from conninsure import crypto, merkle, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import (
+    EncodingError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
@@ -282,3 +283,19 @@ class TestPersistence:
         assert len(reloaded.rollback_entries) == 2
         # the unpruned tail still reconstructs its cycles
         assert reloaded.reconstruct_list(3) == client.reconstruct_list(3)
+
+    @pytest.mark.parametrize("name", ["archive.tlv", "rollback.tlv"])
+    def test_torn_log_frame_raises(self, tmp_path, world, name):
+        """A log cut inside its last frame is reported, not silently
+        shortened: the cut frame may hold claimable evidence."""
+        insurer, _, channel, client, clock, rng = world
+        for i in range(2):
+            client.do_update_cycle(channel, now=clock.now)
+            client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+            insurer.update_cert_list([b"new-%d" % i], [])
+        client.do_update_cycle(channel, now=clock.now)
+        client.save(str(tmp_path))
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(EncodingError, match="offset"):
+            ClientState.load(str(tmp_path))

@@ -154,7 +154,7 @@ class TestChameleonProperties:
 
 class TestChameleonSignatures:
     def test_sign_verify_roundtrip(self, insurer_keypair, prod_chameleon, rng):
-        sig = crypto.chameleon_sign(
+        sig, _ = crypto.chameleon_sign(
             insurer_keypair, prod_chameleon.public, b"payload", b"ctx", rng
         )
         assert crypto.chameleon_verify(
@@ -164,7 +164,7 @@ class TestChameleonSignatures:
     def test_recipient_forges_new_message(self, insurer_keypair, prod_chameleon, rng):
         """The non-transferability witness: the trapdoor holder turns an
         issued signature into one over any chosen message."""
-        sig = crypto.chameleon_sign(
+        sig, _ = crypto.chameleon_sign(
             insurer_keypair, prod_chameleon.public, b"honest", b"ctx", rng
         )
         forged_r = crypto.find_collision(prod_chameleon, b"honest", sig.r, b"forged")
@@ -174,7 +174,7 @@ class TestChameleonSignatures:
         )
 
     def test_wrong_context_rejected(self, insurer_keypair, prod_chameleon, rng):
-        sig = crypto.chameleon_sign(
+        sig, _ = crypto.chameleon_sign(
             insurer_keypair, prod_chameleon.public, b"m", b"customer-1", rng
         )
         assert not crypto.chameleon_verify(
@@ -183,7 +183,7 @@ class TestChameleonSignatures:
         )
 
     def test_tampered_randomizer_rejected(self, insurer_keypair, prod_chameleon, rng):
-        sig = crypto.chameleon_sign(
+        sig, _ = crypto.chameleon_sign(
             insurer_keypair, prod_chameleon.public, b"m", b"ctx", rng
         )
         bad = crypto.ChameleonSignature(
@@ -196,7 +196,9 @@ class TestChameleonSignatures:
     def test_transplant_to_other_recipient_rejected(self, insurer_keypair, rng):
         alice = crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng)
         carol = crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng)
-        sig = crypto.chameleon_sign(insurer_keypair, alice.public, b"m", b"ctx", rng)
+        sig, _ = crypto.chameleon_sign(
+            insurer_keypair, alice.public, b"m", b"ctx", rng
+        )
         assert not crypto.chameleon_verify(
             insurer_keypair.public, carol.public, b"m", sig
         )
@@ -251,13 +253,16 @@ class TestFixedBaseComb:
             assert crypto.chameleon_hash(
                 params, recipient.y, b"m", r, y_comb
             ) == crypto.chameleon_hash(params, recipient.y, b"m", r)
-        plain = crypto.chameleon_sign(
+        plain, plain_ch = crypto.chameleon_sign(
             insurer_keypair, recipient, b"m", b"ctx", RandomSource(3)
         )
-        combed = crypto.chameleon_sign(
+        combed, combed_ch = crypto.chameleon_sign(
             insurer_keypair, recipient, b"m", b"ctx", RandomSource(3), y_comb
         )
         assert combed == plain
+        assert combed_ch == plain_ch == crypto.chameleon_hash(
+            params, recipient.y, b"m", plain.r
+        )
         for sig in (plain, combed):
             for y_comb_arg in (None, y_comb):
                 assert crypto.chameleon_verify(

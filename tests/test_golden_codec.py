@@ -1,0 +1,280 @@
+"""Byte-exact golden artifacts for every record, message, log and client file.
+
+`build_artifacts` runs a small seeded deployment on TOY_GROUP: one insurer
+with a log, one customer over three update cycles with a list change, an
+untrusted server, a claim, and lookups.  Every call that draws randomness
+gets an explicit RandomSource and every call that reads a clock gets `now`,
+so the bytes are a function of the code alone.  The test compares each
+artifact with tests/fixtures/golden_codec.json and decodes each fixture back.
+
+Regenerate the fixture file (only when a layout change is intended):
+
+    PYTHONPATH=src python tests/test_golden_codec.py --write
+"""
+
+import json
+import os
+import shutil
+import sys
+import tempfile
+
+import pytest
+
+from conninsure import crypto, insurer as insurer_mod, tlssim, wire
+from conninsure.client import ClientState
+from conninsure.insurer import Insurer, RegistrationRequest, handle_request
+from conninsure.model import (
+    Claim,
+    Contract,
+    CycleRecord,
+    HandshakeTranscript,
+    InclusionProof,
+    RollbackDelta,
+    Voucher,
+    VoucherEvidence,
+)
+from conninsure.rand import RandomSource
+from conninsure.transport import unwrap_response
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_codec.json")
+START = 1_700_000_000
+DOMAINS = ("alpha.example.org", "beta.example.org")
+
+# Name -> decoder whose output re-encodes with to_bytes().
+RECORD_TYPES = {
+    "contract": Contract,
+    "voucher": Voucher,
+    "transcript": HandshakeTranscript,
+    "evidence": VoucherEvidence,
+    "inclusion_proof": InclusionProof,
+    "cycle_record_open": CycleRecord,
+    "cycle_record_closed": CycleRecord,
+    "claim": Claim,
+    "rollback_delta": RollbackDelta,
+    "registration_request": RegistrationRequest,
+}
+
+ENDPOINTS = {
+    wire.REQ_REGISTER: "register",
+    wire.REQ_BEGIN_CYCLE: "begin_cycle",
+    wire.REQ_ACK_CERTS: "ack_certs",
+    wire.REQ_SUBMIT_VOUCHERS: "submit_vouchers",
+}
+
+
+class _Clock:
+    def __init__(self):
+        self.now = START
+
+    def __call__(self):
+        return self.now
+
+
+class _RecordingChannel:
+    """In-process channel that keeps the first request/response per endpoint."""
+
+    def __init__(self, insurer, clock, out):
+        self.insurer = insurer
+        self.clock = clock
+        self.out = out
+
+    def request(self, payload):
+        response = handle_request(self.insurer, payload, self.clock.now)
+        name = ENDPOINTS[payload[0]]
+        self.out.setdefault(f"{name}_request", payload)
+        self.out.setdefault(f"{name}_response", response)
+        return unwrap_response(response)
+
+
+def _lookup(kind, key):
+    return wire.pack(
+        wire.REQ_LOOKUP_RECORD,
+        wire.pack(wire.TAG_UINT, wire.u64(kind)) + wire.pack(wire.TAG_BYTES, key),
+    )
+
+
+def build_artifacts(workdir, monkeypatch_interval):
+    """Run the seeded deployment in workdir; return (artifacts, insurer, client)."""
+    monkeypatch_interval(7)
+    out = {}
+    server_rng = RandomSource(101)
+    servers = [
+        tlssim.SimServer.create(d, rng=server_rng, now=START, dh_group=crypto.TOY_GROUP)
+        for d in DOMAINS
+    ]
+    untrusted = tlssim.SimServer.create(
+        "gamma.example.org", rng=server_rng, now=START, dh_group=crypto.TOY_GROUP
+    )
+    spare, _ = tlssim.make_self_signed_cert("delta.example.org", rng=server_rng, now=START)
+
+    log_path = os.path.join(workdir, "insurer.log")
+    insurer = Insurer.setup(
+        [s.presented_cert for s in servers], rng=RandomSource(102), log_path=log_path
+    )
+    clock = _Clock()
+    channel = _RecordingChannel(insurer, clock, out)
+    client_rng = RandomSource(103)
+    client = ClientState.register(
+        channel, requested_delta_t=3600, rng=client_rng, group=crypto.TOY_GROUP
+    )
+    client_dir = os.path.join(workdir, "client")
+
+    for cycle in range(1, 4):
+        if cycle == 2:
+            insurer.update_cert_list(adds=[spare], removes=[])
+        if cycle == 3:
+            insurer.update_cert_list(adds=[], removes=[spare])
+        clock.now += 600
+        client.do_update_cycle(channel, now=clock.now)
+        for server in servers if cycle < 3 else servers[:1]:
+            clock.now += 10
+            client.browse(server.domain, server, now=clock.now, rng=client_rng)
+        if cycle == 1:
+            clock.now += 10
+            client.browse(untrusted.domain, untrusted, now=clock.now, rng=client_rng)
+            out["cycle_record_open"] = client.open_cycle.to_bytes()
+        if cycle < 3:
+            clock.now += 60
+            client.submit_cycle(channel, now=clock.now, rng=client_rng)
+
+    client.save(client_dir)
+    first = client.archive[0]
+    evidence = first.evidences[DOMAINS[1]]
+    claim = client.assemble_claim(first.cycleid, DOMAINS[1])
+    out["contract"] = client.contract.to_bytes()
+    out["voucher"] = evidence.voucher.to_bytes()
+    out["transcript"] = evidence.transcript.to_bytes()
+    out["evidence"] = evidence.to_bytes()
+    out["inclusion_proof"] = claim.proof.to_bytes()
+    out["cycle_record_closed"] = first.to_bytes()
+    out["claim"] = claim.to_bytes()
+    out["rollback_delta"] = client.rollback_entries[0].delta.to_bytes()
+    out["registration_request"] = out["register_request"]
+
+    record = insurer.records[0]
+    for name, kind, key in (
+        ("lookup_hit", 0, record.ch),
+        ("lookup_miss", 1, b"\x00" * 32),
+    ):
+        request = _lookup(kind, key)
+        out[f"{name}_request"] = request
+        out[f"{name}_response"] = handle_request(insurer, request, clock.now)
+    error_request = wire.pack(
+        wire.REQ_BEGIN_CYCLE, wire.pack(wire.TAG_UINT, wire.u64(99))
+    )
+    out["error_request"] = error_request
+    out["error_response"] = handle_request(insurer, error_request, clock.now)
+
+    insurer.close()
+    with open(log_path, "rb") as fh:
+        out["insurer_log"] = fh.read()
+    out["insurer_snapshot"] = insurer.snapshot_bytes()
+    for name in ("state.tlv", "archive.tlv", "rollback.tlv"):
+        with open(os.path.join(client_dir, name), "rb") as fh:
+            out[name.replace(".", "_")] = fh.read()
+    return out, insurer, client
+
+
+def load_fixture():
+    with open(FIXTURE) as fh:
+        return {name: bytes.fromhex(blob) for name, blob in json.load(fh).items()}
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    mp = pytest.MonkeyPatch()
+    try:
+        yield build_artifacts(
+            str(tmp_path_factory.mktemp("golden")),
+            lambda n: mp.setattr(insurer_mod, "SNAPSHOT_INTERVAL", n),
+        )
+    finally:
+        mp.undo()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return load_fixture()
+
+
+def test_fixture_covers_every_artifact(built, golden):
+    artifacts, _, _ = built
+    assert sorted(artifacts) == sorted(golden)
+
+
+def test_log_has_every_event_kind_and_a_snapshot(golden):
+    log = golden["insurer_log"]
+    tags = []
+    offset = 0
+    while offset < len(log):
+        length = int.from_bytes(log[offset : offset + 4], "big")
+        tags.append(log[offset + 4])
+        offset += 4 + length
+    assert set(tags) == {
+        wire.LOG_SETUP, wire.LOG_REGISTER, wire.LOG_UPDATE_CERTS,
+        wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
+        wire.LOG_SNAPSHOT,
+    }
+    assert tags[-1] != wire.LOG_SNAPSHOT
+
+
+@pytest.mark.parametrize(
+    "name", sorted(load_fixture()) if os.path.exists(FIXTURE) else []
+)
+def test_artifact_bytes_unchanged(built, golden, name):
+    artifacts, _, _ = built
+    assert artifacts[name].hex() == golden[name].hex()
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_TYPES))
+def test_record_fixture_decodes_and_reencodes(golden, name):
+    blob = golden[name]
+    assert RECORD_TYPES[name].from_bytes(blob).to_bytes() == blob
+
+
+def test_insurer_log_fixture_replays(built, golden, tmp_path):
+    _, live, _ = built
+    path = tmp_path / "insurer.log"
+    path.write_bytes(golden["insurer_log"])
+    loaded = Insurer.load(str(path))
+    try:
+        assert loaded.snapshot_bytes() == golden["insurer_snapshot"]
+        assert loaded.snapshot_bytes() == live.snapshot_bytes()
+    finally:
+        loaded.close()
+
+
+def test_client_file_fixtures_reload(built, golden, tmp_path):
+    _, _, live = built
+    for name in ("state.tlv", "archive.tlv", "rollback.tlv"):
+        (tmp_path / name).write_bytes(golden[name.replace(".", "_")])
+    loaded = ClientState.load(str(tmp_path))
+    assert loaded.contract == live.contract
+    assert loaded.certs == live.certs
+    assert loaded.current_index == live.current_index
+    assert loaded.warnings == live.warnings
+    assert loaded.open_cycle == live.open_cycle
+    assert loaded.archive == live.archive
+    assert loaded.rollback_entries == live.rollback_entries
+    loaded.save(str(tmp_path))
+    assert (tmp_path / "state.tlv").read_bytes() == golden["state_tlv"]
+
+
+def _write_fixture():
+    workdir = tempfile.mkdtemp()
+    try:
+        artifacts, _, _ = build_artifacts(
+            workdir, lambda n: setattr(insurer_mod, "SNAPSHOT_INTERVAL", n)
+        )
+    finally:
+        shutil.rmtree(workdir)
+    with open(FIXTURE, "w") as fh:
+        json.dump({k: v.hex() for k, v in sorted(artifacts.items())}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(artifacts)} artifacts to {FIXTURE}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    _write_fixture()

@@ -101,6 +101,27 @@ class TestSetup:
         assert reloaded.snapshot_bytes() == snapshot
         reloaded.close()
 
+    def test_every_log_frame_is_fsynced(self, tmp_path, monkeypatch):
+        """Periodic snapshots are made durable like the events they follow."""
+        import conninsure.insurer as insurer_module
+
+        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 2)
+        synced = []
+        real_fsync = insurer_module.os.fsync
+        monkeypatch.setattr(
+            insurer_module.os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        log = tmp_path / "insurer.log"
+        persisted = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
+        persisted.register(_registration(RandomSource(12))[2], NOW)
+        persisted.update_cert_list([b"cert-delta"], [])
+        persisted.update_cert_list([b"cert-epsilon"], [])
+        persisted.close()
+        frames = list(wire.iter_frames(log.read_bytes()))
+        tags = [frame[0] for frame in frames]
+        assert tags.count(wire.LOG_SNAPSHOT) == 2
+        assert len(synced) == len(frames) == 6
+
 
 class TestRegistration:
     def test_valid_application(self, insurer):
@@ -276,6 +297,16 @@ class TestUpdateCertList:
 
 
 class TestRecordLog:
+    def test_one_chameleon_hash_per_countersignature(self, enrolled, monkeypatch):
+        insurer, keypair, _, contract, _ = enrolled
+        calls = []
+        real_hash = crypto.chameleon_hash
+        monkeypatch.setattr(
+            crypto, "chameleon_hash", lambda *a, **k: calls.append(1) or real_hash(*a, **k)
+        )
+        _run_cycle(insurer, keypair, contract, NOW + 10)
+        assert len(calls) == len(insurer.records) == 2
+
     def test_recorded_message_found(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
         _run_cycle(insurer, keypair, contract, NOW)

@@ -246,7 +246,7 @@ class TestResolveDenial:
     @pytest.fixture
     def signed_pair(self, insurer_keypair, prod_chameleon, rng):
         message = b"certified-payload"
-        sig = crypto.chameleon_sign(
+        sig, _ = crypto.chameleon_sign(
             insurer_keypair, prod_chameleon.public, message, b"ctx", rng
         )
         return message, sig

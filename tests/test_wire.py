@@ -161,3 +161,20 @@ class TestFraming:
 
     def test_length_prefix_layout(self):
         assert wire.frame(b"abc")[:4] == struct.pack(">I", 3)
+
+    def test_iter_frames_stops_at_clean_end(self):
+        buf = wire.frame(b"one") + wire.frame(b"") + wire.frame(b"three")
+        assert list(wire.iter_frames(buf)) == [b"one", b"", b"three"]
+        assert list(wire.iter_frames(b"")) == []
+
+    @pytest.mark.parametrize("cut", [1, 3, 5])
+    def test_iter_frames_reports_partial_frame_offset(self, cut):
+        buf = wire.frame(b"one") + wire.frame(b"three")
+        with pytest.raises(EncodingError, match="offset 7"):
+            list(wire.iter_frames(buf[:-cut]))
+
+    def test_only_frame_requires_exactly_one(self):
+        assert wire.only_frame(wire.frame(b"x")) == b"x"
+        for buf in (b"", wire.frame(b"x") * 2):
+            with pytest.raises(EncodingError):
+                wire.only_frame(buf)
