@@ -20,7 +20,6 @@ class BenchReport:
     mean_sign_ms: float
     mean_verify_ms: float
     cold_sign_ms: float
-    backend: str
     all_verified: bool
 
     def as_dict(self) -> dict:
@@ -71,21 +70,6 @@ def bench_chameleon(
         mean_sign_ms=(t1 - t0) / iterations * 1000,
         mean_verify_ms=(t2 - t1) / iterations * 1000,
         cold_sign_ms=(t4 - t3) / len(cold) * 1000,
-        backend=crypto.modexp_backend(),
         all_verified=all_ok,
     )
 
-
-def bench_both_backends(iterations: int = 1000) -> dict:
-    """Run the benchmark on the accelerated and pure-Python modexp paths."""
-    reports = {}
-    original = crypto.modexp_backend()
-    try:
-        crypto.use_pure_modexp(False)
-        if crypto.modexp_backend() == "gmpy2":
-            reports["gmpy2"] = bench_chameleon(iterations).as_dict()
-        crypto.use_pure_modexp(True)
-        reports["pure"] = bench_chameleon(iterations).as_dict()
-    finally:
-        crypto.use_pure_modexp(original == "pure")
-    return reports

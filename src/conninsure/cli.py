@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import crypto, wire
-from .bench import bench_both_backends, bench_chameleon
+from .bench import bench_chameleon
 from .client import ClientState
 from .errors import (
     CapacityError,
@@ -145,16 +145,11 @@ def bench():
 
 @bench.command("chameleon")
 @click.option("--iterations", default=1000, show_default=True)
-@click.option("--compare", is_flag=True,
-              help="Benchmark both the gmpy2 and pure-Python modexp paths.")
 @click.option("--json", "as_json", is_flag=True)
-def bench_chameleon_cmd(iterations, compare, as_json):
+def bench_chameleon_cmd(iterations, as_json):
     """Mean chameleon sign/verify times at production group size, plus the
     mean sign time toward a new recipient on every call (cold_sign_ms)."""
     try:
-        if compare:
-            _emit(bench_both_backends(iterations), as_json)
-            return
         report = bench_chameleon(iterations)
     except CIError as exc:
         raise _fail(exc)
@@ -164,7 +159,6 @@ def bench_chameleon_cmd(iterations, compare, as_json):
             "mean_sign_ms": round(report.mean_sign_ms, 4),
             "mean_verify_ms": round(report.mean_verify_ms, 4),
             "cold_sign_ms": round(report.cold_sign_ms, 4),
-            "backend": report.backend,
             "all_verified": report.all_verified,
         },
         as_json,

@@ -91,8 +91,8 @@ class ClientState:
         self.archive: list[CycleRecord] = []
         self.warnings: list[tuple[int, str]] = []
         self._archived_on_disk = 0
-        self._rollback_on_disk = 0
-        self._rollback_compacted = False
+        # None once pruning has dropped entries: the log is rewritten whole.
+        self._rollback_on_disk: int | None = 0
         self._y_comb: crypto.FixedBaseComb | None = None
 
     @property
@@ -299,38 +299,24 @@ class ClientState:
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: str) -> None:
+        """Append to archive.tlv, then to rollback.tlv, then replace
+        state.tlv, which drops the open cycle once it is archived: a crash
+        between the writes loses no archived cycle."""
         os.makedirs(directory, exist_ok=True)
+        archived = self.archive[self._archived_on_disk :]
+        _write(directory, ARCHIVE_FILE, [record.to_bytes() for record in archived])
+        self._archived_on_disk = len(self.archive)
+        deltas = self.rollback_entries[self._rollback_on_disk :]
+        _write(directory, ROLLBACK_FILE, [entry.to_bytes() for entry in deltas],
+               replace=self._rollback_on_disk is None)
+        self._rollback_on_disk = len(self.rollback_entries)
         kp = self.chameleon_kp
         body = _STATE.encode_body((
             self.keypair.public, self.keypair.secret, kp.params, kp.x, kp.y,
             self.contract, self.certs, self.current_index, self.warnings,
             self.open_cycle,
         ))
-        tmp = os.path.join(directory, STATE_FILE + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(wire.frame(body))
-        os.replace(tmp, os.path.join(directory, STATE_FILE))
-        with open(os.path.join(directory, ARCHIVE_FILE), "ab") as fh:
-            for record in self.archive[self._archived_on_disk :]:
-                fh.write(wire.frame(record.to_bytes()))
-        self._archived_on_disk = len(self.archive)
-        self._save_rollback_log(directory)
-
-    def _save_rollback_log(self, directory: str) -> None:
-        """Append new deltas; pruning compacts the log in one rewrite."""
-        path = os.path.join(directory, ROLLBACK_FILE)
-        if self._rollback_compacted:
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                for entry in self.rollback_entries:
-                    fh.write(wire.frame(entry.to_bytes()))
-            os.replace(tmp, path)
-            self._rollback_compacted = False
-        else:
-            with open(path, "ab") as fh:
-                for entry in self.rollback_entries[self._rollback_on_disk :]:
-                    fh.write(wire.frame(entry.to_bytes()))
-        self._rollback_on_disk = len(self.rollback_entries)
+        _write(directory, STATE_FILE, [body], replace=True)
 
     def prune_rollbacks(self, now: int,
                         retention_seconds: int = 365 * 86400) -> int:
@@ -342,8 +328,7 @@ class ClientState:
         removed = len(self.rollback_entries) - len(kept)
         if removed:
             self.rollback_entries = kept
-            self._rollback_compacted = True
-            self._rollback_on_disk = len(kept)
+            self._rollback_on_disk = None
         return removed
 
     @classmethod
@@ -369,6 +354,10 @@ class ClientState:
             CycleRecord.from_bytes(b) for b in _log_frames(directory, ARCHIVE_FILE)
         ]
         state._archived_on_disk = len(state.archive)
+        # Archived yet open: a save crashed before it replaced state.tlv.
+        archived = {record.cycleid for record in state.archive}
+        if state.open_cycle is not None and state.open_cycle.cycleid in archived:
+            state.open_cycle = None
 
         # Evidence completeness: never hold evidence with an invalid signature.
         for record in state.archive:
@@ -381,9 +370,29 @@ class ClientState:
 
 
 def _log_frames(directory: str, name: str):
-    """Frames of an append-only client log; a torn frame raises EncodingError."""
+    """Frames of an append-only client log (none if the file is missing)."""
     path = os.path.join(directory, name)
     if not os.path.exists(path):
         return []
-    with open(path, "rb") as fh:
-        return list(wire.iter_frames(fh.read()))
+    return wire.read_log(path)
+
+
+def _write(directory: str, name: str, payloads: list[bytes], replace: bool = False):
+    """Append frames to a file, or with replace write them to a new file
+    renamed over it; fsync the file, and the directory for a new name."""
+    path = os.path.join(directory, name)
+    target = path + ".tmp" if replace else path
+    new_name = replace or not os.path.exists(path)
+    with open(target, "wb" if replace else "ab") as fh:
+        for payload in payloads:
+            fh.write(wire.frame(payload))
+        fh.flush()
+        os.fsync(fh.fileno())
+    if replace:
+        os.replace(target, path)
+    if new_name:
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)

@@ -9,46 +9,22 @@ caller that holds a recipient key for many operations may pass a comb for
 its y as well; with both, a chameleon hash at the 2048/256 group costs
 about a quarter of two plain pow() calls, and the pure-Python path meets
 the 5 ms sign/verify gate.  A cold recipient (no comb for y) still pays one
-full pow() for y^r.  Powers of other bases run on gmpy2 when the optional
-extra is installed and on built-in pow() otherwise; set
-CONNINSURE_PURE_MODEXP=1 to force the pure path (the benchmark CLI reports
-both).  The combs use built-in integers on either backend.
+full pow() for y^r.  Powers of other bases use built-in pow().
 """
 
 import functools
 import hashlib
-import os
 from dataclasses import dataclass
 
 from .errors import KeyFormatError, ParameterError
 from .rand import DEFAULT, RandomSource
 
-try:
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _gmpy2 = None
-
-_backend = "pure"
-if _gmpy2 is not None and not os.environ.get("CONNINSURE_PURE_MODEXP"):
-    _backend = "gmpy2"
-
 
 def modexp_backend() -> str:
-    return _backend
-
-
-def use_pure_modexp(enabled: bool) -> None:
-    """Select the modexp backend at runtime (used by the benchmark)."""
-    global _backend
-    if enabled or _gmpy2 is None:
-        _backend = "pure"
-    else:
-        _backend = "gmpy2"
+    return "pure"
 
 
 def modexp(base: int, exp: int, mod: int) -> int:
-    if _backend == "gmpy2":
-        return int(_gmpy2.powmod(base, exp, mod))
     return pow(base, exp, mod)
 
 

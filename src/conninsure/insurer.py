@@ -2,13 +2,16 @@
 acceptance, the append-only chameleon-record log, and the framed
 request/response endpoints.
 
-Given well-formed inputs the service never aborts mid-cycle: state is
-mutated only after every check has passed, and the request dispatcher maps
-failures to error responses.  A single re-entrant lock serializes all
-state-changing operations, which gives record-log appends a total order
-and per-contract serialization for free.
+Every state change is one log event.  An operation runs its checks,
+builds the event, and commits it: the event is appended to the log and
+fsync'd, and only then applied to memory by `_apply`, the same code that
+`load` replays the log with.  So memory never runs ahead of the log.  The
+request dispatcher maps every failure to an error response.  A single
+re-entrant lock serializes all state-changing operations, which gives
+record-log appends a total order and per-contract serialization for free.
 """
 
+import logging
 import os
 import threading
 from dataclasses import dataclass
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from . import crypto, wire
 from .errors import (
     CIError,
+    CorruptionError,
     EncodingError,
     ExpiredContractError,
     NotFoundError,
@@ -27,6 +31,8 @@ from .errors import (
 )
 from .model import Contract, chameleon_context, registration_context
 from .rand import DEFAULT, RandomSource
+
+_log = logging.getLogger(__name__)
 
 RECENCY_WINDOW = 300
 DEFAULT_POLICY_DAYS = 365
@@ -169,7 +175,6 @@ class Insurer:
         policy_days: int = DEFAULT_POLICY_DAYS,
         recency_window: int = RECENCY_WINDOW,
         rng: RandomSource = DEFAULT,
-        log_path: str | None = None,
     ):
         self.keypair = keypair
         self.certs = list(certs)
@@ -185,8 +190,8 @@ class Insurer:
         self._used_cycleids: set[bytes] = set()
         self._next_customer = 1
         self._lock = threading.RLock()
-        self._log_path = log_path
         self._log_file = None
+        self._log_broken = False
         self._events_since_snapshot = 0
 
     # -- setup / persistence ------------------------------------------------
@@ -204,24 +209,27 @@ class Insurer:
         if not initial_certs:
             raise ParameterError("an insurer must vouch for at least one certificate")
         keypair = crypto.generate_sig_keypair(scheme_id, rng)
-        insurer = cls(keypair, initial_certs, policy_days, recency_window, rng, log_path)
+        insurer = cls(keypair, initial_certs, policy_days, recency_window, rng)
         if log_path:
-            insurer._log_file = open(log_path, "ab")
-            insurer._append_event(wire.LOG_SETUP, insurer._snapshot_values())
+            insurer._log_file = open(log_path, "ab", buffering=0)
+            insurer._write_frame(
+                _EVENTS[wire.LOG_SETUP].encode(insurer._snapshot_values())
+            )
         return insurer
 
     @classmethod
     def load(cls, log_path: str, rng: RandomSource = DEFAULT) -> "Insurer":
         """Rebuild state from the last snapshot plus the event tail."""
-        with open(log_path, "rb") as fh:
-            frames = list(wire.iter_frames(fh.read()))
+        frames = wire.read_log(log_path)
         start = 0
         for i, payload in enumerate(frames):
             if payload and payload[0] in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
                 start = i
         insurer = None
         for payload in frames[start:]:
-            tag, body, _ = wire.unpack(payload)
+            tag, body, end = wire.unpack(payload)
+            if end != len(payload):
+                raise CorruptionError(f"trailing bytes after log event 0x{tag:02x}")
             event = _EVENTS.get(tag)
             if event is None:
                 raise EncodingError(f"unknown log event tag 0x{tag:02x}")
@@ -230,11 +238,10 @@ class Insurer:
             elif insurer is None:
                 raise EncodingError("log does not start with a snapshot")
             else:
-                insurer._replay_event(tag, event.decode_body(body))
+                insurer._apply(tag, event.decode_body(body))
         if insurer is None:
             raise EncodingError("log contains no snapshot")
-        insurer._log_path = log_path
-        insurer._log_file = open(log_path, "ab")
+        insurer._log_file = open(log_path, "ab", buffering=0)
         return insurer
 
     def close(self) -> None:
@@ -242,22 +249,40 @@ class Insurer:
             self._log_file.close()
             self._log_file = None
 
-    def _append_event(self, tag: int, value) -> None:
-        """Append one event, encoded by its table in _EVENTS, and fsync it;
-        every SNAPSHOT_INTERVAL events, do the same with a snapshot."""
-        if not self._log_file:
-            return
-        self._write_frame(_EVENTS[tag].encode(value))
-        self._events_since_snapshot += 1
-        if tag not in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-            if self._events_since_snapshot >= SNAPSHOT_INTERVAL:
+    def _commit(self, tag: int, value) -> None:
+        """Append one event, encoded by its table in _EVENTS, and then apply
+        it; every SNAPSHOT_INTERVAL events, append a snapshot after it.  If
+        the event's append fails, memory is left as it was; if the
+        snapshot's fails, the event stands and the next one retries it."""
+        if self._log_file:
+            if self._log_broken:
+                raise CorruptionError("log append could not be undone; restart")
+            self._write_frame(_EVENTS[tag].encode(value))
+        self._apply(tag, value)
+        if self._log_file and self._events_since_snapshot >= SNAPSHOT_INTERVAL:
+            try:
                 self._write_frame(_SNAPSHOT.encode(self._snapshot_values()))
                 self._events_since_snapshot = 0
+            except OSError:
+                _log.exception("snapshot append failed")
 
     def _write_frame(self, payload: bytes) -> None:
-        self._log_file.write(wire.frame(payload))
-        self._log_file.flush()
-        os.fsync(self._log_file.fileno())
+        """Append one frame, fsync it, and count it toward the next snapshot.
+        On failure, cut the unbuffered log back to where it ended, so no later
+        append lands behind a torn frame; if that fails, refuse later events."""
+        data = wire.frame(payload)
+        start = self._log_file.seek(0, os.SEEK_END)
+        try:
+            if self._log_file.write(data) != len(data):
+                raise OSError("short write to the insurer log")
+            os.fsync(self._log_file.fileno())
+            self._events_since_snapshot += 1
+        except BaseException:
+            try:
+                os.ftruncate(self._log_file.fileno(), start)
+            except OSError:
+                self._log_broken = True
+            raise
 
     def _snapshot_values(self) -> tuple:
         return (
@@ -295,7 +320,8 @@ class Insurer:
         insurer._used_cycleids = set(used)
         return insurer
 
-    def _replay_event(self, tag: int, value) -> None:
+    def _apply(self, tag: int, value) -> None:
+        """The state change of one logged event, live or replayed."""
         if tag == wire.LOG_REGISTER:
             (contract,) = value
             self.contracts[contract.customer] = contract
@@ -322,16 +348,15 @@ class Insurer:
         self._records_by_ch[record.ch] = record
         self._records_by_digest[crypto.hash_h(record.message)] = record
 
-    def _record_signature(
+    def _countersign(
         self, contract: Contract, message: bytes, context: bytes
-    ) -> crypto.ChameleonSignature:
-        """Chameleon-sign and append the (message, r) pair to the record log."""
+    ) -> tuple[crypto.ChameleonSignature, ChameleonRecord]:
+        """Chameleon-sign a message; the record is what the log must keep."""
         sig, ch = crypto.chameleon_sign(
             self.keypair, contract.chameleon, message, context, self.rng
         )
         ch_bytes = contract.chameleon.params.element_bytes(ch)
-        self._store_record(ChameleonRecord(contract.customer, message, sig.r, ch_bytes))
-        return sig
+        return sig, ChameleonRecord(contract.customer, message, sig.r, ch_bytes)
 
     def lookup_record(
         self, ch: bytes | None = None, message_digest: bytes | None = None
@@ -360,10 +385,8 @@ class Insurer:
                 raise RegistrationRejected("trapdoor proof does not verify")
             if request.requested_delta_t <= 0:
                 raise RegistrationRejected("update-interval bound must be positive")
-            customer = self._next_customer
-            self._next_customer += 1
             contract = Contract(
-                customer=customer,
+                customer=self._next_customer,
                 pk_in=self.keypair.public,
                 pk_a=request.pk_a,
                 chameleon=request.chameleon,
@@ -372,8 +395,7 @@ class Insurer:
                 t_end=now + self.policy_days * 86400,
                 delta_t=request.requested_delta_t,
             )
-            self.contracts[customer] = contract
-            self._append_event(wire.LOG_REGISTER, (contract,))
+            self._commit(wire.LOG_REGISTER, (contract,))
             return contract
 
     def _contract(self, customer: int) -> Contract:
@@ -393,10 +415,8 @@ class Insurer:
                 cycleid = self.rng.bytes(wire.CYCLEID_LEN)
                 if cycleid not in self._used_cycleids:
                     break
-            self._used_cycleids.add(cycleid)
             cycle = _OpenCycle(customer, cycleid, list(self.certs))
-            self.open_cycles[customer] = cycle
-            self._append_event(wire.LOG_BEGIN_CYCLE, cycle)
+            self._commit(wire.LOG_BEGIN_CYCLE, cycle)
             return cycle.certs, cycleid
 
     def _check_recent(self, stamp: int, now: int) -> None:
@@ -419,13 +439,10 @@ class Insurer:
             if not crypto.verify(contract.pk_a, payload, sig_a):
                 raise SignatureInvalid("customer signature does not verify")
             self._check_recent(t, now)
-            sig = self._record_signature(
+            sig, record = self._countersign(
                 contract, payload, chameleon_context(customer, "Certificates")
             )
-            cycle.state = _ACKED
-            cycle.t = t
-            record = self.records[-1]
-            self._append_event(
+            self._commit(
                 wire.LOG_ACK_CERTS, (customer, t, record.message, record.r, record.ch)
             )
             return sig
@@ -450,11 +467,10 @@ class Insurer:
                 raise SignatureInvalid("customer signature does not verify")
             self._check_recent(t_prime, now)
             covered = t_prime - cycle.t <= contract.delta_t
-            sig = self._record_signature(
+            sig, record = self._countersign(
                 contract, payload, chameleon_context(customer, "Vouchers")
             )
-            del self.open_cycles[customer]
-            self._append_event(wire.LOG_SUBMIT_VOUCHERS, self.records[-1])
+            self._commit(wire.LOG_SUBMIT_VOUCHERS, record)
             return sig, covered
 
     def update_cert_list(self, adds: list[bytes], removes: list[bytes]) -> int:
@@ -468,9 +484,7 @@ class Insurer:
             updated.extend(adds)
             if not updated:
                 raise ParameterError("certificate list must not become empty")
-            self.certs = updated
-            self.cert_version += 1
-            self._append_event(wire.LOG_UPDATE_CERTS, (self.certs, self.cert_version))
+            self._commit(wire.LOG_UPDATE_CERTS, (updated, self.cert_version + 1))
             return self.cert_version
 
 
@@ -540,5 +554,7 @@ def handle_request(insurer: Insurer, request: bytes, now: int) -> bytes:
                 return LOOKUP_MISS_RESPONSE.encode((False,))
             return LOOKUP_HIT_RESPONSE.encode((True, *found))
         raise EncodingError(f"unknown endpoint tag 0x{tag:02x}")
-    except CIError as exc:
+    except Exception as exc:
+        if not isinstance(exc, CIError):
+            _log.exception("request failed")  # answered with ERR_INTERNAL
         return _error_response(exc)

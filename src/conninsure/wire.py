@@ -12,7 +12,9 @@ the decoder are derived.  Decoders accept only canonical encodings, so
 decode followed by encode returns the input bytes.
 """
 
+import os
 import struct
+import warnings
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -480,6 +482,24 @@ def iter_frames(data: bytes):
             raise EncodingError(f"partial frame at byte offset {offset}")
         yield data[offset + 4 : end]
         offset = end
+
+
+def read_log(path: str) -> list[bytes]:
+    """The payloads of the whole frames in an append-only log file.  A
+    partial last frame, left by a crash mid-append, is cut off the file and
+    reported with warnings.warn."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    frames = []
+    try:
+        for payload in iter_frames(data):
+            frames.append(payload)
+    except EncodingError:
+        whole = sum(4 + len(payload) for payload in frames)
+        warnings.warn(f"{path}: dropped a partial frame of {len(data) - whole} "
+                      f"bytes at byte offset {whole}", RuntimeWarning)
+        os.truncate(path, whole)
+    return frames
 
 
 def only_frame(data: bytes) -> bytes:

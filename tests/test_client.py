@@ -3,10 +3,11 @@ rollback fidelity, and on-disk state determinism."""
 
 import pytest
 
+import conninsure.client as client_module
+from conftest import fail_once, io_error, torn_write
 from conninsure import crypto, merkle, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import (
-    EncodingError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
@@ -285,9 +286,10 @@ class TestPersistence:
         assert reloaded.reconstruct_list(3) == client.reconstruct_list(3)
 
     @pytest.mark.parametrize("name", ["archive.tlv", "rollback.tlv"])
-    def test_torn_log_frame_raises(self, tmp_path, world, name):
-        """A log cut inside its last frame is reported, not silently
-        shortened: the cut frame may hold claimable evidence."""
+    def test_torn_log_frame_is_cut_off(self, tmp_path, world, name):
+        """A log cut inside its last frame, as a crash mid-append leaves it,
+        loads the frames before it, is truncated to them, and the cut is
+        reported."""
         insurer, _, channel, client, clock, rng = world
         for i in range(2):
             client.do_update_cycle(channel, now=clock.now)
@@ -296,6 +298,102 @@ class TestPersistence:
         client.do_update_cycle(channel, now=clock.now)
         client.save(str(tmp_path))
         path = tmp_path / name
+        frames = list(wire.iter_frames(path.read_bytes()))
+        assert len(frames) == 2
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(EncodingError, match="offset"):
-            ClientState.load(str(tmp_path))
+        with pytest.warns(RuntimeWarning, match=f"{name}: dropped a partial frame"):
+            reloaded = ClientState.load(str(tmp_path))
+        assert path.read_bytes() == wire.frame(frames[0])
+        kept = {"archive.tlv": 2, "rollback.tlv": 2, name: 1}
+        assert reloaded.archive == client.archive[: kept["archive.tlv"]]
+        assert reloaded.rollback_entries == client.rollback_entries[: kept["rollback.tlv"]]
+
+
+class _FailAt:
+    """Counts the file writes, fsyncs and renames of the client module; the
+    n-th one fails (a write after writing half its bytes)."""
+
+    def __init__(self, monkeypatch, n: int):
+        self.n = n
+        self.calls = 0
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            real_write = fh.write
+            fh.write = lambda data: self._step(real_write, torn_write, data)
+            return fh
+
+        monkeypatch.setattr(client_module, "open", counting_open, raising=False)
+        for name in ("fsync", "replace"):
+            real = getattr(client_module.os, name)
+            monkeypatch.setattr(
+                client_module.os, name,
+                lambda *args, real=real: self._step(real, io_error, *args),
+            )
+
+    def _step(self, real, fault, *args):
+        self.calls += 1
+        if self.calls == self.n:
+            return fault(real, *args)
+        return real(*args)
+
+
+def _closed_cycle(world, client, i: int):
+    """One cycle with one voucher, then a list change at the insurer."""
+    insurer, servers, channel, _, clock, rng = world
+    client.do_update_cycle(channel, now=clock.now)
+    client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+    record = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+    insurer.update_cert_list([b"new-%d" % i], [])
+    return record
+
+
+def _claim(client, record) -> bytes:
+    return client.assemble_claim(record.cycleid, DOMAINS[0]).to_bytes()
+
+
+class TestSaveFaults:
+    # A save after a closed cycle makes 8 such calls: the archive write and
+    # fsync, the rollback write and fsync, then the state write, fsync,
+    # rename and directory fsync.
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_failed_save_loses_no_saved_cycle(self, tmp_path, world, monkeypatch, n):
+        directory = str(tmp_path)
+        client = world[3]
+        saved = []
+        for i in range(2):
+            saved.append(_closed_cycle(world, client, i))
+            client.save(directory)
+        claims = [_claim(client, record) for record in saved]
+        _closed_cycle(world, client, 2)
+        _FailAt(monkeypatch, n)
+        with pytest.raises(OSError, match="injected"):
+            client.save(directory)
+        monkeypatch.undo()
+
+        reloaded = ClientState.load(directory)
+        assert [_claim(reloaded, record) for record in saved] == claims
+        record = _closed_cycle(world, reloaded, 3)
+        reloaded.save(directory)
+        assert _claim(ClientState.load(directory), record) == _claim(reloaded, record)
+
+    def test_archived_cycle_left_open_by_a_failed_save_is_closed(
+        self, tmp_path, world, monkeypatch
+    ):
+        """A crash between the archive append and the state replace leaves
+        the cycle open in state.tlv and closed in archive.tlv."""
+        _, servers, channel, client, clock, rng = world
+        directory = str(tmp_path)
+        client.do_update_cycle(channel, now=clock.now)
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        client.save(directory)
+        record = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        fail_once(monkeypatch, client_module.os, "replace", io_error)
+        with pytest.raises(OSError):
+            client.save(directory)
+
+        reloaded = ClientState.load(directory)
+        assert reloaded.open_cycle is None
+        assert _claim(reloaded, record) == _claim(client, record)
+        reloaded.do_update_cycle(channel, now=clock.now)
+        assert reloaded.submit_cycle(channel, now=clock.advance(3600), rng=rng).covered

@@ -312,21 +312,3 @@ class TestTrapdoorProof:
         assert not crypto.verify_trapdoor(
             prod_chameleon.y, prod_chameleon.params, b"ctx-b", proof
         )
-
-
-class TestModexpBackends:
-    def test_both_backends_agree(self):
-        g, q, p = (
-            crypto.GROUP_2048_256.g,
-            crypto.GROUP_2048_256.q,
-            crypto.GROUP_2048_256.p,
-        )
-        original = crypto.modexp_backend()
-        try:
-            crypto.use_pure_modexp(True)
-            pure = crypto.modexp(g, q - 3, p)
-            crypto.use_pure_modexp(False)
-            fast = crypto.modexp(g, q - 3, p)
-        finally:
-            crypto.use_pure_modexp(original == "pure")
-        assert pure == fast

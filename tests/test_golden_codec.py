@@ -22,6 +22,7 @@ import pytest
 
 from conninsure import crypto, insurer as insurer_mod, tlssim, wire
 from conninsure.client import ClientState
+from conninsure.errors import CorruptionError
 from conninsure.insurer import Insurer, RegistrationRequest, handle_request
 from conninsure.model import (
     Claim,
@@ -242,6 +243,37 @@ def test_insurer_log_fixture_replays(built, golden, tmp_path):
         assert loaded.snapshot_bytes() == live.snapshot_bytes()
     finally:
         loaded.close()
+
+
+def _split_last_frame(log: bytes) -> tuple[bytes, bytes]:
+    """The log without its last frame, and that frame."""
+    frames = [wire.frame(payload) for payload in wire.iter_frames(log)]
+    return b"".join(frames[:-1]), frames[-1]
+
+
+def test_torn_insurer_log_is_cut_to_its_whole_frames(golden, tmp_path):
+    """Cut at every offset inside its last frame, the log loads to the state
+    before that frame, and the file ends at the last whole frame."""
+    whole, last = _split_last_frame(golden["insurer_log"])
+    path = tmp_path / "insurer.log"
+    path.write_bytes(whole)
+    expected = Insurer.load(str(path))
+    expected.close()
+    for cut in range(1, len(last)):
+        path.write_bytes(whole + last[:cut])
+        with pytest.warns(RuntimeWarning, match=f"{cut} bytes at byte offset {len(whole)}"):
+            loaded = Insurer.load(str(path))
+        loaded.close()
+        assert loaded.snapshot_bytes() == expected.snapshot_bytes()
+        assert path.read_bytes() == whole
+
+
+def test_trailing_bytes_inside_a_log_frame_rejected(golden, tmp_path):
+    whole, last = _split_last_frame(golden["insurer_log"])
+    path = tmp_path / "insurer.log"
+    path.write_bytes(whole + wire.frame(last[4:] + b"\x00" * 7))
+    with pytest.raises(CorruptionError, match="trailing bytes"):
+        Insurer.load(str(path))
 
 
 def test_client_file_fixtures_reload(built, golden, tmp_path):

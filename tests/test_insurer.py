@@ -4,8 +4,11 @@ through raw request bytes."""
 
 import pytest
 
+import conninsure.insurer as insurer_module
+from conftest import fail_once, io_error, short_write, torn_write
 from conninsure import crypto, wire
 from conninsure.errors import (
+    CorruptionError,
     ExpiredContractError,
     NotFoundError,
     ParameterError,
@@ -14,7 +17,17 @@ from conninsure.errors import (
     SequencingError,
     SignatureInvalid,
 )
-from conninsure.insurer import Insurer, RegistrationRequest, handle_request
+from conninsure.insurer import (
+    ACK_CERTS_REQUEST,
+    BEGIN_CYCLE_REQUEST,
+    BEGIN_CYCLE_RESPONSE,
+    ERR_INTERNAL,
+    ERROR_RESPONSE,
+    SUBMIT_VOUCHERS_REQUEST,
+    Insurer,
+    RegistrationRequest,
+    handle_request,
+)
 from conninsure.model import chameleon_context, registration_context
 from conninsure.rand import RandomSource
 
@@ -460,3 +473,140 @@ class TestEndpointSurfaces:
         bogus = wire.pack(0x7F, b"")
         tag, body, _ = wire.unpack(handle_request(insurer, bogus, NOW))
         assert tag == wire.RESP_ERR
+
+
+# The insurer's five state changes, in protocol order.
+OPERATIONS = (
+    "register", "begin_cycle", "ack_certificates", "accept_vouchers", "update_cert_list"
+)
+
+# Ways a log append can fail: which call, and what it does instead.
+APPEND_FAULTS = {
+    "write-raises": ("write", io_error),
+    "write-torn": ("write", torn_write),
+    "write-short": ("write", short_write),
+    "fsync-raises": ("fsync", io_error),
+}
+
+
+def _error_code(response: bytes) -> int | None:
+    tag, body, _ = wire.unpack(response)
+    return ERROR_RESPONSE.decode_body(body)[0] if tag == wire.RESP_ERR else None
+
+
+def _operate(insurer, customer: dict, name: str) -> int | None:
+    """Run one state change for customer 1 through its endpoint (the list
+    update is an operator call) and return the error code, None on success."""
+    if name == "update_cert_list":
+        insurer.update_cert_list([b"cert-delta"], [])
+        return None
+    if name == "register":
+        request = customer["request"].to_bytes()
+    elif name == "begin_cycle":
+        request = BEGIN_CYCLE_REQUEST.encode((1,))
+    elif name == "ack_certificates":
+        payload = wire.encode_signed_payload(
+            "Certificates", 1, customer["cycleid"], NOW,
+            wire.cert_list_digest(customer["certs"]),
+        )
+        request = ACK_CERTS_REQUEST.encode(
+            (1, customer["cycleid"], NOW, crypto.sign(customer["keypair"], payload))
+        )
+    else:
+        root = b"\x07" * 32
+        payload = wire.encode_signed_payload("Vouchers", 1, customer["cycleid"], NOW, root)
+        request = SUBMIT_VOUCHERS_REQUEST.encode(
+            (1, customer["cycleid"], NOW, root, crypto.sign(customer["keypair"], payload))
+        )
+    response = handle_request(insurer, request, NOW)
+    code = _error_code(response)
+    if name == "begin_cycle" and code is None:
+        customer["cycleid"], customer["certs"] = BEGIN_CYCLE_RESPONSE.decode(response)
+    return code
+
+
+def _reloaded_snapshot(log: str) -> bytes:
+    reloaded = Insurer.load(log)
+    reloaded.close()
+    return reloaded.snapshot_bytes()
+
+
+class TestLogFaults:
+    """A failed log append leaves memory equal to what the log replays to."""
+
+    @pytest.mark.parametrize("fault", sorted(APPEND_FAULTS))
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_failed_append_changes_nothing(self, tmp_path, monkeypatch, operation, fault):
+        log = str(tmp_path / "insurer.log")
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+        keypair, _, request = _registration(RandomSource(12))
+        customer = {"keypair": keypair, "request": request}
+        for name in OPERATIONS[: OPERATIONS.index(operation)]:
+            assert _operate(insurer, customer, name) is None
+        before = insurer.snapshot_bytes()
+
+        call, action = APPEND_FAULTS[fault]
+        if call == "write":
+            fail_once(monkeypatch, insurer._log_file, "write", action)
+        else:
+            fail_once(monkeypatch, insurer_module.os, "fsync", action)
+        if operation == "update_cert_list":
+            with pytest.raises(OSError):
+                _operate(insurer, customer, operation)
+        else:
+            assert _operate(insurer, customer, operation) == ERR_INTERNAL
+        assert insurer.snapshot_bytes() == before
+        assert _reloaded_snapshot(log) == before
+
+        assert _operate(insurer, customer, operation) is None
+        assert insurer.snapshot_bytes() != before
+        assert _reloaded_snapshot(log) == insurer.snapshot_bytes()
+        insurer.close()
+
+    def test_failed_cut_refuses_later_changes(self, tmp_path, monkeypatch):
+        """If the torn append cannot be cut off either, the insurer takes no
+        further event; a restart drops the torn frame."""
+        log = str(tmp_path / "insurer.log")
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+        before = insurer.snapshot_bytes()
+        fail_once(monkeypatch, insurer._log_file, "write", torn_write)
+        fail_once(monkeypatch, insurer_module.os, "ftruncate", io_error)
+        with pytest.raises(OSError):
+            insurer.update_cert_list([b"cert-delta"], [])
+        with pytest.raises(CorruptionError, match="restart"):
+            insurer.update_cert_list([b"cert-delta"], [])
+        assert insurer.snapshot_bytes() == before
+        insurer.close()
+
+        with pytest.warns(RuntimeWarning, match="partial frame"):
+            reloaded = Insurer.load(log)
+        assert reloaded.snapshot_bytes() == before
+        assert reloaded.update_cert_list([b"cert-delta"], []) == 1
+        reloaded.close()
+
+    def test_failed_snapshot_keeps_its_event(self, tmp_path, monkeypatch):
+        """The periodic snapshot is appended after its event is applied; if
+        it fails, the operation still succeeds and the next event appends
+        the snapshot."""
+        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 2)
+        log = tmp_path / "insurer.log"
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
+        synced = []
+        real_fsync = insurer_module.os.fsync
+
+        def fsync(fd):  # the second fsync is the snapshot's
+            synced.append(fd)
+            if len(synced) == 2:
+                io_error(real_fsync, fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(insurer_module.os, "fsync", fsync)
+        assert insurer.update_cert_list([b"cert-delta"], []) == 1
+        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
+        insurer.update_cert_list([b"cert-epsilon"], [])
+        insurer.close()
+        tags = [payload[0] for payload in wire.iter_frames(log.read_bytes())]
+        assert tags == [
+            wire.LOG_SETUP, wire.LOG_UPDATE_CERTS, wire.LOG_UPDATE_CERTS, wire.LOG_SNAPSHOT
+        ]
+        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()

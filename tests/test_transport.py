@@ -4,12 +4,14 @@ import threading
 
 import pytest
 
+import conninsure.insurer as insurer_module
+from conftest import fail_once, io_error
 from conninsure import crypto, tlssim
 from conninsure.client import ClientState
-from conninsure.errors import NotFoundError
+from conninsure.errors import CIError, NotFoundError
 from conninsure.insurer import Insurer
 from conninsure.rand import RandomSource
-from conninsure.transport import InsurerServer, SocketChannel
+from conninsure.transport import InProcessChannel, InsurerServer, SocketChannel
 
 
 @pytest.fixture
@@ -83,3 +85,32 @@ class TestSocketChannel:
         assert not errors
         assert len(insurer.contracts) == 8
         assert len(insurer.records) == 16
+
+
+@pytest.mark.parametrize("kind", ["in-process", "tcp"])
+def test_internal_error_is_answered_and_serving_goes_on(tmp_path, monkeypatch, kind):
+    """An exception that is no protocol error, here a failed fsync of the
+    log, reaches the client as ERR_INTERNAL; the next request is served."""
+    rng = RandomSource(74)
+    server_cert, _ = tlssim.make_self_signed_cert("bob.example.org", rng=rng, now=0)
+    insurer = Insurer.setup([server_cert], rng=rng, log_path=str(tmp_path / "insurer.log"))
+    server = None
+    if kind == "tcp":
+        server = InsurerServer(insurer, port=0)
+        server.serve_in_background()
+        channel = SocketChannel(*server.address)
+    else:
+        channel = InProcessChannel(insurer)
+    try:
+        fail_once(monkeypatch, insurer_module.os, "fsync", io_error)
+        with pytest.raises(CIError, match="injected I/O error") as failed:
+            ClientState.register(channel, 86_400, rng=rng, group=crypto.TOY_GROUP)
+        assert type(failed.value) is CIError
+        client = ClientState.register(channel, 86_400, rng=rng, group=crypto.TOY_GROUP)
+        assert client.customer == 1
+    finally:
+        channel.close()
+        if server is not None:
+            server.shutdown()
+            server.server_close()
+        insurer.close()
