@@ -93,7 +93,6 @@ class ClientState:
         self._archived_on_disk = 0
         # None once pruning has dropped entries: the log is rewritten whole.
         self._rollback_on_disk: int | None = 0
-        self._y_comb: crypto.FixedBaseComb | None = None
 
     @property
     def customer(self) -> int:
@@ -103,15 +102,12 @@ class ClientState:
         self, payload: bytes, chsig: crypto.ChameleonSignature, label: str
     ) -> None:
         """Check an insurer countersignature under this client's own chameleon key."""
-        if self._y_comb is None:
-            self._y_comb = crypto.recipient_comb(self.chameleon_kp.public)
         ok = crypto.chameleon_verify(
             self.contract.pk_in,
             self.chameleon_kp.public,
             payload,
             chsig,
             context=chameleon_context(self.customer, label),
-            y_comb=self._y_comb,
         )
         if not ok:
             raise InsurerMisbehavior("insurer countersignature does not verify")
@@ -379,20 +375,35 @@ def _log_frames(directory: str, name: str):
 
 def _write(directory: str, name: str, payloads: list[bytes], replace: bool = False):
     """Append frames to a file, or with replace write them to a new file
-    renamed over it; fsync the file, and the directory for a new name."""
+    renamed over it; fsync the file, and the directory for a new name.
+    A failed append is cut back off the file (a file it created goes), so a
+    retry on the same state never lands behind torn bytes."""
     path = os.path.join(directory, name)
     target = path + ".tmp" if replace else path
     new_name = replace or not os.path.exists(path)
-    with open(target, "wb" if replace else "ab") as fh:
-        for payload in payloads:
-            fh.write(wire.frame(payload))
-        fh.flush()
-        os.fsync(fh.fileno())
+    data = b"".join(wire.frame(payload) for payload in payloads)
+    with open(target, "wb" if replace else "ab", buffering=0) as fh:
+        start = fh.seek(0, os.SEEK_END)
+        try:
+            if data and fh.write(data) != len(data):
+                raise OSError(f"short write to {name}")
+            os.fsync(fh.fileno())
+            if new_name and not replace:
+                _fsync_directory(directory)
+        except BaseException:
+            if new_name and not replace:
+                os.unlink(path)
+            elif not replace:
+                os.ftruncate(fh.fileno(), start)
+            raise
     if replace:
         os.replace(target, path)
-    if new_name:
-        fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        _fsync_directory(directory)
+
+
+def _fsync_directory(directory: str) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

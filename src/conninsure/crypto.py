@@ -4,16 +4,21 @@ proof of trapdoor knowledge.
 
 All group arithmetic happens in a prime-order subgroup of Z_p^*.  The hot
 kernel is modular exponentiation.  Every power of the generator g goes
-through one fixed-base comb per group (FixedBaseComb, Lim-Lee), and a
-caller that holds a recipient key for many operations may pass a comb for
-its y as well; with both, a chameleon hash at the 2048/256 group costs
-about a quarter of two plain pow() calls, and the pure-Python path meets
-the 5 ms sign/verify gate.  A cold recipient (no comb for y) still pays one
-full pow() for y^r.  Powers of other bases use built-in pow().
+through one fixed-base comb per group (FixedBaseComb, Lim-Lee).  Every
+power of a recipient key y (y^r in the chameleon hash, y^c in the trapdoor
+proof check) goes through RECIPIENT_COMBS, a bounded LRU of combs keyed by
+(params, y): a key's first use is a plain pow(), its second builds its
+comb.  With both combs a chameleon hash at the 2048/256 group costs about a
+quarter of two plain pow() calls, and the pure-Python path meets the 5 ms
+sign/verify gate; a key seen once (a cold recipient) pays one full pow().
+The cache holds only public values and never changes a result.  Powers of
+other bases use built-in pow().
 """
 
 import functools
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import KeyFormatError, ParameterError
@@ -331,10 +336,61 @@ def recipient_comb(recipient: ChameleonPublicKey) -> FixedBaseComb:
     """A comb for one recipient's y: 64 elements (16 KB at 2048 bits).
 
     Building it costs about one plain exponentiation, so it pays off for a
-    key that checks or receives many signatures, such as a client's own.
+    key that checks or receives many signatures.
     """
     params = recipient.params
     return FixedBaseComb(recipient.y, params.p, params.q.bit_length(), teeth=5, tables=2)
+
+
+# About 4 MB of combs at 2048 bits: room for every customer of a fleet.
+RECIPIENT_COMB_CAPACITY = 256
+
+_UNSEEN = object()
+
+
+class RecipientCombs:
+    """Thread-safe LRU of recipient combs keyed by value (params, y).
+
+    An entry is None once its key has been seen and the comb once the key
+    is seen again, so a key used only once costs one plain pow() and no
+    comb.  Combs are built outside the lock; two threads racing on one key
+    may both build it, and either copy gives the same powers.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def _put(self, key, comb: FixedBaseComb | None) -> None:
+        self._entries[key] = comb
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def pow(self, params: GroupParams, y: int, e: int) -> int:
+        """y^e mod p for 0 <= e < q."""
+        key = (params, y)
+        with self._lock:
+            comb = self._entries.get(key, _UNSEEN)
+            self._put(key, None if comb is _UNSEEN else comb)
+        if comb is _UNSEEN:
+            return modexp(y, e, params.p)
+        if comb is None:
+            comb = recipient_comb(ChameleonPublicKey(params, y))
+            with self._lock:
+                self._put(key, comb)
+        return comb.pow(e)
+
+
+RECIPIENT_COMBS = RecipientCombs(RECIPIENT_COMB_CAPACITY)
 
 
 def message_exponent(params: GroupParams, message: bytes) -> int:
@@ -342,24 +398,12 @@ def message_exponent(params: GroupParams, message: bytes) -> int:
     return int.from_bytes(hash_h(message), "big") % params.q
 
 
-def chameleon_hash(
-    params: GroupParams,
-    y: int,
-    message: bytes,
-    r: int,
-    y_comb: FixedBaseComb | None = None,
-) -> int:
-    """CH(m, r) = g^{h(m)} * y^r mod p; y_comb, if given, must be y's comb."""
+def chameleon_hash(params: GroupParams, y: int, message: bytes, r: int) -> int:
+    """CH(m, r) = g^{h(m)} * y^r mod p."""
     if not 0 <= r < params.q:
         raise ParameterError("chameleon randomizer out of range")
-    e = message_exponent(params, message)
-    if y_comb is None:
-        y_r = modexp(y, r, params.p)
-    elif y_comb.base == y and y_comb.mod == params.p:
-        y_r = y_comb.pow(r)
-    else:
-        raise ParameterError("comb does not belong to this recipient")
-    return generator_comb(params).pow(e) * y_r % params.p
+    g_e = generator_comb(params).pow(message_exponent(params, message))
+    return g_e * RECIPIENT_COMBS.pow(params, y, r) % params.p
 
 
 def find_collision(
@@ -402,7 +446,6 @@ def chameleon_sign(
     message: bytes,
     context: bytes,
     rng: RandomSource = DEFAULT,
-    y_comb: FixedBaseComb | None = None,
 ) -> tuple[ChameleonSignature, int]:
     """Sign message toward one recipient; convincing only to them.
 
@@ -412,7 +455,7 @@ def chameleon_sign(
     """
     params = recipient.params
     r = rng.below(params.q)
-    ch = chameleon_hash(params, recipient.y, message, r, y_comb)
+    ch = chameleon_hash(params, recipient.y, message, r)
     inner = sign(signer, _chameleon_digest(params, ch, context))
     return ChameleonSignature(r, inner, context), ch
 
@@ -423,7 +466,6 @@ def chameleon_verify(
     message: bytes,
     sig: ChameleonSignature,
     context: bytes | None = None,
-    y_comb: FixedBaseComb | None = None,
 ) -> bool:
     """Accept iff the inner signature covers h(CH(m, r) || context)."""
     if context is not None and sig.context != context:
@@ -431,7 +473,7 @@ def chameleon_verify(
     params = recipient.params
     if not 0 <= sig.r < params.q:
         return False
-    ch = chameleon_hash(params, recipient.y, message, sig.r, y_comb)
+    ch = chameleon_hash(params, recipient.y, message, sig.r)
     return verify(signer_pub, _chameleon_digest(params, ch, sig.context), sig.inner_sig)
 
 
@@ -483,5 +525,5 @@ def verify_trapdoor(
     if proof.c != _trapdoor_challenge(params, y, proof.u, context):
         return False
     lhs = generator_comb(params).pow(proof.z)
-    rhs = proof.u * modexp(y, proof.c, params.p) % params.p
+    rhs = proof.u * RECIPIENT_COMBS.pow(params, y, proof.c) % params.p
     return lhs == rhs

@@ -158,16 +158,18 @@ def resolve_denial(
     the same chameleon hash but different content: such a collision can
     only come from the trapdoor holder, so the customer forged it.
     """
-    if not crypto.chameleon_verify(pk_in, recipient, message, sig):
+    params = recipient.params
+    if not 0 <= sig.r < params.q:
         raise ParameterError("disputed signature does not verify at all")
-    disputed_ch = crypto.chameleon_hash(
-        recipient.params, recipient.y, message, sig.r
-    )
+    disputed_ch = crypto.chameleon_hash(params, recipient.y, message, sig.r)
+    digest = crypto._chameleon_digest(params, disputed_ch, sig.context)
+    if not crypto.verify(pk_in, digest, sig.inner_sig):
+        raise ParameterError("disputed signature does not verify at all")
     if record is not None:
         recorded_message, recorded_r = record
         try:
             recorded_ch = crypto.chameleon_hash(
-                recipient.params, recipient.y, recorded_message, recorded_r
+                params, recipient.y, recorded_message, recorded_r
             )
         except ParameterError:
             return Ruling.INSURER_BOUND

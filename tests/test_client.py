@@ -1,6 +1,8 @@
 """Client agent: cycle participation, browsing, submission, claim assembly,
 rollback fidelity, and on-disk state determinism."""
 
+import os
+
 import pytest
 
 import conninsure.client as client_module
@@ -376,6 +378,41 @@ class TestSaveFaults:
         record = _closed_cycle(world, reloaded, 3)
         reloaded.save(directory)
         assert _claim(ClientState.load(directory), record) == _claim(reloaded, record)
+
+    @pytest.mark.parametrize(
+        "name, saved_before",
+        [("archive.tlv", 0), ("archive.tlv", 1), ("rollback.tlv", 1)],
+    )
+    def test_save_retried_after_a_torn_append(
+        self, tmp_path, world, monkeypatch, name, saved_before
+    ):
+        """A torn append is cut back off its file (a file it created goes),
+        so saving again from the same live state loads every cycle."""
+        directory = str(tmp_path)
+        client = world[3]
+        records = []
+        for i in range(saved_before):
+            records.append(_closed_cycle(world, client, i))
+            client.save(directory)
+        for i in range(saved_before, 3):
+            records.append(_closed_cycle(world, client, i))
+
+        def tearing_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if os.path.basename(path) == name:
+                fail_once(monkeypatch, fh, "write", torn_write)
+            return fh
+
+        monkeypatch.setattr(client_module, "open", tearing_open, raising=False)
+        with pytest.raises(OSError, match="injected"):
+            client.save(directory)
+        monkeypatch.undo()
+        client.save(directory)
+
+        reloaded = ClientState.load(directory)
+        assert reloaded.archive == client.archive
+        assert reloaded.rollback_entries == client.rollback_entries
+        assert [_claim(reloaded, r) for r in records] == [_claim(client, r) for r in records]
 
     def test_archived_cycle_left_open_by_a_failed_save_is_closed(
         self, tmp_path, world, monkeypatch

@@ -5,14 +5,20 @@ known answers.
 """
 
 import hashlib
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conninsure import crypto
+from claim_mutations import claim_mutations
+from conninsure import crypto, judge
+from conninsure.bench import bench_chameleon
 from conninsure.errors import KeyFormatError, ParameterError
+from conninsure.judge import Ruling, Verdict
+from conninsure.model import Claim
 from conninsure.rand import RandomSource
+from conninsure.scenario import run_scenario
 
 # sha256 of the single domain-separation byte, cross-checked with sha256sum
 EMPTY_H = "aaa9402664f1a41f40ebbc52c9993eb66aeb366602958fdfaa283b71e64db123"
@@ -245,40 +251,163 @@ class TestFixedBaseComb:
         ids=["2048", "toy"],
     )
     def test_chameleon_results_same_with_comb(
-        self, params, chameleon, insurer_keypair, request
+        self, params, chameleon, insurer_keypair, request, monkeypatch
     ):
+        """Signatures and hashes from a cold cache, the comb-building second
+        sight and a warm cache are identical, and match the plain formula."""
+        monkeypatch.setattr(crypto, "RECIPIENT_COMBS", crypto.RecipientCombs(8))
         recipient = request.getfixturevalue(chameleon).public
-        y_comb = crypto.recipient_comb(recipient)
-        for r in (0, 1, 7, params.q - 1):
-            assert crypto.chameleon_hash(
-                params, recipient.y, b"m", r, y_comb
-            ) == crypto.chameleon_hash(params, recipient.y, b"m", r)
-        plain, plain_ch = crypto.chameleon_sign(
-            insurer_keypair, recipient, b"m", b"ctx", RandomSource(3)
-        )
-        combed, combed_ch = crypto.chameleon_sign(
-            insurer_keypair, recipient, b"m", b"ctx", RandomSource(3), y_comb
-        )
-        assert combed == plain
-        assert combed_ch == plain_ch == crypto.chameleon_hash(
-            params, recipient.y, b"m", plain.r
-        )
-        for sig in (plain, combed):
-            for y_comb_arg in (None, y_comb):
-                assert crypto.chameleon_verify(
-                    insurer_keypair.public, recipient, b"m", sig, y_comb=y_comb_arg
-                )
-                assert not crypto.chameleon_verify(
-                    insurer_keypair.public, recipient, b"m2", sig, y_comb=y_comb_arg
-                )
-
-    def test_comb_of_other_recipient_rejected(self, prod_chameleon, rng):
-        other = crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng)
-        with pytest.raises(ParameterError):
-            crypto.chameleon_hash(
-                crypto.GROUP_2048_256, prod_chameleon.y, b"m", 1,
-                crypto.recipient_comb(other.public),
+        runs = []
+        for _ in range(3):
+            sig, ch = crypto.chameleon_sign(
+                insurer_keypair, recipient, b"m", b"ctx", RandomSource(3)
             )
+            runs.append((sig, ch))
+            assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig)
+            assert not crypto.chameleon_verify(insurer_keypair.public, recipient, b"m2", sig)
+        assert runs[0] == runs[1] == runs[2]
+        sig, ch = runs[0]
+        e = crypto.message_exponent(params, b"m")
+        assert ch == pow(params.g, e, params.p) * pow(recipient.y, sig.r, params.p) % params.p
+
+
+def _counting_combs(monkeypatch, capacity: int = crypto.RECIPIENT_COMB_CAPACITY):
+    """A fresh recipient cache in place of the module's; the list returned
+    grows by one entry per recipient comb built."""
+    cache = crypto.RecipientCombs(capacity)
+    monkeypatch.setattr(crypto, "RECIPIENT_COMBS", cache)
+    built = []
+    real = crypto.recipient_comb
+    monkeypatch.setattr(crypto, "recipient_comb", lambda pub: built.append(pub.y) or real(pub))
+    return cache, built
+
+
+class TestRecipientCombs:
+    """Oracle: built-in pow() on the same base, exponent and modulus."""
+
+    @pytest.mark.parametrize("params", _GROUPS, ids=["2048", "toy"])
+    def test_matches_pow_cold_and_warm(self, params, rng, monkeypatch):
+        cache, built = _counting_combs(monkeypatch)
+        keys = {crypto.generate_chameleon_keypair(params, rng).y for _ in range(3)}
+        exponents = [0, 1, params.q - 1] + [rng.below(params.q) for _ in range(5)]
+        for sight in range(3):
+            for y in keys:
+                for e in exponents:
+                    assert cache.pow(params, y, e) == pow(y, e, params.p), (sight, y, e)
+        assert sorted(built) == sorted(keys)
+
+    def test_comb_built_on_second_sight_only(self, prod_chameleon, monkeypatch):
+        cache, built = _counting_combs(monkeypatch)
+        params, y = prod_chameleon.params, prod_chameleon.y
+        cache.pow(params, y, 5)
+        assert built == [] and len(cache) == 1
+        cache.pow(params, y, 6)
+        assert built == [y]
+        for e in range(3):
+            cache.pow(params, y, e)
+        assert built == [y]
+
+    def test_sign_verify_and_trapdoor_use_the_cache(self, prod_chameleon, insurer_keypair,
+                                                    monkeypatch, rng):
+        _, built = _counting_combs(monkeypatch)
+        recipient = prod_chameleon.public
+        sig, _ = crypto.chameleon_sign(insurer_keypair, recipient, b"m", b"ctx", rng)
+        assert built == []
+        proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
+        assert crypto.verify_trapdoor(recipient.y, recipient.params, b"contract", proof)
+        assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig)
+        assert built == [recipient.y]
+
+    def test_bounded_by_capacity(self, monkeypatch):
+        capacity = 4
+        cache, built = _counting_combs(monkeypatch, capacity)
+        params = crypto.TOY_GROUP
+        for y in range(2, 2 + capacity + 3):
+            for e in range(3):
+                assert cache.pow(params, y, e) == pow(y, e, params.p)
+            assert len(cache) <= capacity
+        assert len(built) == capacity + 3
+        # The oldest keys were evicted: the first is cold again.
+        cache.pow(params, 2, 1)
+        assert len(built) == capacity + 3
+        assert crypto.RECIPIENT_COMB_CAPACITY == 256
+
+    def test_same_key_from_two_threads(self, monkeypatch):
+        cache, _ = _counting_combs(monkeypatch)
+        params = crypto.GROUP_2048_256
+        keys = [crypto.generate_chameleon_keypair(params, RandomSource(i)).y for i in range(4)]
+        errors = []
+
+        def work(seed):
+            rng = RandomSource(seed)
+            for _ in range(3):
+                for y in keys:
+                    e = rng.below(params.q)
+                    if cache.pow(params, y, e) != pow(y, e, params.p):
+                        errors.append((seed, y, e))
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(cache) == len(keys)
+
+    def test_cold_sign_bench_signs_toward_never_seen_keys(self, monkeypatch):
+        """bench_chameleon builds one comb, for its warm recipient; each cold
+        signature pays one plain pow()."""
+        _, built = _counting_combs(monkeypatch)
+        modexps = []
+        real = crypto.modexp
+        monkeypatch.setattr(crypto, "modexp", lambda *a: modexps.append(1) or real(*a))
+        report = bench_chameleon(iterations=100, rng=RandomSource(41))
+        assert report.all_verified
+        assert len(built) == 1
+        assert len(modexps) == 1 + 100
+
+    def test_judge_same_with_cache_cleared_and_warm(
+        self, prod_chameleon, insurer_keypair, monkeypatch
+    ):
+        """The cache never changes a verdict or a ruling (judge purity)."""
+        cache, built = _counting_combs(monkeypatch)
+        report = run_scenario("mitm", cycles=3, domains=3, seed=21, rogue_cycle=2)
+        claim = Claim.from_bytes(report.claim_bytes)
+        claims = [(report.claim_bytes, Verdict.ACCEPT)] + [
+            (mutated.to_bytes(), expected) for _, expected, mutated in claim_mutations(claim)
+        ]
+        recipient = prod_chameleon.public
+        message = b"certified-payload"
+        sig, _ = crypto.chameleon_sign(
+            insurer_keypair, recipient, message, b"ctx", RandomSource(5)
+        )
+        forged_r = crypto.find_collision(prod_chameleon, message, sig.r, b"substituted")
+        forged = crypto.ChameleonSignature(forged_r, sig.inner_sig, sig.context)
+        disputes = [
+            (message, sig, (message, sig.r), Ruling.INSURER_BOUND),
+            (b"substituted", forged, (message, sig.r), Ruling.CUSTOMER_FORGED),
+            (message, sig, None, Ruling.INSURER_BOUND),
+        ]
+
+        def decide(case):
+            if len(case) == 2:
+                return judge.verify_claim_bytes(case[0], report.insurer_public, True)
+            message, sig, record, _ = case
+            return judge.resolve_denial(insurer_keypair.public, recipient, message, sig, record)
+
+        cases = claims + disputes
+        expected = [case[-1] for case in cases]
+        cleared = []
+        for case in cases:
+            cache.clear()
+            cleared.append(decide(case))
+        assert cleared == expected
+        built.clear()
+        for _ in range(2):
+            assert [decide(case) for case in cases] == expected
+        # Warm from here on: one comb for the claimant's key, one for the
+        # disputed recipient's.
+        assert len(built) == 2
 
 
 class TestTrapdoorProof:

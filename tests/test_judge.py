@@ -300,3 +300,34 @@ class TestResolveDenial:
             judge.resolve_denial(
                 insurer_keypair.public, prod_chameleon.public, b"m", sig, None
             )
+
+    @pytest.mark.parametrize("with_record, hashes", [(True, 2), (False, 1)])
+    def test_one_chameleon_hash_per_side(
+        self, insurer_keypair, prod_chameleon, signed_pair, monkeypatch,
+        with_record, hashes,
+    ):
+        """The disputed CH is computed once and also checks the inner
+        signature; a record adds the recorded CH."""
+        message, sig = signed_pair
+        calls = []
+        real_hash = crypto.chameleon_hash
+        monkeypatch.setattr(
+            crypto, "chameleon_hash", lambda *a: calls.append(1) or real_hash(*a)
+        )
+        ruling = judge.resolve_denial(
+            insurer_keypair.public, prod_chameleon.public, message, sig,
+            record=(message, sig.r) if with_record else None,
+        )
+        assert ruling is Ruling.INSURER_BOUND
+        assert len(calls) == hashes
+
+    def test_randomizer_out_of_range_refused(
+        self, insurer_keypair, prod_chameleon, signed_pair
+    ):
+        message, sig = signed_pair
+        for r in (-1, prod_chameleon.params.q):
+            with pytest.raises(ParameterError):
+                judge.resolve_denial(
+                    insurer_keypair.public, prod_chameleon.public, message,
+                    dataclasses.replace(sig, r=r), None,
+                )
