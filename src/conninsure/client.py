@@ -391,10 +391,11 @@ def _write(directory: str, name: str, payloads: list[bytes], replace: bool = Fal
             if new_name and not replace:
                 _fsync_directory(directory)
         except BaseException:
-            if new_name and not replace:
-                os.unlink(path)
-            elif not replace:
-                os.ftruncate(fh.fileno(), start)
+            if not replace:
+                if new_name:
+                    os.unlink(path)
+                else:
+                    os.ftruncate(fh.fileno(), start)
             raise
     if replace:
         os.replace(target, path)

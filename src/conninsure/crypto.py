@@ -7,8 +7,8 @@ kernel is modular exponentiation.  Every power of the generator g goes
 through one fixed-base comb per group (FixedBaseComb, Lim-Lee).  Every
 power of a recipient key y (y^r in the chameleon hash, y^c in the trapdoor
 proof check) goes through RECIPIENT_COMBS, a bounded LRU of combs keyed by
-(params, y): a key's first use is a plain pow(), its second builds its
-comb.  With both combs a chameleon hash at the 2048/256 group costs about a
+(params, y): a key's first use is a plain pow(), and a chameleon hash
+toward a key seen before builds its comb.  With both combs a chameleon hash at the 2048/256 group costs about a
 quarter of two plain pow() calls, and the pure-Python path meets the 5 ms
 sign/verify gate; a key seen once (a cold recipient) pays one full pow().
 The cache holds only public values and never changes a result.  Powers of
@@ -375,18 +375,19 @@ class RecipientCombs:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def pow(self, params: GroupParams, y: int, e: int) -> int:
-        """y^e mod p for 0 <= e < q."""
+    def pow(self, params: GroupParams, y: int, e: int, build: bool = True) -> int:
+        """y^e mod p for 0 <= e < 2^bits(q); with build False a key seen
+        before keeps a plain pow() until another call builds its comb."""
         key = (params, y)
         with self._lock:
             comb = self._entries.get(key, _UNSEEN)
             self._put(key, None if comb is _UNSEEN else comb)
-        if comb is _UNSEEN:
-            return modexp(y, e, params.p)
-        if comb is None:
+        if comb is None and build:
             comb = recipient_comb(ChameleonPublicKey(params, y))
             with self._lock:
                 self._put(key, comb)
+        if comb is None or comb is _UNSEEN:
+            return modexp(y, e, params.p)
         return comb.pow(e)
 
 
@@ -525,5 +526,8 @@ def verify_trapdoor(
     if proof.c != _trapdoor_challenge(params, y, proof.u, context):
         return False
     lhs = generator_comb(params).pow(proof.z)
-    rhs = proof.u * RECIPIENT_COMBS.pow(params, y, proof.c) % params.p
+    # A proof is checked at registration and by each contract check, which
+    # need not be followed by any signature toward y: it marks the key as
+    # seen and uses its comb, but leaves the build to the chameleon hashes.
+    rhs = proof.u * RECIPIENT_COMBS.pow(params, y, proof.c, build=False) % params.p
     return lhs == rhs

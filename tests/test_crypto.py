@@ -5,6 +5,7 @@ known answers.
 """
 
 import hashlib
+import sys
 import threading
 
 import pytest
@@ -307,16 +308,25 @@ class TestRecipientCombs:
             cache.pow(params, y, e)
         assert built == [y]
 
-    def test_sign_verify_and_trapdoor_use_the_cache(self, prod_chameleon, insurer_keypair,
-                                                    monkeypatch, rng):
+    def test_trapdoor_checks_mark_keys_and_hashes_build(
+        self, prod_chameleon, insurer_keypair, monkeypatch, rng
+    ):
+        """A proof check marks its key but never builds a comb; a chameleon
+        hash toward a marked key does, and later proof checks use it."""
         _, built = _counting_combs(monkeypatch)
+        modexps = []
+        real = crypto.modexp
+        monkeypatch.setattr(crypto, "modexp", lambda *a: modexps.append(1) or real(*a))
         recipient = prod_chameleon.public
-        sig, _ = crypto.chameleon_sign(insurer_keypair, recipient, b"m", b"ctx", rng)
-        assert built == []
         proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
+        for _ in range(2):
+            assert crypto.verify_trapdoor(recipient.y, recipient.params, b"contract", proof)
+        assert built == [] and len(modexps) == 2
+        sig, _ = crypto.chameleon_sign(insurer_keypair, recipient, b"m", b"ctx", rng)
+        assert built == [recipient.y]
         assert crypto.verify_trapdoor(recipient.y, recipient.params, b"contract", proof)
         assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig)
-        assert built == [recipient.y]
+        assert built == [recipient.y] and len(modexps) == 2
 
     def test_bounded_by_capacity(self, monkeypatch):
         capacity = 4
@@ -332,10 +342,12 @@ class TestRecipientCombs:
         assert len(built) == capacity + 3
         assert crypto.RECIPIENT_COMB_CAPACITY == 256
 
-    def test_same_key_from_two_threads(self, monkeypatch):
-        cache, _ = _counting_combs(monkeypatch)
+    def test_same_keys_from_many_threads(self, monkeypatch):
+        """More threads than cores on more keys than the cache holds: every
+        power still equals pow() and the cache stays within its capacity."""
+        cache, _ = _counting_combs(monkeypatch, capacity=4)
         params = crypto.GROUP_2048_256
-        keys = [crypto.generate_chameleon_keypair(params, RandomSource(i)).y for i in range(4)]
+        keys = [crypto.generate_chameleon_keypair(params, RandomSource(i)).y for i in range(6)]
         errors = []
 
         def work(seed):
@@ -345,14 +357,21 @@ class TestRecipientCombs:
                     e = rng.below(params.q)
                     if cache.pow(params, y, e) != pow(y, e, params.p):
                         errors.append((seed, y, e))
+                    if len(cache) > cache.capacity:
+                        errors.append(("over capacity", len(cache)))
 
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in (1, 2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(cache) == len(keys)
 
     def test_cold_sign_bench_signs_toward_never_seen_keys(self, monkeypatch):
         """bench_chameleon builds one comb, for its warm recipient; each cold
