@@ -254,8 +254,8 @@ class TestFixedBaseComb:
     def test_chameleon_results_same_with_comb(
         self, params, chameleon, insurer_keypair, request, monkeypatch
     ):
-        """Signatures and hashes from a cold cache, the comb-building second
-        sight and a warm cache are identical, and match the plain formula."""
+        """Signatures and hashes made with the key cold, while its comb is
+        built and with it warm are identical, and match the plain formula."""
         monkeypatch.setattr(crypto, "RECIPIENT_COMBS", crypto.RecipientCombs(8))
         recipient = request.getfixturevalue(chameleon).public
         runs = []
