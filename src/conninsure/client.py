@@ -5,7 +5,8 @@ assembly.
 State is one writer per contract: a working-state file plus an append-only
 archive of closed cycles.  Only the up-to-date certificate list is kept;
 older lists are reconstructed through rollback deltas when a claim needs
-them.
+them.  Each update downloads a forward delta from the list the client
+holds, and the rollback delta is its inverse.
 """
 
 import os
@@ -31,6 +32,7 @@ from .insurer import (
 )
 from .model import (
     PAD_DOMAIN,
+    CertList,
     Claim,
     Contract,
     CycleRecord,
@@ -41,6 +43,7 @@ from .model import (
     compute_rollback,
     expire_rollbacks,
     registration_context,
+    valid_positions,
 )
 from .rand import DEFAULT, RandomSource
 
@@ -84,7 +87,7 @@ class ClientState:
         self.keypair = keypair
         self.chameleon_kp = chameleon_kp
         self.contract = contract
-        self.certs: list[bytes] = []
+        self.listing = CertList([])
         self.current_index = 0
         self.rollback_entries: list[RollbackEntry] = []
         self.open_cycle: CycleRecord | None = None
@@ -97,6 +100,18 @@ class ClientState:
     @property
     def customer(self) -> int:
         return self.contract.customer
+
+    @property
+    def certs(self) -> list[bytes]:
+        """The list downloaded in the latest cycle."""
+        return self.listing.certs
+
+    def _held_digest(self) -> bytes:
+        """Digest of the list this client holds, from its latest cycle's
+        record; empty if it holds none (or no record matches it)."""
+        if self.archive and self.archive[-1].cycle_index == self.current_index:
+            return self.archive[-1].cert_digest
+        return b""
 
     def _verify_countersignature(
         self, payload: bytes, chsig: crypto.ChameleonSignature, label: str
@@ -147,11 +162,22 @@ class ClientState:
         """Run the certificate-list download exchange and open a cycle."""
         if self.open_cycle is not None:
             raise SequencingError("previous cycle not submitted yet")
-        cycleid, new_certs = BEGIN_CYCLE_RESPONSE.decode_body(
-            channel.request(BEGIN_CYCLE_REQUEST.encode((self.customer,)))
+        held = self._held_digest()
+        cycleid, base, removed, appended = BEGIN_CYCLE_RESPONSE.decode_body(
+            channel.request(BEGIN_CYCLE_REQUEST.encode((self.customer, held)))
         )
+        old = self.listing
+        if base not in (b"", held):
+            raise InsurerMisbehavior("delta is not from the list this client holds")
+        if not valid_positions(removed, len(old.certs) if base else 0):
+            raise InsurerMisbehavior("removed positions are not ascending within the list")
+        if not base:  # from the empty list: every held entry goes
+            removed = range(len(old.certs))
+        new = old.updated(removed, appended)
+        if not new.certs:
+            raise InsurerMisbehavior("certificate list is empty")
 
-        digest = wire.cert_list_digest(new_certs)
+        digest = new.digest
         payload = wire.encode_signed_payload(
             "Certificates", self.customer, cycleid, now, digest
         )
@@ -162,14 +188,15 @@ class ClientState:
 
         index = self.current_index + 1
         if self.current_index > 0:
-            delta = compute_rollback(self.certs, new_certs, index)
+            tail = new.hashes[len(new.hashes) - len(appended):]
+            delta = compute_rollback(old.certs, removed, tail, index)
             self.rollback_entries.append(RollbackEntry(delta, now))
-        self.certs = new_certs
+        self.listing = new
         self.current_index = index
         self.open_cycle = CycleRecord(
             cycle_index=index,
             cycleid=cycleid,
-            list_size=len(new_certs),
+            list_size=len(new.certs),
             cert_digest=digest,
             t=now,
             sig_a_certs=sig_a,
@@ -338,17 +365,13 @@ class ClientState:
             crypto.ChameleonKeyPair(params, x, y),
             contract,
         )
-        state.certs = certs
+        state.listing = CertList(certs)
         state.current_index = current_index
         state.warnings = list(warnings)
         state.open_cycle = open_cycle
-        state.rollback_entries = [
-            RollbackEntry.from_bytes(b) for b in _log_frames(directory, ROLLBACK_FILE)
-        ]
+        state.rollback_entries = _read_log(directory, ROLLBACK_FILE, RollbackEntry)
         state._rollback_on_disk = len(state.rollback_entries)
-        state.archive = [
-            CycleRecord.from_bytes(b) for b in _log_frames(directory, ARCHIVE_FILE)
-        ]
+        state.archive = _read_log(directory, ARCHIVE_FILE, CycleRecord)
         state._archived_on_disk = len(state.archive)
         # Archived yet open: a save crashed before it replaced state.tlv.
         archived = {record.cycleid for record in state.archive}
@@ -365,12 +388,16 @@ class ClientState:
         return state
 
 
-def _log_frames(directory: str, name: str):
-    """Frames of an append-only client log (none if the file is missing)."""
+def _read_log(directory: str, name: str, record_type) -> list:
+    """The records in an append-only client log (none if the file is
+    missing); a frame that does not decode raises CorruptionError."""
     path = os.path.join(directory, name)
     if not os.path.exists(path):
         return []
-    return wire.read_log(path)
+    return [
+        wire.decode_frame(record_type.from_bytes, path, offset, payload)
+        for offset, payload in wire.read_log(path)
+    ]
 
 
 def _write(directory: str, name: str, payloads: list[bytes], replace: bool = False):

@@ -117,6 +117,22 @@ def prf(key: bytes, message: bytes) -> bytes:
     return hash_h(key + message)
 
 
+def hash_h_each(prefix: bytes, suffixes) -> list[bytes]:
+    """[hash_h(prefix + s) for s in suffixes], hashing the shared prefix once."""
+    state = hashlib.sha256(_H_PREFIX + prefix)
+    out = []
+    for suffix in suffixes:
+        h = state.copy()
+        h.update(suffix)
+        out.append(h.digest())
+    return out
+
+
+def prf_each(key: bytes, messages) -> list[bytes]:
+    """[prf(key, m) for m in messages]."""
+    return hash_h_each(key, messages)
+
+
 # ---------------------------------------------------------------------------
 # Standard signature scheme
 # ---------------------------------------------------------------------------
@@ -363,7 +379,8 @@ class RecipientCombs:
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:  # _put may hold capacity + 1 entries for a moment
+            return len(self._entries)
 
     def clear(self) -> None:
         with self._lock:

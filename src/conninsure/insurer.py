@@ -2,6 +2,11 @@
 acceptance, the append-only chameleon-record log, and the framed
 request/response endpoints.
 
+The insurer keeps, for each customer, the list version that customer last
+downloaded, and answers a begin-cycle request with the forward delta from
+it to the current list.  Versions share their certificates, so what is
+held is bounded by the number of customers.
+
 Every state change is one log event.  An operation runs its checks,
 builds the event, and commits it: the event is appended to the log and
 fsync'd, and only then applied to memory by `_apply`, the same code that
@@ -29,7 +34,13 @@ from .errors import (
     SequencingError,
     SignatureInvalid,
 )
-from .model import Contract, chameleon_context, registration_context
+from .model import (
+    CertList,
+    Contract,
+    chameleon_context,
+    registration_context,
+    valid_positions,
+)
 from .rand import DEFAULT, RandomSource
 
 _log = logging.getLogger(__name__)
@@ -64,16 +75,25 @@ _RECORD_FIELDS = (
 class _OpenCycle:
     customer: int
     cycleid: bytes
-    certs: list
+    listing: CertList
     state: str = _PENDING
     t: int | None = None
 
+    @property
+    def certs(self) -> list[bytes]:
+        return self.listing.certs
 
-_BEGIN_FIELDS = (
+
+def _open_cycle(customer, cycleid, certs, state=_PENDING, t=None) -> _OpenCycle:
+    return _OpenCycle(customer, cycleid, CertList(certs), state, t)
+
+
+_BEGIN_LIST_FIELDS = (
     ("customer", wire.U64), ("cycleid", wire.BYTES), ("certs", wire.BYTES_LIST)
 )
 _OPEN_CYCLE = wire.Record(
-    wire.TAG_PAIR, _OpenCycle, *_BEGIN_FIELDS, ("state", wire.TEXT), ("t", wire.OPT_U64)
+    wire.TAG_PAIR, _open_cycle, *_BEGIN_LIST_FIELDS,
+    ("state", wire.TEXT), ("t", wire.OPT_U64),
 )
 
 _SNAPSHOT_FIELDS = (
@@ -101,10 +121,24 @@ _EVENTS = {
     wire.LOG_REGISTER: wire.Record(
         wire.LOG_REGISTER, None, ("contract", Contract.CODEC)
     ),
+    # UPDATE_CERTS: the positions removed from the current list, in
+    # ascending order, the certificates appended, and the new version.
     wire.LOG_UPDATE_CERTS: wire.Record(
-        wire.LOG_UPDATE_CERTS, None, ("certs", wire.BYTES_LIST), ("version", wire.U64)
+        wire.LOG_UPDATE_CERTS, None,
+        ("removed", wire.list_of(wire.U64)), ("appended", wire.BYTES_LIST),
+        ("version", wire.U64),
     ),
-    wire.LOG_BEGIN_CYCLE: wire.Record(wire.LOG_BEGIN_CYCLE, _OpenCycle, *_BEGIN_FIELDS),
+    # BEGIN_CYCLE: the cycle downloads the current list, named by version.
+    wire.LOG_BEGIN_CYCLE: wire.Record(
+        wire.LOG_BEGIN_CYCLE, None,
+        ("customer", wire.U64), ("cycleid", wire.BYTES), ("version", wire.U64),
+    ),
+    wire.LOG_UPDATE_CERTS_LIST: wire.Record(
+        wire.LOG_UPDATE_CERTS_LIST, None, ("certs", wire.BYTES_LIST), ("version", wire.U64)
+    ),
+    wire.LOG_BEGIN_CYCLE_LIST: wire.Record(
+        wire.LOG_BEGIN_CYCLE_LIST, None, *_BEGIN_LIST_FIELDS
+    ),
     # ACK_CERTS: the record's fields with the cycle's t after the customer.
     wire.LOG_ACK_CERTS: wire.Record(
         wire.LOG_ACK_CERTS, None, _RECORD_FIELDS[0], ("t", wire.U64), *_RECORD_FIELDS[1:]
@@ -113,6 +147,21 @@ _EVENTS = {
         wire.LOG_SUBMIT_VOUCHERS, ChameleonRecord, *_RECORD_FIELDS
     ),
 }
+
+
+def _event_tag(payload: bytes) -> int:
+    """The event tag of one log frame, which must be known."""
+    if not payload or payload[0] not in _EVENTS:
+        raise EncodingError(f"unknown log event tag {payload[:1].hex() or 'none'}")
+    return payload[0]
+
+
+def _decode_event(payload: bytes) -> tuple:
+    """(tag, value) of the event in one log frame."""
+    tag, body, end = wire.unpack(payload)
+    if end != len(payload):
+        raise EncodingError(f"trailing bytes after log event 0x{tag:02x}")
+    return tag, _EVENTS[_event_tag(payload)].decode_body(body)
 
 
 @wire.codec(
@@ -133,9 +182,17 @@ class RegistrationRequest:
 # Endpoint messages.  Responses are RESP_OK items; the client decodes the
 # body that the channel unwraps with the same table.
 REGISTER_RESPONSE = wire.Record(wire.RESP_OK, None, ("contract", Contract.CODEC))
-BEGIN_CYCLE_REQUEST = wire.Record(wire.REQ_BEGIN_CYCLE, None, ("customer", wire.U64))
+# base is the digest of the list the client holds, empty if it holds none.
+# The response is a forward delta from the list with digest base (the empty
+# list if base is empty): drop the entries at the ascending positions
+# removed, then append the certificates appended.
+BEGIN_CYCLE_REQUEST = wire.Record(
+    wire.REQ_BEGIN_CYCLE_DELTA, None, ("customer", wire.U64), ("base", wire.BYTES)
+)
 BEGIN_CYCLE_RESPONSE = wire.Record(
-    wire.RESP_OK, None, ("cycleid", wire.BYTES), ("certs", wire.BYTES_LIST)
+    wire.RESP_OK, None,
+    ("cycleid", wire.BYTES), ("base", wire.BYTES),
+    ("removed", wire.list_of(wire.U64)), ("appended", wire.BYTES_LIST),
 )
 ACK_CERTS_REQUEST = wire.Record(
     wire.REQ_ACK_CERTS, None,
@@ -177,13 +234,15 @@ class Insurer:
         rng: RandomSource = DEFAULT,
     ):
         self.keypair = keypair
-        self.certs = list(certs)
+        self.listing = CertList(list(certs))
         self.cert_version = 0
         self.policy_days = policy_days
         self.recency_window = recency_window
         self.rng = rng
         self.contracts: dict[int, Contract] = {}
         self.open_cycles: dict[int, _OpenCycle] = {}
+        # The list each customer last downloaded: the base of its next delta.
+        self.held: dict[int, CertList] = {}
         self.records: list[ChameleonRecord] = []
         self._records_by_ch: dict[bytes, ChameleonRecord] = {}
         self._records_by_digest: dict[bytes, ChameleonRecord] = {}
@@ -193,6 +252,11 @@ class Insurer:
         self._log_file = None
         self._log_broken = False
         self._events_since_snapshot = 0
+
+    @property
+    def certs(self) -> list[bytes]:
+        """The current certificate list."""
+        return self.listing.certs
 
     # -- setup / persistence ------------------------------------------------
 
@@ -222,23 +286,24 @@ class Insurer:
         """Rebuild state from the last snapshot plus the event tail."""
         frames = wire.read_log(log_path)
         start = 0
-        for i, payload in enumerate(frames):
-            if payload and payload[0] in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
+        for i, (offset, payload) in enumerate(frames):
+            tag = wire.decode_frame(_event_tag, log_path, offset, payload)
+            if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
                 start = i
         insurer = None
-        for payload in frames[start:]:
-            tag, body, end = wire.unpack(payload)
-            if end != len(payload):
-                raise CorruptionError(f"trailing bytes after log event 0x{tag:02x}")
-            event = _EVENTS.get(tag)
-            if event is None:
-                raise EncodingError(f"unknown log event tag 0x{tag:02x}")
+        for offset, payload in frames[start:]:
+            tag, value = wire.decode_frame(_decode_event, log_path, offset, payload)
             if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-                insurer = cls._from_snapshot(event.decode_body(body), rng)
-            elif insurer is None:
+                insurer = cls._from_snapshot(value, rng)
+                continue
+            if insurer is None:
                 raise EncodingError("log does not start with a snapshot")
-            else:
-                insurer._apply(tag, event.decode_body(body))
+            try:
+                insurer._apply(tag, value)
+            except CorruptionError as exc:
+                raise CorruptionError(
+                    f"{log_path}: frame at byte offset {offset}: {exc}"
+                ) from None
         if insurer is None:
             raise EncodingError("log contains no snapshot")
         insurer._log_file = open(log_path, "ab", buffering=0)
@@ -315,6 +380,7 @@ class Insurer:
         insurer._next_customer = next_customer
         insurer.contracts = contracts
         insurer.open_cycles = open_cycles
+        insurer.held = {c: cycle.listing for c, cycle in open_cycles.items()}
         for record in records:
             insurer._store_record(record)
         insurer._used_cycleids = set(used)
@@ -327,10 +393,26 @@ class Insurer:
             self.contracts[contract.customer] = contract
             self._next_customer = max(self._next_customer, contract.customer + 1)
         elif tag == wire.LOG_UPDATE_CERTS:
-            self.certs, self.cert_version = value
+            removed, appended, version = value
+            if version != self.cert_version + 1:
+                raise CorruptionError(f"list version {version} after {self.cert_version}")
+            if not valid_positions(removed, len(self.certs)):
+                raise CorruptionError("removed positions not ascending within the list")
+            self.listing = self.listing.updated(removed, appended)
+            self.cert_version = version
         elif tag == wire.LOG_BEGIN_CYCLE:
-            self.open_cycles[value.customer] = value
-            self._used_cycleids.add(value.cycleid)
+            customer, cycleid, version = value
+            if version != self.cert_version:
+                raise CorruptionError(
+                    f"cycle begins on list version {version}, current is {self.cert_version}"
+                )
+            self._open(customer, cycleid, self.listing)
+        elif tag == wire.LOG_UPDATE_CERTS_LIST:
+            certs, self.cert_version = value
+            self.listing = CertList(certs)
+        elif tag == wire.LOG_BEGIN_CYCLE_LIST:
+            customer, cycleid, certs = value
+            self._open(customer, cycleid, CertList(certs))
         elif tag == wire.LOG_ACK_CERTS:
             customer, t, message, r, ch = value
             cycle = self.open_cycles[customer]
@@ -340,6 +422,11 @@ class Insurer:
         else:
             self.open_cycles.pop(value.customer, None)
             self._store_record(value)
+
+    def _open(self, customer: int, cycleid: bytes, listing: CertList) -> None:
+        self.open_cycles[customer] = _OpenCycle(customer, cycleid, listing)
+        self.held[customer] = listing
+        self._used_cycleids.add(cycleid)
 
     # -- record log ----------------------------------------------------------
 
@@ -404,7 +491,13 @@ class Insurer:
             raise NotFoundError(f"unknown customer {customer}")
         return contract
 
-    def begin_cycle(self, customer: int, now: int) -> tuple[list[bytes], bytes]:
+    def begin_cycle(
+        self, customer: int, base: bytes, now: int
+    ) -> tuple[bytes, bytes, list[int], list[bytes]]:
+        """Open a cycle on the current list; returns (cycleid, base, removed,
+        appended), the forward delta to it from the list with digest base.
+        If base is not the list this customer last downloaded, the delta is
+        from the empty list (base b"") and appends the whole list."""
         with self._lock:
             contract = self._contract(customer)
             if not contract.t0 <= now <= contract.t_end:
@@ -415,9 +508,13 @@ class Insurer:
                 cycleid = self.rng.bytes(wire.CYCLEID_LEN)
                 if cycleid not in self._used_cycleids:
                     break
-            cycle = _OpenCycle(customer, cycleid, list(self.certs))
-            self._commit(wire.LOG_BEGIN_CYCLE, cycle)
-            return cycle.certs, cycleid
+            held = self.held.get(customer)
+            if base and held is not None and held.digest == base:
+                removed, appended = self.listing.delta_from(held)
+            else:
+                base, removed, appended = b"", [], self.certs
+            self._commit(wire.LOG_BEGIN_CYCLE, (customer, cycleid, self.cert_version))
+            return cycleid, base, removed, appended
 
     def _check_recent(self, stamp: int, now: int) -> None:
         if abs(now - stamp) > self.recency_window:
@@ -434,7 +531,7 @@ class Insurer:
             if cycle.state != _PENDING:
                 raise SequencingError("certificates already acknowledged")
             payload = wire.encode_signed_payload(
-                "Certificates", customer, cycleid, t, wire.cert_list_digest(cycle.certs)
+                "Certificates", customer, cycleid, t, cycle.listing.digest
             )
             if not crypto.verify(contract.pk_a, payload, sig_a):
                 raise SignatureInvalid("customer signature does not verify")
@@ -474,17 +571,26 @@ class Insurer:
             return sig, covered
 
     def update_cert_list(self, adds: list[bytes], removes: list[bytes]) -> int:
+        """Remove each of removes (its first listed copy not yet removed),
+        append adds, and return the new version."""
         with self._lock:
-            updated = list(self.certs)
+            certs = self.certs
+            removed: set[int] = set()
             for cert in removes:
+                pos = -1
                 try:
-                    updated.remove(cert)
+                    pos = certs.index(cert)
+                    while pos in removed:
+                        pos = certs.index(cert, pos + 1)
                 except ValueError:
                     raise NotFoundError("cannot remove a certificate that is not listed")
-            updated.extend(adds)
-            if not updated:
+                removed.add(pos)
+            if len(removed) == len(certs) and not adds:
                 raise ParameterError("certificate list must not become empty")
-            self._commit(wire.LOG_UPDATE_CERTS, (updated, self.cert_version + 1))
+            self._commit(
+                wire.LOG_UPDATE_CERTS,
+                (sorted(removed), list(adds), self.cert_version + 1),
+            )
             return self.cert_version
 
 
@@ -534,10 +640,9 @@ def handle_request(insurer: Insurer, request: bytes, now: int) -> bytes:
         if tag == wire.REQ_REGISTER:
             contract = insurer.register(RegistrationRequest.from_bytes(request), now)
             return REGISTER_RESPONSE.encode((contract,))
-        if tag == wire.REQ_BEGIN_CYCLE:
-            (customer,) = BEGIN_CYCLE_REQUEST.decode_body(body)
-            certs, cycleid = insurer.begin_cycle(customer, now)
-            return BEGIN_CYCLE_RESPONSE.encode((cycleid, certs))
+        if tag == wire.REQ_BEGIN_CYCLE_DELTA:
+            customer, base = BEGIN_CYCLE_REQUEST.decode_body(body)
+            return BEGIN_CYCLE_RESPONSE.encode(insurer.begin_cycle(customer, base, now))
         if tag == wire.REQ_ACK_CERTS:
             sig = insurer.ack_certificates(*ACK_CERTS_REQUEST.decode_body(body), now)
             return ACK_CERTS_RESPONSE.encode((sig,))

@@ -8,14 +8,16 @@ client discard it after submission.
 
 Leaf digest: h(0x00 || voucher encoding); internal node: h(0x01 || L || R).
 A tree of arbitrary size n splits at the largest power of two strictly
-below n, log-structured.
+below n, log-structured (the RFC 6962 shape).  It is built bottom-up: each
+level pairs neighbours, and an odd last node moves up unchanged, which
+gives the same tree.
 """
 
 from dataclasses import dataclass, field
 
-from .crypto import hash_h, prf
+from .crypto import hash_h, hash_h_each, prf, prf_each
 from .errors import CapacityError, NotFoundError, ParameterError
-from .model import PAD_DOMAIN, InclusionProof, Voucher
+from .model import PAD_DOMAIN, VOUCHER_R_LEN, InclusionProof, Voucher
 from .wire import u32
 
 _LEAF_PREFIX = b"\x00"
@@ -30,51 +32,40 @@ def node_digest(left: bytes, right: bytes) -> bytes:
     return hash_h(_NODE_PREFIX + left + right)
 
 
-def _split(n: int) -> int:
-    """Largest power of two strictly less than n (n >= 2)."""
-    return 1 << (n - 1).bit_length() - 1
-
-
-class _PrfStream:
-    """Deterministic byte stream PRF(seed, label || counter)."""
-
-    def __init__(self, seed: bytes, label: bytes):
-        self._seed = seed
-        self._label = label
-        self._counter = 0
-        self._buf = b""
-
-    def take(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            self._buf += prf(self._seed, self._label + u32(self._counter))
-            self._counter += 1
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling."""
-        bits = (bound - 1).bit_length() or 1
-        nbytes = (bits + 7) // 8
-        shift = nbytes * 8 - bits
-        while True:
-            v = int.from_bytes(self.take(nbytes), "big") >> shift
-            if v < bound:
-                return v
-
-
 def pad_voucher(customer: int, cycleid: bytes, seed: bytes, index: int) -> Voucher:
     """Format-valid filler leaf; the domain is unresolvable by construction."""
     return Voucher(customer, PAD_DOMAIN, cycleid, prf(seed, b"pad" + u32(index)))
 
 
 def permutation(n: int, seed: bytes) -> list[int]:
-    """Seed-derived uniform permutation (Fisher-Yates over a PRF stream)."""
-    stream = _PrfStream(seed, b"perm")
+    """Seed-derived uniform permutation: Fisher-Yates, each index drawn by
+    rejection sampling from the byte stream PRF(seed, "perm" || counter)."""
     order = list(range(n))
+    stream, pos, counter = b"", 0, 0
     for i in range(n - 1, 0, -1):
-        j = stream.below(i + 1)
+        bits = i.bit_length()  # a draw below i + 1
+        nbytes = (bits + 7) // 8
+        shift = nbytes * 8 - bits
+        while True:
+            if len(stream) - pos < nbytes:
+                stream = stream[pos:] + prf(seed, b"perm" + u32(counter))
+                pos, counter = 0, counter + 1
+            j = int.from_bytes(stream[pos : pos + nbytes], "big") >> shift
+            pos += nbytes
+            if j <= i:
+                break
         order[i], order[j] = order[j], order[i]
     return order
+
+
+def _pad_leaves(customer: int, cycleid: bytes, seed: bytes, count: int) -> list[bytes]:
+    """leaf_digest(pad_voucher(customer, cycleid, seed, i)) for i < count.
+    Padding vouchers differ only in their trailing r, so each leaf is the
+    tree's encoded prefix plus its PRF bytes."""
+    blank = Voucher(customer, PAD_DOMAIN, cycleid, bytes(VOUCHER_R_LEN)).to_bytes()
+    prefix = _LEAF_PREFIX + blank[:-VOUCHER_R_LEN]
+    rs = prf_each(seed, [b"pad" + i.to_bytes(4, "big") for i in range(count)])
+    return hash_h_each(prefix, rs)
 
 
 @dataclass
@@ -84,7 +75,8 @@ class PaddedMerkleTree:
     root: bytes
     leaves: list[bytes]
     _positions: dict = field(repr=False, default_factory=dict)
-    _nodes: dict = field(repr=False, default_factory=dict)
+    # Every level of the tree, leaves first, the root's level last.
+    _levels: list = field(repr=False, default_factory=list)
 
 
 def build_tree(
@@ -107,30 +99,25 @@ def build_tree(
         if v.customer != customer or v.cycleid != cycleid:
             raise ParameterError("voucher does not belong to this cycle")
 
-    entries = list(vouchers) + [
-        pad_voucher(customer, cycleid, seed, i) for i in range(n - len(vouchers))
-    ]
+    entries = [leaf_digest(v) for v in vouchers]
+    entries += _pad_leaves(customer, cycleid, seed, n - len(vouchers))
     order = permutation(n, seed)
-    ordered = [None] * n
+    leaves = [b""] * n
     for src, dst in enumerate(order):
-        ordered[dst] = entries[src]
+        leaves[dst] = entries[src]
 
-    leaves = [leaf_digest(v) for v in ordered]
-    nodes: dict = {}
-
-    def build(lo: int, hi: int) -> bytes:
-        if hi - lo == 1:
-            return leaves[lo]
-        k = _split(hi - lo)
-        digest = node_digest(build(lo, lo + k), build(lo + k, hi))
-        nodes[(lo, hi)] = digest
-        return digest
-
-    root = build(0, n)
+    levels = [leaves]
+    level = leaves
+    while len(level) > 1:
+        up = list(map(node_digest, level[0::2], level[1::2]))
+        if len(level) % 2:
+            up.append(level[-1])
+        levels.append(up)
+        level = up
     positions = {
         vouchers[i].to_bytes(): order[i] for i in range(len(vouchers))
     }
-    return PaddedMerkleTree(n, seed, root, leaves, positions, nodes)
+    return PaddedMerkleTree(n, seed, level[0], leaves, positions, levels)
 
 
 def prove_inclusion(tree: PaddedMerkleTree, voucher: Voucher) -> InclusionProof:
@@ -139,22 +126,13 @@ def prove_inclusion(tree: PaddedMerkleTree, voucher: Voucher) -> InclusionProof:
     if pos is None:
         raise NotFoundError("voucher is not a real leaf of this tree")
 
-    def subtree(lo: int, hi: int) -> bytes:
-        if hi - lo == 1:
-            return tree.leaves[lo]
-        return tree._nodes[(lo, hi)]
-
     path = []
-    lo, hi = 0, tree.n
-    while hi - lo > 1:
-        k = _split(hi - lo)
-        if pos < lo + k:
-            path.append((subtree(lo + k, hi), False))
-            hi = lo + k
-        else:
-            path.append((subtree(lo, lo + k), True))
-            lo = lo + k
-    path.reverse()
+    index = pos
+    for level in tree._levels[:-1]:
+        sibling = index ^ 1
+        if sibling < len(level):  # else the node moves up unchanged
+            path.append((level[sibling], sibling < index))
+        index //= 2
     return InclusionProof(leaf_index=pos, path=tuple(path))
 
 

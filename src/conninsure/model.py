@@ -6,6 +6,7 @@ insurer/client stores, each serialized per contract.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import crypto, wire
 from .errors import ClaimFormatError, CorruptionError, ParameterError
@@ -271,24 +272,82 @@ class RollbackDelta:
     removed: tuple
 
 
-def compute_rollback(
-    previous: list[bytes], current: list[bytes], cycle_index: int
-) -> RollbackDelta:
-    """Delta from the new list back to the old one, via an LCS diff on
-    certificate hashes so arbitrary reorderings round-trip."""
-    import difflib
+class CertList:
+    """One version of the certificate list, with the hash_h of each entry.
 
-    prev_keys = [crypto.hash_h(c) for c in previous]
-    cur_keys = [crypto.hash_h(c) for c in current]
-    matcher = difflib.SequenceMatcher(None, cur_keys, prev_keys, autojunk=False)
-    added = []
-    removed = []
-    for op, i1, i2, j1, j2 in matcher.get_opcodes():
-        if op in ("delete", "replace"):
-            added.extend((i, cur_keys[i]) for i in range(i1, i2))
-        if op in ("insert", "replace"):
-            removed.extend((j, previous[j]) for j in range(j1, j2))
-    return RollbackDelta(cycle_index, tuple(added), tuple(removed))
+    Versions derived from one another by `updated` share their certificate
+    objects, so each costs two pointer arrays.  The hashes of a list built
+    from scratch, and the digest of any list, are computed once, when first
+    used.
+    """
+
+    def __init__(self, certs: list[bytes], hashes: list[bytes] | None = None):
+        self.certs = certs
+        if hashes is not None:
+            self.hashes = hashes
+
+    @cached_property
+    def hashes(self) -> list[bytes]:
+        return list(map(crypto.hash_h, self.certs))
+
+    @cached_property
+    def digest(self) -> bytes:
+        return wire.cert_list_digest(self.certs, self.hashes)
+
+    def updated(self, removed, appended: list[bytes]) -> "CertList":
+        """The list without the entries at positions removed, then appended.
+        removed must pass valid_positions for this list."""
+        certs, hashes = [], []
+        start = 0
+        for pos in removed:
+            certs += self.certs[start:pos]
+            hashes += self.hashes[start:pos]
+            start = pos + 1
+        certs += self.certs[start:]
+        hashes += self.hashes[start:]
+        certs += appended
+        hashes += map(crypto.hash_h, appended)
+        return CertList(certs, hashes)
+
+    def delta_from(self, base: "CertList") -> tuple[list[int], list[bytes]]:
+        """(removed, appended) such that base.updated(removed, appended) is
+        this list.  Updates only remove entries and append new ones, so any
+        list this one was derived from is its surviving entries in order
+        plus a tail; one walk matches the longest prefix of this list
+        against base's entries in order."""
+        ours = self.hashes
+        matched = 0
+        removed = []
+        for pos, digest in enumerate(base.hashes):
+            if matched < len(ours) and digest == ours[matched]:
+                matched += 1
+            else:
+                removed.append(pos)
+        return removed, self.certs[matched:]
+
+
+def valid_positions(positions, size: int) -> bool:
+    """True if positions are strictly ascending indexes into a list of size."""
+    last = -1
+    for pos in positions:
+        if not last < pos < size:
+            return False
+        last = pos
+    return True
+
+
+def compute_rollback(
+    previous: list[bytes], removed, appended_hashes: list[bytes], cycle_index: int
+) -> RollbackDelta:
+    """Delta from the new list back to the old one, the inverse of the
+    forward delta: previous without the entries at positions removed,
+    followed by certificates with appended_hashes."""
+    start = len(previous) - len(removed)
+    return RollbackDelta(
+        cycle_index,
+        tuple(enumerate(appended_hashes, start)),
+        tuple((pos, previous[pos]) for pos in removed),
+    )
 
 
 def apply_rollback(current: list[bytes], delta: RollbackDelta) -> list[bytes]:

@@ -43,11 +43,16 @@ class InProcessChannel:
         pass
 
 
+# sock.recv(n) allocates n bytes before any arrive, and a frame header
+# announces up to 4 GiB, so a frame is read in chunks of at most this size.
+RECV_CHUNK = 1 << 20
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
     remaining = n
     while remaining:
-        chunk = sock.recv(remaining)
+        chunk = sock.recv(min(remaining, RECV_CHUNK))
         if not chunk:
             raise EncodingError("connection closed mid-frame")
         chunks.append(chunk)

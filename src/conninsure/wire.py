@@ -15,11 +15,12 @@ decode followed by encode returns the input bytes.
 import os
 import struct
 import warnings
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import crypto
-from .errors import EncodingError, ParameterError
+from .errors import CorruptionError, EncodingError, ParameterError
 
 # Tag table. Published so independent implementations can interoperate.
 TAG_UINT = 0x01          # 8-byte big-endian unsigned integer
@@ -44,28 +45,33 @@ TAG_PUBKEY = 0x1C
 TAG_CHAMELEON_PUB = 0x1D
 TAG_PAIR = 0x1E
 
-# Request/response endpoint ids for the framed channel.
+# Request/response endpoint ids for the framed channel.  0x22 was the
+# begin-cycle request answered with the whole list; it is retired.
 REQ_REGISTER = 0x21
-REQ_BEGIN_CYCLE = 0x22
 REQ_ACK_CERTS = 0x23
 REQ_SUBMIT_VOUCHERS = 0x24
 REQ_LOOKUP_RECORD = 0x25
+REQ_BEGIN_CYCLE_DELTA = 0x26
 RESP_OK = 0x2E
 RESP_ERR = 0x2F
 
-# Persistence record tags.
+# Persistence record tags.  The two *_LIST events carry a whole list; they
+# are replayed from older logs and never written.
 LOG_SETUP = 0x31
 LOG_REGISTER = 0x32
-LOG_UPDATE_CERTS = 0x33
-LOG_BEGIN_CYCLE = 0x34
+LOG_UPDATE_CERTS_LIST = 0x33
+LOG_BEGIN_CYCLE_LIST = 0x34
 LOG_ACK_CERTS = 0x35
 LOG_SUBMIT_VOUCHERS = 0x36
 LOG_SNAPSHOT = 0x37
+LOG_BEGIN_CYCLE = 0x38
+LOG_UPDATE_CERTS = 0x39
 
 _MAX_LEN = 0xFFFFFFFF
 _HEADER = struct.Struct(">BI")
 _LENGTH = struct.Struct(">I")
 _U64_ITEM = struct.Struct(">BIQ")
+_DIGEST_ENTRY = struct.Struct(">II32s")
 
 SIGNED_PAYLOAD_LABELS = ("Certificates", "Vouchers")
 CYCLEID_LEN = 32
@@ -182,20 +188,40 @@ def decode_text(data: bytes) -> str:
 
 
 def encode_list(items: list[bytes], item_tag: int = TAG_BYTES) -> bytes:
-    return pack(TAG_LIST, b"".join(pack(item_tag, item) for item in items))
+    """A TAG_LIST item of byte strings, each wrapped in an item_tag item."""
+    size = 5 * len(items) + sum(map(len, items))
+    try:
+        headers = list(map(_HEADER.pack, repeat(item_tag), map(len, items)))
+        head = _HEADER.pack(TAG_LIST, size)
+    except struct.error:
+        raise EncodingError("payload too large for a 4-byte length") from None
+    return b"".join(chain((head,), chain.from_iterable(zip(headers, items))))
 
 
-def decode_list(data: bytes, item_tag: int = TAG_BYTES) -> list[bytes]:
-    return _list_items(unpack_exact(data, TAG_LIST), item_tag, None)
+def decode_list(payload: bytes, item_tag: int = TAG_BYTES) -> list[bytes]:
+    """The byte strings of a TAG_LIST payload: the value of the list's
+    item, without its header."""
+    return _list_items(payload, item_tag, None)
 
 
 def _list_items(payload: bytes, item_tag: int, parse) -> list:
     out = []
-    for tag, value in iter_items(payload):
-        if tag != item_tag:
-            raise EncodingError(f"unexpected list item tag 0x{tag:02x}")
-        out.append(value if parse is None else parse(value))
-    return out
+    offset = 0
+    size = len(payload)
+    header = _HEADER.unpack_from
+    try:
+        while offset < size:
+            tag, length = header(payload, offset)
+            if tag != item_tag:
+                raise EncodingError(f"unexpected list item tag 0x{tag:02x}")
+            start = offset + 5
+            offset = start + length
+            if offset > size:
+                raise EncodingError("truncated TLV value")
+            out.append(payload[start:offset])
+    except struct.error:
+        raise EncodingError("truncated TLV header") from None
+    return out if parse is None else [parse(value) for value in out]
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +270,6 @@ def _parse_digest(data: bytes) -> bytes:
     return data
 
 
-def _parse_bytes_list(data: bytes) -> list[bytes]:
-    return decode_list(pack(TAG_LIST, data))
-
-
 U64 = Kind(TAG_UINT, _u64_item, decode_u64)
 BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v), None)
 DIGEST = Kind(TAG_BYTES, BYTES.item, _parse_digest)
@@ -262,8 +284,8 @@ OPT_BOOL = Kind(
 OPT_BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v or b""), lambda b: b or None)
 # Lists of byte strings go through encode_list/decode_list, looked up at call
 # time, so wrappers installed on those two functions see every such list.
-BYTES_LIST = Kind(TAG_LIST, lambda v: encode_list(v), _parse_bytes_list)
-BYTES_TUPLE = Kind(TAG_LIST, BYTES_LIST.item, lambda b: tuple(_parse_bytes_list(b)))
+BYTES_LIST = Kind(TAG_LIST, lambda v: encode_list(v), lambda b: decode_list(b))
+BYTES_TUPLE = Kind(TAG_LIST, BYTES_LIST.item, lambda b: tuple(decode_list(b)))
 
 
 def list_of(kind: Kind, key=None) -> Kind:
@@ -404,13 +426,22 @@ def decode_signed_payload(data: bytes) -> tuple[str, int, bytes, int, bytes]:
     return value
 
 
-def cert_list_digest(certs: list[bytes]) -> bytes:
-    """Order-sensitive digest of the insurer's certificate list."""
+def cert_list_digest(certs: list[bytes], hashes: list[bytes] | None = None) -> bytes:
+    """Order-sensitive digest of the insurer's certificate list.
+
+    hashes, when given, holds crypto.hash_h of each certificate, so that a
+    caller that keeps them hashes each certificate only once.
+    """
     if not certs:
         raise ParameterError("certificate list must not be empty")
-    acc = b"".join(
-        u32(i) + u32(len(cert)) + crypto.hash_h(cert) for i, cert in enumerate(certs)
-    )
+    if hashes is None:
+        hashes = map(crypto.hash_h, certs)
+    try:
+        acc = b"".join(
+            map(_DIGEST_ENTRY.pack, range(len(certs)), map(len, certs), hashes)
+        )
+    except struct.error:
+        raise EncodingError("certificate list entry out of u32 range") from None
     return crypto.hash_h(acc)
 
 
@@ -484,22 +515,33 @@ def iter_frames(data: bytes):
         offset = end
 
 
-def read_log(path: str) -> list[bytes]:
-    """The payloads of the whole frames in an append-only log file.  A
-    partial last frame, left by a crash mid-append, is cut off the file and
-    reported with warnings.warn."""
+def read_log(path: str) -> list[tuple[int, bytes]]:
+    """(byte offset, payload) of each whole frame in an append-only log
+    file.  A partial last frame, left by a crash mid-append, is cut off the
+    file and reported with warnings.warn."""
     with open(path, "rb") as fh:
         data = fh.read()
     frames = []
+    whole = 0
     try:
         for payload in iter_frames(data):
-            frames.append(payload)
+            frames.append((whole, payload))
+            whole += 4 + len(payload)
     except EncodingError:
-        whole = sum(4 + len(payload) for payload in frames)
         warnings.warn(f"{path}: dropped a partial frame of {len(data) - whole} "
                       f"bytes at byte offset {whole}", RuntimeWarning)
         os.truncate(path, whole)
     return frames
+
+
+def decode_frame(decode, path: str, offset: int, payload: bytes):
+    """decode(payload) for a whole frame of the log at path.  A frame that
+    does not decode is corruption, not a crash leftover: its EncodingError
+    is raised as CorruptionError naming the frame's byte offset."""
+    try:
+        return decode(payload)
+    except EncodingError as exc:
+        raise CorruptionError(f"{path}: frame at byte offset {offset}: {exc}") from exc
 
 
 def only_frame(data: bytes) -> bytes:

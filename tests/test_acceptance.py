@@ -99,7 +99,7 @@ def _insured_world(seed=3):
 
 
 def _run_full_cycle(insurer, keypair, contract, t, root=b"\x00" * 32):
-    certs, cycleid = insurer.begin_cycle(contract.customer, t)
+    cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", t)
     payload = wire.encode_signed_payload(
         "Certificates", contract.customer, cycleid, t, wire.cert_list_digest(certs)
     )

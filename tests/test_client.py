@@ -15,7 +15,7 @@ from conninsure.errors import (
     ParameterError,
     SequencingError,
 )
-from conninsure.insurer import Insurer
+from conninsure.insurer import BEGIN_CYCLE_RESPONSE, Insurer
 from conninsure.model import PAD_DOMAIN
 from conninsure.rand import RandomSource
 from conninsure.scenario import SimClock
@@ -65,11 +65,10 @@ class TestUpdateCycle:
             def request(self, payload):
                 response = channel.request(payload)
                 tag, _, _ = wire.unpack(payload)
-                if tag == wire.REQ_BEGIN_CYCLE:
-                    raw = wire.fields(response, wire.TAG_BYTES, wire.TAG_LIST)
-                    certs = wire.decode_list(wire.pack(wire.TAG_LIST, raw[1]))
+                if tag == wire.REQ_BEGIN_CYCLE_DELTA:
+                    cycleid, base, removed, certs = BEGIN_CYCLE_RESPONSE.decode_body(response)
                     certs[0] = b"tampered-in-transit"
-                    return wire.pack(wire.TAG_BYTES, raw[0]) + wire.encode_list(certs)
+                    return BEGIN_CYCLE_RESPONSE.encode_body((cycleid, base, removed, certs))
                 return response
 
         with pytest.raises(SignatureInvalid):
@@ -95,6 +94,114 @@ class TestUpdateCycle:
         with pytest.raises(InsurerMisbehavior):
             client.do_update_cycle(ForgingChannel(), now=clock.now)
         assert client.open_cycle is None
+
+
+def _rewriting_channel(channel, rewrite, seen):
+    """Passes requests to channel, records their tags in seen, and lets
+    rewrite(cycleid, base, removed, appended) change a begin-cycle response."""
+
+    class Rewriting:
+        def request(self, payload):
+            seen.append(payload[0])
+            response = channel.request(payload)
+            if payload[0] == wire.REQ_BEGIN_CYCLE_DELTA:
+                fields = rewrite(*BEGIN_CYCLE_RESPONSE.decode_body(response))
+                return BEGIN_CYCLE_RESPONSE.encode_body(fields)
+            return response
+
+    return Rewriting()
+
+
+HOSTILE_DELTAS = {
+    "unsorted": lambda c, b, r, a: (c, b, [2, 1], a),
+    "duplicate": lambda c, b, r, a: (c, b, [1, 1], a),
+    "out-of-range": lambda c, b, r, a: (c, b, [len(DOMAINS) + 1], a),
+    "wrong-base": lambda c, b, r, a: (c, b"\x00" * 32, r, a),
+    "removal-from-empty": lambda c, b, r, a: (c, b"", [0], a),
+    "empty-list": lambda c, b, r, a: (c, b"", [], []),
+}
+
+
+class TestDeltaDownload:
+    def _second_cycle_ready(self, world, tmp_path):
+        insurer, _, channel, client, clock, rng = world
+        client.do_update_cycle(channel, now=clock.now)
+        client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        client.save(str(tmp_path))
+        insurer.update_cert_list([b"appended-cert"], [insurer.certs[1]])
+
+    def test_update_downloads_only_the_change(self, world, tmp_path):
+        insurer, _, channel, client, clock, _ = world
+        self._second_cycle_ready(world, tmp_path)
+        got = []
+        rewrite = lambda *fields: got.append(fields) or fields
+        client.do_update_cycle(_rewriting_channel(channel, rewrite, []), now=clock.now)
+        (cycleid, base, removed, appended), = got
+        assert base == client.archive[-1].cert_digest
+        assert (list(removed), appended) == ([1], [b"appended-cert"])
+        assert client.certs == insurer.certs
+        delta = client.rollback_entries[-1].delta
+        assert delta.added == ((len(DOMAINS) - 1, crypto.hash_h(b"appended-cert")),)
+        assert delta.removed == ((1, client.reconstruct_list(1)[1]),)
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_DELTAS))
+    def test_hostile_delta_is_refused_before_signing(self, world, tmp_path, kind):
+        _, _, channel, client, clock, _ = world
+        self._second_cycle_ready(world, tmp_path)
+        before = (list(client.certs), list(client.rollback_entries), client.current_index)
+        on_disk = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        seen = []
+        hostile = _rewriting_channel(channel, HOSTILE_DELTAS[kind], seen)
+        with pytest.raises(InsurerMisbehavior):
+            client.do_update_cycle(hostile, now=clock.now)
+        assert seen == [wire.REQ_BEGIN_CYCLE_DELTA]  # nothing was signed and sent
+        assert client.open_cycle is None
+        assert (client.certs, client.rollback_entries, client.current_index) == before
+        client.save(str(tmp_path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == on_disk
+
+    @pytest.mark.parametrize("interval", [256, 1], ids=["held-list-replayed", "snapshot"])
+    def test_cycle_after_insurer_restart_and_client_load(
+        self, tmp_path, monkeypatch, interval
+    ):
+        """After a restart the insurer answers with a delta from the held
+        list it replayed, or, if a snapshot dropped it, with the whole list;
+        either way the client ends on the current list and both cycles'
+        claims are accepted."""
+        import conninsure.insurer as insurer_module
+        from conninsure import judge
+
+        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", interval)
+        rng = RandomSource(56)
+        clock = SimClock()
+        servers = {d: tlssim.SimServer.create(d, rng=rng, now=clock.now) for d in DOMAINS}
+        log = str(tmp_path / "insurer.log")
+        insurer = Insurer.setup(
+            [servers[d].presented_cert for d in DOMAINS], rng=rng, log_path=log
+        )
+        channel = InProcessChannel(insurer, now_fn=clock)
+        client = ClientState.register(channel, 86_400, rng=rng, group=crypto.TOY_GROUP)
+        first = client.do_update_cycle(channel, now=clock.now)
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        client.submit_cycle(channel, now=clock.advance(60), rng=rng)
+        client.save(str(tmp_path / "client"))
+        insurer.update_cert_list([b"appended-cert"], [servers[DOMAINS[2]].presented_cert])
+        insurer.close()
+
+        insurer = Insurer.load(log)
+        assert bool(insurer.held) is (interval > 1)
+        channel = InProcessChannel(insurer, now_fn=clock)
+        client = ClientState.load(str(tmp_path / "client"))
+        second = client.do_update_cycle(channel, now=clock.advance(3600))
+        client.browse(DOMAINS[1], servers[DOMAINS[1]], clock.now, rng)
+        client.submit_cycle(channel, now=clock.advance(60), rng=rng)
+        assert client.certs == insurer.certs
+        assert second.cert_digest == wire.cert_list_digest(insurer.certs)
+        for record, domain in ((first, DOMAINS[0]), (second, DOMAINS[1])):
+            claim = client.assemble_claim(record.cycleid, domain)
+            verdict = judge.verify_claim_bytes(claim.to_bytes(), insurer.keypair.public, True)
+            assert verdict is judge.Verdict.ACCEPT
+        insurer.close()
 
 
 class TestBrowse:

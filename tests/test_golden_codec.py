@@ -7,6 +7,10 @@ gets an explicit RandomSource and every call that reads a clock gets `now`,
 so the bytes are a function of the code alone.  The test compares each
 artifact with tests/fixtures/golden_codec.json and decodes each fixture back.
 
+tests/fixtures/insurer_log_v1.hex is the same deployment's log as written
+when BEGIN_CYCLE and UPDATE_CERTS events carried the whole list; it is not
+regenerated, and must still load to the same state.
+
 Regenerate the fixture file (only when a layout change is intended):
 
     PYTHONPATH=src python tests/test_golden_codec.py --write
@@ -23,7 +27,12 @@ import pytest
 from conninsure import crypto, insurer as insurer_mod, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import CorruptionError
-from conninsure.insurer import Insurer, RegistrationRequest, handle_request
+from conninsure.insurer import (
+    BEGIN_CYCLE_REQUEST,
+    Insurer,
+    RegistrationRequest,
+    handle_request,
+)
 from conninsure.model import (
     Claim,
     Contract,
@@ -36,6 +45,7 @@ from conninsure.model import (
 )
 from conninsure.rand import RandomSource
 from conninsure.transport import unwrap_response
+from conftest import load_hex_fixture
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_codec.json")
 START = 1_700_000_000
@@ -57,7 +67,7 @@ RECORD_TYPES = {
 
 ENDPOINTS = {
     wire.REQ_REGISTER: "register",
-    wire.REQ_BEGIN_CYCLE: "begin_cycle",
+    wire.REQ_BEGIN_CYCLE_DELTA: "begin_cycle_delta",
     wire.REQ_ACK_CERTS: "ack_certs",
     wire.REQ_SUBMIT_VOUCHERS: "submit_vouchers",
 }
@@ -72,16 +82,18 @@ class _Clock:
 
 
 class _RecordingChannel:
-    """In-process channel that keeps the first request/response per endpoint."""
+    """In-process channel that keeps the first request/response per endpoint
+    under the endpoint's name, or under `name` when that is set."""
 
     def __init__(self, insurer, clock, out):
         self.insurer = insurer
         self.clock = clock
         self.out = out
+        self.name = None
 
     def request(self, payload):
         response = handle_request(self.insurer, payload, self.clock.now)
-        name = ENDPOINTS[payload[0]]
+        name = self.name or ENDPOINTS[payload[0]]
         self.out.setdefault(f"{name}_request", payload)
         self.out.setdefault(f"{name}_response", response)
         return unwrap_response(response)
@@ -126,7 +138,10 @@ def build_artifacts(workdir, monkeypatch_interval):
         if cycle == 3:
             insurer.update_cert_list(adds=[], removes=[spare])
         clock.now += 600
+        # The third cycle's delta removes a certificate from the held list.
+        channel.name = "begin_cycle_removal" if cycle == 3 else None
         client.do_update_cycle(channel, now=clock.now)
+        channel.name = None
         for server in servers if cycle < 3 else servers[:1]:
             clock.now += 10
             client.browse(server.domain, server, now=clock.now, rng=client_rng)
@@ -160,9 +175,7 @@ def build_artifacts(workdir, monkeypatch_interval):
         request = _lookup(kind, key)
         out[f"{name}_request"] = request
         out[f"{name}_response"] = handle_request(insurer, request, clock.now)
-    error_request = wire.pack(
-        wire.REQ_BEGIN_CYCLE, wire.pack(wire.TAG_UINT, wire.u64(99))
-    )
+    error_request = BEGIN_CYCLE_REQUEST.encode((99, b""))
     out["error_request"] = error_request
     out["error_response"] = handle_request(insurer, error_request, clock.now)
 
@@ -198,23 +211,38 @@ def golden():
     return load_fixture()
 
 
+@pytest.fixture(scope="module")
+def logs(golden):
+    return {
+        "insurer_log": golden["insurer_log"],
+        "insurer_log_v1": load_hex_fixture("insurer_log_v1.hex"),
+    }
+
+
 def test_fixture_covers_every_artifact(built, golden):
     artifacts, _, _ = built
     assert sorted(artifacts) == sorted(golden)
 
 
-def test_log_has_every_event_kind_and_a_snapshot(golden):
-    log = golden["insurer_log"]
+def _event_tags(log: bytes) -> list[int]:
     tags = []
     offset = 0
     while offset < len(log):
         length = int.from_bytes(log[offset : offset + 4], "big")
         tags.append(log[offset + 4])
         offset += 4 + length
+    return tags
+
+
+@pytest.mark.parametrize("log_name, begin, update", [
+    ("insurer_log", wire.LOG_BEGIN_CYCLE, wire.LOG_UPDATE_CERTS),
+    ("insurer_log_v1", wire.LOG_BEGIN_CYCLE_LIST, wire.LOG_UPDATE_CERTS_LIST),
+])
+def test_log_has_every_event_kind_and_a_snapshot(logs, log_name, begin, update):
+    tags = _event_tags(logs[log_name])
     assert set(tags) == {
-        wire.LOG_SETUP, wire.LOG_REGISTER, wire.LOG_UPDATE_CERTS,
-        wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
-        wire.LOG_SNAPSHOT,
+        wire.LOG_SETUP, wire.LOG_REGISTER, update, begin,
+        wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS, wire.LOG_SNAPSHOT,
     }
     assert tags[-1] != wire.LOG_SNAPSHOT
 
@@ -233,10 +261,11 @@ def test_record_fixture_decodes_and_reencodes(golden, name):
     assert RECORD_TYPES[name].from_bytes(blob).to_bytes() == blob
 
 
-def test_insurer_log_fixture_replays(built, golden, tmp_path):
+@pytest.mark.parametrize("log_name", ["insurer_log", "insurer_log_v1"])
+def test_insurer_log_fixture_replays(built, golden, logs, tmp_path, log_name):
     _, live, _ = built
     path = tmp_path / "insurer.log"
-    path.write_bytes(golden["insurer_log"])
+    path.write_bytes(logs[log_name])
     loaded = Insurer.load(str(path))
     try:
         assert loaded.snapshot_bytes() == golden["insurer_snapshot"]
@@ -274,6 +303,31 @@ def test_trailing_bytes_inside_a_log_frame_rejected(golden, tmp_path):
     path.write_bytes(whole + wire.frame(last[4:] + b"\x00" * 7))
     with pytest.raises(CorruptionError, match="trailing bytes"):
         Insurer.load(str(path))
+
+
+def test_corrupt_frame_before_the_tail_names_its_offset(golden, tmp_path):
+    """An unknown event tag in a middle frame is corruption, not a torn
+    tail: the load raises CorruptionError with the frame's byte offset."""
+    log = golden["insurer_log"]
+    frames = [wire.frame(payload) for payload in wire.iter_frames(log)]
+    middle = len(frames) // 2
+    offset = sum(map(len, frames[:middle]))
+    path = tmp_path / "insurer.log"
+    path.write_bytes(log[: offset + 4] + b"\xee" + log[offset + 5 :])
+    with pytest.raises(CorruptionError, match=f"byte offset {offset}: unknown log event"):
+        Insurer.load(str(path))
+    assert path.read_bytes()[offset + 4] == 0xEE  # nothing was cut off
+
+
+@pytest.mark.parametrize("name", ["archive.tlv", "rollback.tlv"])
+def test_corrupt_client_log_frame_names_its_offset(golden, tmp_path, name):
+    for other in ("state.tlv", "archive.tlv", "rollback.tlv"):
+        (tmp_path / other).write_bytes(golden[other.replace(".", "_")])
+    data = golden[name.replace(".", "_")]
+    assert len(list(wire.iter_frames(data))) > 1
+    (tmp_path / name).write_bytes(data[:4] + b"\xee" + data[5:])
+    with pytest.raises(CorruptionError, match=f"{name}: frame at byte offset 0:"):
+        ClientState.load(str(tmp_path))
 
 
 def test_client_file_fixtures_reload(built, golden, tmp_path):

@@ -2,6 +2,9 @@
 chameleon-record log, persistence, and the framed endpoints exercised
 through raw request bytes."""
 
+import gc
+import weakref
+
 import pytest
 
 import conninsure.insurer as insurer_module
@@ -70,7 +73,7 @@ def _ack_payload(contract, cycleid, t, certs):
 
 
 def _run_cycle(insurer, keypair, contract, t, root=b"\x00" * 32, t_prime=None):
-    certs, cycleid = insurer.begin_cycle(contract.customer, t)
+    cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", t)
     payload = _ack_payload(contract, cycleid, t, certs)
     insurer.ack_certificates(
         contract.customer, cycleid, t, crypto.sign(keypair, payload), t
@@ -163,19 +166,19 @@ class TestRegistration:
 class TestCycleStateMachine:
     def test_first_cycle_succeeds(self, enrolled):
         insurer, _, _, contract, _ = enrolled
-        certs, cycleid = insurer.begin_cycle(contract.customer, NOW + 5)
+        cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", NOW + 5)
         assert certs == CERTS
         assert len(cycleid) == 32
 
     def test_second_begin_without_submission(self, enrolled):
         insurer, _, _, contract, _ = enrolled
-        insurer.begin_cycle(contract.customer, NOW + 5)
+        insurer.begin_cycle(contract.customer, b"", NOW + 5)
         with pytest.raises(SequencingError):
-            insurer.begin_cycle(contract.customer, NOW + 6)
+            insurer.begin_cycle(contract.customer, b"", NOW + 6)
 
     def test_submit_before_ack_rejected(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
-        _, cycleid = insurer.begin_cycle(contract.customer, NOW)
+        cycleid = insurer.begin_cycle(contract.customer, b"", NOW)[0]
         payload = wire.encode_signed_payload(
             "Vouchers", contract.customer, cycleid, NOW, b"\x00" * 32
         )
@@ -188,7 +191,7 @@ class TestCycleStateMachine:
     def test_expired_contract_rejected(self, enrolled):
         insurer, _, _, contract, _ = enrolled
         with pytest.raises(ExpiredContractError):
-            insurer.begin_cycle(contract.customer, contract.t_end + 1)
+            insurer.begin_cycle(contract.customer, b"", contract.t_end + 1)
 
     def test_full_cycle_closes(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
@@ -200,7 +203,7 @@ class TestCycleStateMachine:
 class TestAckCertificates:
     def test_honest_flow_returns_valid_signature(self, enrolled):
         insurer, keypair, chameleon, contract, _ = enrolled
-        certs, cycleid = insurer.begin_cycle(contract.customer, NOW)
+        cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", NOW)
         payload = _ack_payload(contract, cycleid, NOW, certs)
         chsig = insurer.ack_certificates(
             contract.customer, cycleid, NOW, crypto.sign(keypair, payload), NOW
@@ -212,7 +215,7 @@ class TestAckCertificates:
 
     def test_stale_timestamp_rejected(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
-        certs, cycleid = insurer.begin_cycle(contract.customer, NOW)
+        cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", NOW)
         stale = NOW - 301
         payload = _ack_payload(contract, cycleid, stale, certs)
         with pytest.raises(RecencyError):
@@ -222,13 +225,13 @@ class TestAckCertificates:
 
     def test_bad_signature_rejected(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
-        _, cycleid = insurer.begin_cycle(contract.customer, NOW)
+        cycleid = insurer.begin_cycle(contract.customer, b"", NOW)[0]
         with pytest.raises(SignatureInvalid):
             insurer.ack_certificates(contract.customer, cycleid, NOW, b"junk", NOW)
 
     def test_unknown_cycleid_rejected(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
-        insurer.begin_cycle(contract.customer, NOW)
+        insurer.begin_cycle(contract.customer, b"", NOW)
         with pytest.raises(SequencingError):
             insurer.ack_certificates(contract.customer, b"\xff" * 32, NOW, b"sig", NOW)
 
@@ -239,8 +242,8 @@ class TestAckCertificates:
         kp_b, _, req_b = _registration(rng_b)
         alice = insurer.register(req_a, NOW)
         bob = insurer.register(req_b, NOW)
-        certs_a, cid_a = insurer.begin_cycle(alice.customer, NOW)
-        certs_b, cid_b = insurer.begin_cycle(bob.customer, NOW)
+        cid_a, _, _, certs_a = insurer.begin_cycle(alice.customer, b"", NOW)
+        cid_b, _, _, certs_b = insurer.begin_cycle(bob.customer, b"", NOW)
         sig_alice = crypto.sign(kp_a, _ack_payload(alice, cid_a, NOW, certs_a))
         with pytest.raises(SignatureInvalid):
             insurer.ack_certificates(bob.customer, cid_b, NOW, sig_alice, NOW)
@@ -264,7 +267,7 @@ class TestAcceptVouchers:
 
     def test_wrong_cycleid_rejected(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
-        certs, cycleid = insurer.begin_cycle(contract.customer, NOW)
+        cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", NOW)
         payload = _ack_payload(contract, cycleid, NOW, certs)
         insurer.ack_certificates(
             contract.customer, cycleid, NOW, crypto.sign(keypair, payload), NOW
@@ -291,7 +294,7 @@ class TestUpdateCertList:
 
     def test_cycles_pin_their_snapshot(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
-        certs1, cycleid1 = insurer.begin_cycle(contract.customer, NOW)
+        cycleid1, _, _, certs1 = insurer.begin_cycle(contract.customer, b"", NOW)
         insurer.update_cert_list([b"cert-new"], [])
         # the open cycle still acks against its own snapshot
         payload = _ack_payload(contract, cycleid1, NOW, certs1)
@@ -305,8 +308,93 @@ class TestUpdateCertList:
             contract.customer, cycleid1, NOW, b"\x00" * 32,
             crypto.sign(keypair, submit), NOW,
         )
-        certs2, _ = insurer.begin_cycle(contract.customer, NOW)
+        certs2 = insurer.begin_cycle(contract.customer, b"", NOW)[3]
         assert certs2 == CERTS + [b"cert-new"]
+
+
+class TestDeltaDownload:
+    def _close(self, insurer, keypair, contract, cycleid, certs, t):
+        payload = _ack_payload(contract, cycleid, t, certs)
+        insurer.ack_certificates(
+            contract.customer, cycleid, t, crypto.sign(keypair, payload), t
+        )
+        submit = wire.encode_signed_payload(
+            "Vouchers", contract.customer, cycleid, t, b"\x00" * 32
+        )
+        insurer.accept_vouchers(
+            contract.customer, cycleid, t, b"\x00" * 32, crypto.sign(keypair, submit), t
+        )
+        return wire.cert_list_digest(certs)
+
+    def test_delta_from_the_held_list(self, enrolled):
+        insurer, keypair, _, contract, _ = enrolled
+        cycleid, base, removed, certs = insurer.begin_cycle(contract.customer, b"", NOW)
+        held = self._close(insurer, keypair, contract, cycleid, certs, NOW)
+        insurer.update_cert_list([b"cert-delta"], [b"cert-beta"])
+        insurer.update_cert_list([b"cert-epsilon"], [b"cert-delta"])
+        _, base, removed, appended = insurer.begin_cycle(contract.customer, held, NOW)
+        assert (base, removed, appended) == (held, [1], [b"cert-epsilon"])
+
+    def test_unknown_base_gets_the_whole_list(self, enrolled):
+        insurer, keypair, _, contract, _ = enrolled
+        cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", NOW)
+        self._close(insurer, keypair, contract, cycleid, certs, NOW)
+        insurer.update_cert_list([b"cert-delta"], [])
+        _, base, removed, appended = insurer.begin_cycle(
+            contract.customer, b"\x11" * 32, NOW
+        )
+        assert (base, removed, appended) == (b"", [], CERTS + [b"cert-delta"])
+
+    def test_held_lists_bounded_by_customers(self, insurer):
+        """Through 20 churned cycles of three customers, no more list
+        versions stay alive than one per customer plus the current one."""
+        rng = RandomSource(13)
+        customers = []
+        for _ in range(3):
+            keypair, _, request = _registration(rng)
+            customers.append((keypair, insurer.register(request, NOW), b""))
+        versions = weakref.WeakSet([insurer.listing])
+        for i in range(20):
+            insurer.update_cert_list([b"churn-%d" % i], [insurer.certs[i % 3]])
+            versions.add(insurer.listing)
+            for k, (keypair, contract, held) in enumerate(customers):
+                if (i + k) % 2:
+                    continue  # customers update at different times
+                cycleid, _, _, _ = insurer.begin_cycle(contract.customer, held, NOW + i)
+                certs = insurer.open_cycles[contract.customer].certs
+                held = self._close(insurer, keypair, contract, cycleid, certs, NOW + i)
+                customers[k] = (keypair, contract, held)
+            gc.collect()
+            assert len(versions) <= len(customers) + 1
+        assert len(versions) > 1
+
+    def test_remove_takes_the_first_listed_copy(self, insurer):
+        insurer.update_cert_list([b"cert-alpha"], [])
+        insurer.update_cert_list([], [b"cert-alpha", b"cert-alpha"])
+        assert insurer.certs == [b"cert-beta", b"cert-gamma"]
+        with pytest.raises(NotFoundError):
+            insurer.update_cert_list([], [b"cert-beta", b"cert-beta"])
+        with pytest.raises(ParameterError):
+            insurer.update_cert_list([], [b"cert-beta", b"cert-gamma"])
+
+    @pytest.mark.parametrize("tag, value, match", [
+        (wire.LOG_BEGIN_CYCLE, (1, b"\x21" * 32, 5), "version 5"),
+        (wire.LOG_UPDATE_CERTS, ((), [b"x"], 3), "version 3"),
+        (wire.LOG_UPDATE_CERTS, ((2, 1), [], 1), "positions"),
+        (wire.LOG_UPDATE_CERTS, ((3,), [], 1), "positions"),
+    ])
+    def test_event_inconsistent_with_the_list_is_corruption(
+        self, tmp_path, tag, value, match
+    ):
+        log = tmp_path / "insurer.log"
+        persisted = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
+        persisted.register(_registration(RandomSource(12))[2], NOW)
+        persisted.close()
+        offset = log.stat().st_size
+        with open(log, "ab") as fh:
+            fh.write(wire.frame(insurer_module._EVENTS[tag].encode(value)))
+        with pytest.raises(CorruptionError, match=f"byte offset {offset}: .*{match}"):
+            Insurer.load(str(log))
 
 
 class TestRecordLog:
@@ -371,7 +459,7 @@ class TestCycleidUniqueness:
         insurer, keypair, _, contract, _ = enrolled
         seen = set()
         for i in range(500):
-            _, cycleid = insurer.begin_cycle(contract.customer, NOW + i)
+            cycleid = insurer.begin_cycle(contract.customer, b"", NOW + i)[0]
             assert cycleid not in seen
             seen.add(cycleid)
             certs = insurer.open_cycles[contract.customer].certs
@@ -408,13 +496,15 @@ class TestEndpointSurfaces:
         contract = insurer.contracts[1]
 
         begin = wire.pack(
-            wire.REQ_BEGIN_CYCLE, wire.pack(wire.TAG_UINT, wire.u64(1))
+            wire.REQ_BEGIN_CYCLE_DELTA,
+            wire.pack(wire.TAG_UINT, wire.u64(1)) + wire.pack(wire.TAG_BYTES, b""),
         )
         tag, body, _ = wire.unpack(handle_request(insurer, begin, NOW))
         assert tag == wire.RESP_OK
-        raw = wire.fields(body, wire.TAG_BYTES, wire.TAG_LIST)
+        raw = wire.fields(body, wire.TAG_BYTES, wire.TAG_BYTES, wire.TAG_LIST, wire.TAG_LIST)
         cycleid = raw[0]
-        certs = wire.decode_list(wire.pack(wire.TAG_LIST, raw[1]))
+        assert raw[1] == raw[2] == b""  # from the empty list, nothing removed
+        certs = wire.decode_list(raw[3])
         assert certs == CERTS
 
         payload = _ack_payload(contract, cycleid, NOW, certs)
@@ -459,9 +549,7 @@ class TestEndpointSurfaces:
         assert raw[1] == record.message
 
     def test_error_response_carries_code(self, insurer):
-        begin = wire.pack(
-            wire.REQ_BEGIN_CYCLE, wire.pack(wire.TAG_UINT, wire.u64(999))
-        )
+        begin = BEGIN_CYCLE_REQUEST.encode((999, b""))
         tag, body, _ = wire.unpack(handle_request(insurer, begin, NOW))
         assert tag == wire.RESP_ERR
         raw = wire.fields(body, wire.TAG_UINT, wire.TAG_TEXT)
@@ -503,7 +591,7 @@ def _operate(insurer, customer: dict, name: str) -> int | None:
     if name == "register":
         request = customer["request"].to_bytes()
     elif name == "begin_cycle":
-        request = BEGIN_CYCLE_REQUEST.encode((1,))
+        request = BEGIN_CYCLE_REQUEST.encode((1, b""))
     elif name == "ack_certificates":
         payload = wire.encode_signed_payload(
             "Certificates", 1, customer["cycleid"], NOW,
@@ -521,7 +609,7 @@ def _operate(insurer, customer: dict, name: str) -> int | None:
     response = handle_request(insurer, request, NOW)
     code = _error_code(response)
     if name == "begin_cycle" and code is None:
-        customer["cycleid"], customer["certs"] = BEGIN_CYCLE_RESPONSE.decode(response)
+        customer["cycleid"], _, _, customer["certs"] = BEGIN_CYCLE_RESPONSE.decode(response)
     return code
 
 

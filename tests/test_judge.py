@@ -126,7 +126,7 @@ class TestVerifyClaim:
             RegistrationRequest(keypair.public, chameleon.public, proof, 86_400), now
         )
 
-        certs, cycleid = insurer.begin_cycle(contract.customer, now)
+        cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", now)
         ack_payload = wire.encode_signed_payload(
             "Certificates", contract.customer, cycleid, now,
             wire.cert_list_digest(certs),

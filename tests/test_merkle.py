@@ -80,6 +80,18 @@ def _oracle_root(leaves):
     return _oracle_h(b"\x01" + _oracle_root(leaves[:k]) + _oracle_root(leaves[k:]))
 
 
+def _oracle_path(leaves, index):
+    """Audit path by the recursive split rule, leaf to root."""
+    if len(leaves) == 1:
+        return []
+    k = 1
+    while k * 2 < len(leaves):
+        k *= 2
+    if index < k:
+        return _oracle_path(leaves[:k], index) + [(_oracle_root(leaves[k:]), False)]
+    return _oracle_path(leaves[k:], index - k) + [(_oracle_root(leaves[:k]), True)]
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -111,6 +123,22 @@ class TestBuildTree:
             seed = rng.bytes(32)
             tree = merkle.build_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
             assert tree.root == _oracle_root(_oracle_leaves(vouchers, n, seed)), n
+
+    def test_bottom_up_tree_equals_recursive_split(self):
+        """The root and every real leaf's audit path equal the recursive
+        largest-power-of-two split, for every size up to 300."""
+        rng = RandomSource(32)
+        for n in range(1, 301):
+            vouchers = _vouchers(rng.below(min(n, 6) + 1), rng)
+            seed = rng.bytes(32)
+            tree = merkle.build_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
+            leaves = _oracle_leaves(vouchers, n, seed)
+            assert tree.leaves == leaves, n
+            assert tree.root == _oracle_root(leaves), n
+            for v in vouchers:
+                proof = merkle.prove_inclusion(tree, v)
+                assert leaves[proof.leaf_index] == merkle.leaf_digest(v)
+                assert list(proof.path) == _oracle_path(leaves, proof.leaf_index), n
 
     def test_golden_4leaf_root(self):
         vouchers = [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conninsure import crypto
 from conninsure.errors import CorruptionError, ParameterError
 from conninsure.model import (
+    CertList,
     Claim,
     Contract,
     HandshakeTranscript,
@@ -20,6 +21,7 @@ from conninsure.model import (
     compute_rollback,
     expire_rollbacks,
     registration_context,
+    valid_positions,
 )
 from conninsure.rand import RandomSource
 
@@ -87,29 +89,41 @@ class TestContractCodec:
         contract.validate()
 
 
+def _rollback(prev, cur, cycle_index):
+    """compute_rollback over the forward delta from prev to cur."""
+    removed, appended = CertList(cur).delta_from(CertList(prev))
+    assert valid_positions(removed, len(prev))
+    new = CertList(prev).updated(removed, appended)
+    assert new.certs == cur
+    assert new.hashes == [crypto.hash_h(c) for c in cur]
+    tail = new.hashes[len(cur) - len(appended):]
+    return compute_rollback(prev, removed, tail, cycle_index)
+
+
 class TestRollback:
     def test_empty_delta_no_change(self):
         certs = [b"a", b"b"]
-        delta = compute_rollback(certs, certs, 1)
+        delta = _rollback(certs, certs, 1)
         assert delta.added == () and delta.removed == ()
         assert apply_rollback(certs, delta) == certs
 
     def test_add_and_remove(self):
         prev = [b"a", b"b", b"c"]
         cur = [b"a", b"c", b"d"]  # b removed, d appended
-        delta = compute_rollback(prev, cur, 3)
+        delta = _rollback(prev, cur, 3)
+        assert delta.added == ((2, crypto.hash_h(b"d")),)
+        assert delta.removed == ((1, b"b"),)
         assert apply_rollback(cur, delta) == prev
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_random_pairs_roundtrip(self, data):
-        # Oracle: the retained full copy of the previous list.
+        # Oracle: the retained full copy of the previous list.  Any pair of
+        # lists, duplicates and reorderings included, has a forward delta.
         pool = [bytes([i]) * 4 for i in range(12)]
-        prev = data.draw(st.lists(st.sampled_from(pool), max_size=10, unique=True))
-        cur = data.draw(
-            st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True)
-        )
-        delta = compute_rollback(prev, cur, 1)
+        prev = data.draw(st.lists(st.sampled_from(pool), max_size=10))
+        cur = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+        delta = _rollback(prev, cur, 1)
         assert apply_rollback(cur, delta) == prev
 
     def test_chained_rollbacks_reproduce_origin(self):
@@ -120,13 +134,30 @@ class TestRollback:
         deltas = []
         for i in range(1, 11):
             nxt = [c for c in current if rng.below(4)] + [bytes([100 + i, 0])]
-            deltas.append(compute_rollback(current, nxt, i))
+            deltas.append(_rollback(current, nxt, i))
             lists.append(nxt)
             current = nxt
         work = list(current)
         for i in range(10, 0, -1):
             work = apply_rollback(work, deltas[i - 1])
             assert work == lists[i - 1]
+
+    def test_delta_from_an_older_version_keeps_survivors(self):
+        """Across several updates, the delta removes exactly the entries that
+        went and appends only what is new since the base."""
+        base = CertList([b"a", b"b", b"c", b"d"])
+        mid = base.updated([1], [b"e"])          # a c d e
+        cur = mid.updated([0, 3], [b"f", b"g"])  # c d f g
+        assert cur.delta_from(base) == ([0, 1], [b"f", b"g"])
+        assert cur.delta_from(cur) == ([], [])
+        assert cur.delta_from(CertList([])) == ([], cur.certs)
+
+    @pytest.mark.parametrize("positions, ok", [
+        ((), True), ((0, 2), True), ((2, 0), False), ((1, 1), False),
+        ((3,), False), ((-1,), False),
+    ])
+    def test_valid_positions(self, positions, ok):
+        assert valid_positions(positions, 3) is ok
 
     def test_position_out_of_range(self):
         delta = RollbackDelta(1, ((5, crypto.hash_h(b"x")),), ())

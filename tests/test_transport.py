@@ -1,17 +1,25 @@
 """Framed channel: full protocol over TCP and concurrent customers."""
 
+import socket
+import struct
 import threading
+import tracemalloc
 
 import pytest
 
 import conninsure.insurer as insurer_module
 from conftest import fail_once, io_error
-from conninsure import crypto, tlssim
+from conninsure import crypto, tlssim, wire
 from conninsure.client import ClientState
-from conninsure.errors import CIError, NotFoundError
+from conninsure.errors import CIError, EncodingError, NotFoundError
 from conninsure.insurer import Insurer
 from conninsure.rand import RandomSource
-from conninsure.transport import InProcessChannel, InsurerServer, SocketChannel
+from conninsure.transport import (
+    InProcessChannel,
+    InsurerServer,
+    SocketChannel,
+    _recv_exact,
+)
 
 
 @pytest.fixture
@@ -114,3 +122,23 @@ def test_internal_error_is_answered_and_serving_goes_on(tmp_path, monkeypatch, k
             server.shutdown()
             server.server_close()
         insurer.close()
+
+
+def test_announced_frame_length_is_not_allocated_up_front():
+    """A header may announce up to 4 GiB: the reader takes the bytes in
+    bounded chunks as they arrive, so a peer that announces 64 MiB and
+    sends 10 bytes costs no 64 MiB buffer."""
+    ours, peer = socket.socketpair()
+    try:
+        peer.sendall(struct.pack(">I", 64 << 20) + b"0123456789")
+        peer.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(EncodingError, match="closed mid-frame"):
+                wire.read_frame(lambda n: _recv_exact(ours, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+    finally:
+        ours.close()

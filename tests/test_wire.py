@@ -115,6 +115,30 @@ class TestCertListDigest:
         with pytest.raises(ParameterError):
             wire.cert_list_digest([])
 
+    def test_carried_hashes_give_the_same_digest(self):
+        certs = [b"der-%d" % i * (i + 1) for i in range(5)]
+        hashes = [hashlib.sha256(b"\x68" + c).digest() for c in certs]
+        assert wire.cert_list_digest(certs, hashes) == wire.cert_list_digest(certs)
+
+
+class TestListCodec:
+    def test_one_pass_layout(self):
+        items = [b"", b"a", b"bc" * 300]
+        encoded = wire.encode_list(items)
+        expected = b"".join(wire.pack(wire.TAG_BYTES, item) for item in items)
+        assert encoded == wire.pack(wire.TAG_LIST, expected)
+        assert wire.decode_list(wire.unpack_exact(encoded, wire.TAG_LIST)) == items
+        assert wire.encode_list([]) == wire.pack(wire.TAG_LIST, b"")
+
+    @pytest.mark.parametrize("payload", [
+        b"\x02\x00\x00",                          # truncated header
+        b"\x02\x00\x00\x00\x05abc",                 # truncated value
+        b"\x03\x00\x00\x00\x01a",                   # wrong item tag
+    ])
+    def test_malformed_payload_rejected(self, payload):
+        with pytest.raises(EncodingError):
+            wire.decode_list(payload)
+
 
 class TestCryptoCodecs:
     def test_public_key_roundtrip(self, insurer_keypair):
