@@ -577,7 +577,6 @@ class Insurer:
             certs = self.certs
             removed: set[int] = set()
             for cert in removes:
-                pos = -1
                 try:
                     pos = certs.index(cert)
                     while pos in removed:

@@ -64,7 +64,7 @@ def _pad_leaves(customer: int, cycleid: bytes, seed: bytes, count: int) -> list[
     tree's encoded prefix plus its PRF bytes."""
     blank = Voucher(customer, PAD_DOMAIN, cycleid, bytes(VOUCHER_R_LEN)).to_bytes()
     prefix = _LEAF_PREFIX + blank[:-VOUCHER_R_LEN]
-    rs = prf_each(seed, [b"pad" + i.to_bytes(4, "big") for i in range(count)])
+    rs = prf_each(seed, [b"pad" + u32(i) for i in range(count)])
     return hash_h_each(prefix, rs)
 
 
