@@ -188,8 +188,7 @@ class ClientState:
 
         index = self.current_index + 1
         if self.current_index > 0:
-            tail = new.hashes[len(new.hashes) - len(appended):]
-            delta = compute_rollback(old.certs, removed, tail, index)
+            delta = compute_rollback(old, new, index)
             self.rollback_entries.append(RollbackEntry(delta, now))
         self.listing = new
         self.current_index = index

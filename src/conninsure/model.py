@@ -314,15 +314,27 @@ class CertList:
         this list.  Updates only remove entries and append new ones, so any
         list this one was derived from is its surviving entries in order
         plus a tail; one walk matches the longest prefix of this list
-        against base's entries in order."""
-        ours = self.hashes
-        matched = 0
+        against base's entries in order.  The walk gallops over runs of
+        matching entries by comparing slices, doubling the run while it
+        matches and then halving it, so it takes a few steps per change."""
+        ours, theirs = self.hashes, base.hashes
+        size = len(theirs)
         removed = []
-        for pos, digest in enumerate(base.hashes):
-            if matched < len(ours) and digest == ours[matched]:
-                matched += 1
-            else:
+        pos = matched = 0
+        while pos < size:
+            run = 1
+            while pos + run <= size and theirs[pos:pos + run] == ours[matched:matched + run]:
+                pos += run
+                matched += run
+                run *= 2
+            while run > 1:
+                run //= 2
+                if pos + run <= size and theirs[pos:pos + run] == ours[matched:matched + run]:
+                    pos += run
+                    matched += run
+            if pos < size:  # base's entry at pos is not next in this list
                 removed.append(pos)
+                pos += 1
         return removed, self.certs[matched:]
 
 
@@ -336,17 +348,20 @@ def valid_positions(positions, size: int) -> bool:
     return True
 
 
-def compute_rollback(
-    previous: list[bytes], removed, appended_hashes: list[bytes], cycle_index: int
-) -> RollbackDelta:
-    """Delta from the new list back to the old one, the inverse of the
-    forward delta: previous without the entries at positions removed,
-    followed by certificates with appended_hashes."""
-    start = len(previous) - len(removed)
+def compute_rollback(previous, current, cycle_index: int) -> RollbackDelta:
+    """Delta from the new list back to the old one: the inverse of the
+    forward delta current.delta_from(previous).  Either list may be a
+    CertList, whose carried hashes are used, or a list of certificates."""
+    if not isinstance(previous, CertList):
+        previous = CertList(previous)
+    if not isinstance(current, CertList):
+        current = CertList(current)
+    removed, appended = current.delta_from(previous)
+    start = len(current.certs) - len(appended)
     return RollbackDelta(
         cycle_index,
-        tuple(enumerate(appended_hashes, start)),
-        tuple((pos, previous[pos]) for pos in removed),
+        tuple(enumerate(current.hashes[start:], start)),
+        tuple((pos, previous.certs[pos]) for pos in removed),
     )
 
 

@@ -197,6 +197,10 @@ class TestDeltaDownload:
         client.submit_cycle(channel, now=clock.advance(60), rng=rng)
         assert client.certs == insurer.certs
         assert second.cert_digest == wire.cert_list_digest(insurer.certs)
+        # Even from the whole list, the rollback holds only what changed.
+        delta = client.rollback_entries[-1].delta
+        assert delta.added == ((len(DOMAINS) - 1, crypto.hash_h(b"appended-cert")),)
+        assert delta.removed == ((2, servers[DOMAINS[2]].presented_cert),)
         for record, domain in ((first, DOMAINS[0]), (second, DOMAINS[1])):
             claim = client.assemble_claim(record.cycleid, domain)
             verdict = judge.verify_claim_bytes(claim.to_bytes(), insurer.keypair.public, True)

@@ -89,28 +89,17 @@ class TestContractCodec:
         contract.validate()
 
 
-def _rollback(prev, cur, cycle_index):
-    """compute_rollback over the forward delta from prev to cur."""
-    removed, appended = CertList(cur).delta_from(CertList(prev))
-    assert valid_positions(removed, len(prev))
-    new = CertList(prev).updated(removed, appended)
-    assert new.certs == cur
-    assert new.hashes == [crypto.hash_h(c) for c in cur]
-    tail = new.hashes[len(cur) - len(appended):]
-    return compute_rollback(prev, removed, tail, cycle_index)
-
-
 class TestRollback:
     def test_empty_delta_no_change(self):
         certs = [b"a", b"b"]
-        delta = _rollback(certs, certs, 1)
+        delta = compute_rollback(certs, certs, 1)
         assert delta.added == () and delta.removed == ()
         assert apply_rollback(certs, delta) == certs
 
     def test_add_and_remove(self):
         prev = [b"a", b"b", b"c"]
         cur = [b"a", b"c", b"d"]  # b removed, d appended
-        delta = _rollback(prev, cur, 3)
+        delta = compute_rollback(prev, cur, 3)
         assert delta.added == ((2, crypto.hash_h(b"d")),)
         assert delta.removed == ((1, b"b"),)
         assert apply_rollback(cur, delta) == prev
@@ -123,8 +112,13 @@ class TestRollback:
         pool = [bytes([i]) * 4 for i in range(12)]
         prev = data.draw(st.lists(st.sampled_from(pool), max_size=10))
         cur = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
-        delta = _rollback(prev, cur, 1)
+        delta = compute_rollback(prev, cur, 1)
         assert apply_rollback(cur, delta) == prev
+        removed, appended = CertList(cur).delta_from(CertList(prev))
+        assert valid_positions(removed, len(prev))
+        new = CertList(prev).updated(removed, appended)
+        assert new.certs == cur
+        assert new.hashes == [crypto.hash_h(c) for c in cur]
 
     def test_chained_rollbacks_reproduce_origin(self):
         # Oracle: retained full copies across 10 cycles of churn.
@@ -134,7 +128,7 @@ class TestRollback:
         deltas = []
         for i in range(1, 11):
             nxt = [c for c in current if rng.below(4)] + [bytes([100 + i, 0])]
-            deltas.append(_rollback(current, nxt, i))
+            deltas.append(compute_rollback(current, nxt, i))
             lists.append(nxt)
             current = nxt
         work = list(current)
@@ -151,6 +145,23 @@ class TestRollback:
         assert cur.delta_from(base) == ([0, 1], [b"f", b"g"])
         assert cur.delta_from(cur) == ([], [])
         assert cur.delta_from(CertList([])) == ([], cur.certs)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_delta_from_matches_a_one_step_walk(self, data):
+        # Oracle: the greedy walk, one base entry at a time.
+        pool = [bytes([i]) * 4 for i in range(6)]
+        base = data.draw(st.lists(st.sampled_from(pool), max_size=300))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+        tail = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+        cur = [c for c, k in zip(base, keep) if k] + tail
+        matched, removed = 0, []
+        for pos, cert in enumerate(base):
+            if matched < len(cur) and cert == cur[matched]:
+                matched += 1
+            else:
+                removed.append(pos)
+        assert CertList(cur).delta_from(CertList(base)) == (removed, cur[matched:])
 
     @pytest.mark.parametrize("positions, ok", [
         ((), True), ((0, 2), True), ((2, 0), False), ((1, 1), False),
