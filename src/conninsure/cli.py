@@ -4,18 +4,21 @@ simulation scenarios, benchmarks, and the storage estimator.
 Exit codes: 0 success / claim accepted; 2 usage; 3 parse or encoding error;
 4 sequencing; 5 recency; 6 signature rejected; 7 registration rejected;
 8 not found; 9 bad parameter or capacity; 10-18 judge reject reasons
-(see judge-verify --help); 1 anything else.
+(see judge-verify --help); 1 a file that cannot be read or written, or
+anything else.
 """
 
 import json
 import os
 import sys
+import time
+from contextlib import contextmanager
 
 import click
 
 from . import crypto, wire
 from .bench import bench_chameleon
-from .client import ClientState
+from .client import STATE_FILE, ClientState
 from .errors import (
     CapacityError,
     CIError,
@@ -62,14 +65,18 @@ _ERROR_EXIT = [
 ]
 
 
-def _fail(exc: Exception) -> "click.exceptions.Exit":
-    code = 1
-    for exc_type, exit_code in _ERROR_EXIT:
-        if isinstance(exc, exc_type):
-            code = exit_code
-            break
-    click.echo(f"error: {exc}", err=True)
-    return click.exceptions.Exit(code)
+class _Main(click.Group):
+    """The one error boundary of every command: a protocol error exits with
+    its code in _ERROR_EXIT (1 if it has none), and an OSError, such as a
+    missing or unreadable input file, with 1; each prints an error: line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (CIError, OSError) as exc:
+            code = next((c for t, c in _ERROR_EXIT if isinstance(exc, t)), 1)
+            click.echo(f"error: {exc}", err=True)
+            raise click.exceptions.Exit(code) from exc
 
 
 def _emit(data: dict, as_json: bool) -> None:
@@ -80,18 +87,28 @@ def _emit(data: dict, as_json: bool) -> None:
             click.echo(f"{key}: {value}")
 
 
+@contextmanager
 def _client_channel(connect: str | None, insurer_dir: str | None):
-    """Either a TCP channel or an in-process channel over on-disk state."""
+    """Either a TCP channel or an in-process channel over on-disk state;
+    both the channel and an in-process insurer are closed on exit."""
+    insurer = None
     if connect:
         host, _, port = connect.rpartition(":")
-        return SocketChannel(host or "127.0.0.1", int(port)), None
-    if insurer_dir:
+        channel = SocketChannel(host or "127.0.0.1", int(port))
+    elif insurer_dir:
         insurer = Insurer.load(os.path.join(insurer_dir, "insurer.log"))
-        return InProcessChannel(insurer), insurer
-    raise click.UsageError("need --connect HOST:PORT or --insurer-dir DIR")
+        channel = InProcessChannel(insurer)
+    else:
+        raise click.UsageError("need --connect HOST:PORT or --insurer-dir DIR")
+    try:
+        yield channel
+    finally:
+        channel.close()
+        if insurer:
+            insurer.close()
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Connection-insurance protocol suite."""
 
@@ -117,13 +134,10 @@ def main():
 def simulate(scenario, cycles, domains, seed, rogue_cycle, late_cycle, claim_out,
              insurer_key_out, as_json):
     """Run an end-to-end scenario with an in-process insurer and servers."""
-    try:
-        report = run_scenario(
-            scenario=scenario, cycles=cycles, domains=domains, seed=seed,
-            rogue_cycle=rogue_cycle, late_cycle=late_cycle,
-        )
-    except CIError as exc:
-        raise _fail(exc)
+    report = run_scenario(
+        scenario=scenario, cycles=cycles, domains=domains, seed=seed,
+        rogue_cycle=rogue_cycle, late_cycle=late_cycle,
+    )
     if claim_out and report.claim_bytes:
         with open(claim_out, "wb") as fh:
             fh.write(report.claim_bytes)
@@ -149,10 +163,7 @@ def bench():
 def bench_chameleon_cmd(iterations, as_json):
     """Mean chameleon sign/verify times at production group size, plus the
     mean sign time toward a new recipient on every call (cold_sign_ms)."""
-    try:
-        report = bench_chameleon(iterations)
-    except CIError as exc:
-        raise _fail(exc)
+    report = bench_chameleon(iterations)
     _emit(
         {
             "iterations": report.iterations,
@@ -197,10 +208,7 @@ def estimate_storage(n_domains, cert_bytes, cert_validity_days, vouchers_per_day
         cycles_per_day=cycles_per_day,
         customers=customers,
     )
-    try:
-        report = storage_report(params)
-    except CIError as exc:
-        raise _fail(exc)
+    report = storage_report(params)
     if as_json:
         click.echo(json.dumps(report, indent=2, sort_keys=True))
         return
@@ -238,13 +246,9 @@ def insurer_init(state_dir, cert_files, seed, as_json):
     for path in cert_files:
         with open(path, "rb") as fh:
             certs.append(fh.read())
-    try:
-        ins = Insurer.setup(
-            certs, rng=RandomSource(seed),
-            log_path=os.path.join(state_dir, "insurer.log"),
-        )
-    except CIError as exc:
-        raise _fail(exc)
+    ins = Insurer.setup(
+        certs, rng=RandomSource(seed), log_path=os.path.join(state_dir, "insurer.log")
+    )
     ins.close()
     _emit({"state_dir": state_dir, "certs": len(certs),
            "scheme": crypto.SCHEME_NAMES[ins.keypair.scheme_id]}, as_json)
@@ -255,10 +259,7 @@ def insurer_init(state_dir, cert_files, seed, as_json):
 @click.option("--out", type=click.Path(), required=True)
 def insurer_export_key(state_dir, out):
     """Write the insurer's public key for use by the judge."""
-    try:
-        ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
-    except (CIError, OSError) as exc:
-        raise _fail(exc if isinstance(exc, CIError) else EncodingError(str(exc)))
+    ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
     with open(out, "wb") as fh:
         fh.write(wire.encode_public_key(ins.keypair.public))
     ins.close()
@@ -271,10 +272,7 @@ def insurer_export_key(state_dir, out):
 @click.option("--port", default=7465, show_default=True)
 def insurer_serve(state_dir, host, port):
     """Serve the insurer over the framed TCP channel (Ctrl-C to stop)."""
-    try:
-        ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
-    except CIError as exc:
-        raise _fail(exc)
+    ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
     server = InsurerServer(ins, host, port)
     click.echo(f"serving on {server.address[0]}:{server.address[1]}")
     try:
@@ -318,15 +316,10 @@ def client():
 @click.option("--json", "as_json", is_flag=True)
 def client_register(state_dir, connect, insurer_dir, delta_t, seed, as_json):
     """Create keys, prove trapdoor knowledge, and store the contract."""
-    channel, ins = _client_channel(connect, insurer_dir)
-    try:
+    if os.path.exists(os.path.join(state_dir, STATE_FILE)):
+        raise ParameterError(f"{state_dir} already holds a customer's state")
+    with _client_channel(connect, insurer_dir) as channel:
         state = ClientState.register(channel, delta_t, rng=RandomSource(seed))
-    except CIError as exc:
-        raise _fail(exc)
-    finally:
-        channel.close()
-        if ins:
-            ins.close()
     state.save(state_dir)
     _emit({"customer": state.customer, "t0": state.contract.t0,
            "t_end": state.contract.t_end, "delta_t": state.contract.delta_t}, as_json)
@@ -338,18 +331,9 @@ def client_register(state_dir, connect, insurer_dir, delta_t, seed, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def client_update(state_dir, connect, insurer_dir, as_json):
     """Download the certificate list and open an update cycle."""
-    import time as _time
-
     state = ClientState.load(state_dir)
-    channel, ins = _client_channel(connect, insurer_dir)
-    try:
-        record = state.do_update_cycle(channel, now=int(_time.time()))
-    except CIError as exc:
-        raise _fail(exc)
-    finally:
-        channel.close()
-        if ins:
-            ins.close()
+    with _client_channel(connect, insurer_dir) as channel:
+        record = state.do_update_cycle(channel, now=int(time.time()))
     state.save(state_dir)
     _emit({"cycle": record.cycle_index, "cycleid": record.cycleid.hex(),
            "certs": record.list_size}, as_json)
@@ -364,15 +348,9 @@ def client_update(state_dir, connect, insurer_dir, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def client_browse(state_dir, domain, server_file, seed, as_json):
     """Visit a simulated server, collecting a voucher if its cert is vetted."""
-    import time as _time
-
     state = ClientState.load(state_dir)
     server = _load_sim_server(server_file)
-    try:
-        result = state.browse(domain, server, now=int(_time.time()),
-                              rng=RandomSource(seed))
-    except CIError as exc:
-        raise _fail(exc)
+    result = state.browse(domain, server, now=int(time.time()), rng=RandomSource(seed))
     state.save(state_dir)
     _emit({"domain": domain, "status": result.status}, as_json)
 
@@ -384,19 +362,9 @@ def client_browse(state_dir, domain, server_file, seed, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def client_submit(state_dir, connect, insurer_dir, seed, as_json):
     """Commit the cycle's vouchers and close the cycle."""
-    import time as _time
-
     state = ClientState.load(state_dir)
-    channel, ins = _client_channel(connect, insurer_dir)
-    try:
-        record = state.submit_cycle(channel, now=int(_time.time()),
-                                    rng=RandomSource(seed))
-    except CIError as exc:
-        raise _fail(exc)
-    finally:
-        channel.close()
-        if ins:
-            ins.close()
+    with _client_channel(connect, insurer_dir) as channel:
+        record = state.submit_cycle(channel, now=int(time.time()), rng=RandomSource(seed))
     state.save(state_dir)
     _emit({"cycle": record.cycle_index, "root": record.voucher_root.hex(),
            "covered": record.covered, "vouchers": len(record.evidences)}, as_json)
@@ -410,10 +378,7 @@ def client_submit(state_dir, connect, insurer_dir, seed, as_json):
 def client_claim(state_dir, cycleid, domain, out):
     """Assemble a .ciclaim file for one vouched connection."""
     state = ClientState.load(state_dir)
-    try:
-        claim = state.assemble_claim(bytes.fromhex(cycleid), domain)
-    except CIError as exc:
-        raise _fail(exc)
+    claim = state.assemble_claim(bytes.fromhex(cycleid), domain)
     with open(out, "wb") as fh:
         fh.write(claim.to_bytes())
     click.echo(out)
@@ -448,14 +413,11 @@ def simserver():
 @click.option("--seed", default=None, type=int)
 def simserver_init(domain, out, cert_out, seed):
     """Create a simulated server identity file."""
-    import time as _time
-
     rng = RandomSource(seed)
     cert, secret = make_self_signed_cert(domain, crypto.SCHEME_ED25519, rng,
-                                         now=int(_time.time()))
+                                         now=int(time.time()))
     body = _SIM_SERVER.encode_body((domain, crypto.SCHEME_ED25519, cert, secret))
-    with open(out, "wb") as fh:
-        fh.write(wire.frame(body))
+    wire.replace_frames(out, [body])
     if cert_out:
         with open(cert_out, "wb") as fh:
             fh.write(cert)

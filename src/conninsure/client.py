@@ -325,20 +325,19 @@ class ClientState:
         state.tlv, which drops the open cycle once it is archived: a crash
         between the writes loses no archived cycle."""
         os.makedirs(directory, exist_ok=True)
-        archived = self.archive[self._archived_on_disk :]
-        _write(directory, ARCHIVE_FILE, [record.to_bytes() for record in archived])
-        self._archived_on_disk = len(self.archive)
-        deltas = self.rollback_entries[self._rollback_on_disk :]
-        _write(directory, ROLLBACK_FILE, [entry.to_bytes() for entry in deltas],
-               replace=self._rollback_on_disk is None)
-        self._rollback_on_disk = len(self.rollback_entries)
+        self._archived_on_disk = _save_log(
+            directory, ARCHIVE_FILE, self.archive, self._archived_on_disk
+        )
+        self._rollback_on_disk = _save_log(
+            directory, ROLLBACK_FILE, self.rollback_entries, self._rollback_on_disk
+        )
         kp = self.chameleon_kp
         body = _STATE.encode_body((
             self.keypair.public, self.keypair.secret, kp.params, kp.x, kp.y,
             self.contract, self.certs, self.current_index, self.warnings,
             self.open_cycle,
         ))
-        _write(directory, STATE_FILE, [body], replace=True)
+        wire.replace_frames(os.path.join(directory, STATE_FILE), [body])
 
     def prune_rollbacks(self, now: int,
                         retention_seconds: int = 365 * 86400) -> int:
@@ -399,38 +398,13 @@ def _read_log(directory: str, name: str, record_type) -> list:
     ]
 
 
-def _write(directory: str, name: str, payloads: list[bytes], replace: bool = False):
-    """Append frames to a file, or with replace write them to a new file
-    renamed over it; fsync the file, and the directory for a new name.
-    A failed append is cut back off the file (a file it created goes), so a
-    retry on the same state never lands behind torn bytes."""
+def _save_log(directory: str, name: str, records: list, on_disk: int | None) -> int:
+    """Append the records after the first on_disk to a client log.  A log
+    that does not exist yet, or that must be rewritten (on_disk None, after
+    pruning), is replaced whole.  Returns how many records are on disk."""
     path = os.path.join(directory, name)
-    target = path + ".tmp" if replace else path
-    new_name = replace or not os.path.exists(path)
-    data = b"".join(wire.frame(payload) for payload in payloads)
-    with open(target, "wb" if replace else "ab", buffering=0) as fh:
-        start = fh.seek(0, os.SEEK_END)
-        try:
-            if data and fh.write(data) != len(data):
-                raise OSError(f"short write to {name}")
-            os.fsync(fh.fileno())
-            if new_name and not replace:
-                _fsync_directory(directory)
-        except BaseException:
-            if not replace:
-                if new_name:
-                    os.unlink(path)
-                else:
-                    os.ftruncate(fh.fileno(), start)
-            raise
-    if replace:
-        os.replace(target, path)
-        _fsync_directory(directory)
-
-
-def _fsync_directory(directory: str) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    if on_disk is not None and os.path.exists(path):
+        wire.append_frames(path, [record.to_bytes() for record in records[on_disk:]])
+    else:
+        wire.replace_frames(path, [record.to_bytes() for record in records])
+    return len(records)

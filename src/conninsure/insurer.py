@@ -19,6 +19,7 @@ record-log appends a total order and per-contract serialization for free.
 import logging
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 from . import crypto, wire
@@ -249,7 +250,7 @@ class Insurer:
         self._used_cycleids: set[bytes] = set()
         self._next_customer = 1
         self._lock = threading.RLock()
-        self._log_file = None
+        self._log_path: str | None = None
         self._log_broken = False
         self._events_since_snapshot = 0
 
@@ -272,13 +273,15 @@ class Insurer:
     ) -> "Insurer":
         if not initial_certs:
             raise ParameterError("an insurer must vouch for at least one certificate")
+        if log_path and os.path.exists(log_path):
+            raise ParameterError(f"{log_path} already exists; refusing to overwrite it")
         keypair = crypto.generate_sig_keypair(scheme_id, rng)
         insurer = cls(keypair, initial_certs, policy_days, recency_window, rng)
         if log_path:
-            insurer._log_file = open(log_path, "ab", buffering=0)
-            insurer._write_frame(
-                _EVENTS[wire.LOG_SETUP].encode(insurer._snapshot_values())
-            )
+            setup = _EVENTS[wire.LOG_SETUP].encode(insurer._snapshot_values())
+            wire.replace_frames(log_path, [setup])
+            insurer._log_path = log_path
+            insurer._events_since_snapshot = 1  # SETUP counts, as every frame does
         return insurer
 
     @classmethod
@@ -306,48 +309,39 @@ class Insurer:
                 ) from None
         if insurer is None:
             raise EncodingError("log contains no snapshot")
-        insurer._log_file = open(log_path, "ab", buffering=0)
+        insurer._log_path = log_path
         return insurer
 
     def close(self) -> None:
-        if self._log_file:
-            self._log_file.close()
-            self._log_file = None
+        """Stop logging: later changes are made in memory only."""
+        self._log_path = None
 
     def _commit(self, tag: int, value) -> None:
         """Append one event, encoded by its table in _EVENTS, and then apply
         it; every SNAPSHOT_INTERVAL events, append a snapshot after it.  If
         the event's append fails, memory is left as it was; if the
         snapshot's fails, the event stands and the next one retries it."""
-        if self._log_file:
+        if self._log_path:
             if self._log_broken:
                 raise CorruptionError("log append could not be undone; restart")
             self._write_frame(_EVENTS[tag].encode(value))
         self._apply(tag, value)
-        if self._log_file and self._events_since_snapshot >= SNAPSHOT_INTERVAL:
+        if self._log_path and self._events_since_snapshot >= SNAPSHOT_INTERVAL:
             try:
                 self._write_frame(_SNAPSHOT.encode(self._snapshot_values()))
                 self._events_since_snapshot = 0
-            except OSError:
+            except (OSError, CorruptionError):
                 _log.exception("snapshot append failed")
 
     def _write_frame(self, payload: bytes) -> None:
-        """Append one frame, fsync it, and count it toward the next snapshot.
-        On failure, cut the unbuffered log back to where it ended, so no later
-        append lands behind a torn frame; if that fails, refuse later events."""
-        data = wire.frame(payload)
-        start = self._log_file.seek(0, os.SEEK_END)
+        """Append one frame and count it toward the next snapshot; if a
+        failed append could not be cut off, refuse later events."""
         try:
-            if self._log_file.write(data) != len(data):
-                raise OSError("short write to the insurer log")
-            os.fsync(self._log_file.fileno())
-            self._events_since_snapshot += 1
-        except BaseException:
-            try:
-                os.ftruncate(self._log_file.fileno(), start)
-            except OSError:
-                self._log_broken = True
+            wire.append_frames(self._log_path, [payload])
+        except CorruptionError:
+            self._log_broken = True
             raise
+        self._events_since_snapshot += 1
 
     def _snapshot_values(self) -> tuple:
         return (
@@ -574,21 +568,21 @@ class Insurer:
         """Remove each of removes (its first listed copy not yet removed),
         append adds, and return the new version."""
         with self._lock:
-            certs = self.certs
-            removed: set[int] = set()
-            for cert in removes:
-                try:
-                    pos = certs.index(cert)
-                    while pos in removed:
-                        pos = certs.index(cert, pos + 1)
-                except ValueError:
-                    raise NotFoundError("cannot remove a certificate that is not listed")
-                removed.add(pos)
-            if len(removed) == len(certs) and not adds:
+            # One walk: each listed copy of a certificate still wanted goes.
+            wanted = Counter(removes)
+            removed: list[int] = []
+            for pos, cert in enumerate(self.certs):
+                if len(removed) == len(removes):
+                    break
+                if wanted.get(cert):
+                    wanted[cert] -= 1
+                    removed.append(pos)
+            if len(removed) < len(removes):
+                raise NotFoundError("cannot remove a certificate that is not listed")
+            if len(removed) == len(self.certs) and not adds:
                 raise ParameterError("certificate list must not become empty")
             self._commit(
-                wire.LOG_UPDATE_CERTS,
-                (sorted(removed), list(adds), self.cert_version + 1),
+                wire.LOG_UPDATE_CERTS, (removed, list(adds), self.cert_version + 1)
             )
             return self.cert_version
 

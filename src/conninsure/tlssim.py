@@ -212,6 +212,7 @@ class SimServer:
     def key_exchange(
         self, client_random: bytes, server_random: bytes, rng: RandomSource = DEFAULT
     ) -> HandshakeTranscript:
+        """ServerKeyExchange over explicit randoms (the server role of the op)."""
         group = self.dh_group
         x = 1 + rng.below(group.q - 1)
         dh_params = encode_server_dh_params(
@@ -233,16 +234,6 @@ class SimServer:
     ) -> HandshakeTranscript:
         server_random = struct.pack(">I", now & 0xFFFFFFFF) + rng.bytes(28)
         return self.key_exchange(client_random, server_random, rng)
-
-
-def server_key_exchange(
-    server: SimServer,
-    client_random: bytes,
-    server_random: bytes,
-    rng: RandomSource = DEFAULT,
-) -> HandshakeTranscript:
-    """ServerKeyExchange over explicit randoms (the server role of the op)."""
-    return server.key_exchange(client_random, server_random, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ the decoder are derived.  Decoders accept only canonical encodings, so
 decode followed by encode returns the input bytes.
 """
 
+import contextlib
+import errno
 import os
 import struct
 import warnings
@@ -187,21 +189,21 @@ def decode_text(data: bytes) -> str:
         raise EncodingError(f"non-ASCII text field: {exc}") from exc
 
 
-def encode_list(items: list[bytes], item_tag: int = TAG_BYTES) -> bytes:
-    """A TAG_LIST item of byte strings, each wrapped in an item_tag item."""
+def encode_list(items: list[bytes]) -> bytes:
+    """A TAG_LIST item of byte strings, each wrapped in a TAG_BYTES item."""
     size = 5 * len(items) + sum(map(len, items))
     try:
-        headers = list(map(_HEADER.pack, repeat(item_tag), map(len, items)))
+        headers = list(map(_HEADER.pack, repeat(TAG_BYTES), map(len, items)))
         head = _HEADER.pack(TAG_LIST, size)
     except struct.error:
         raise EncodingError("payload too large for a 4-byte length") from None
     return b"".join(chain((head,), chain.from_iterable(zip(headers, items))))
 
 
-def decode_list(payload: bytes, item_tag: int = TAG_BYTES) -> list[bytes]:
+def decode_list(payload: bytes) -> list[bytes]:
     """The byte strings of a TAG_LIST payload: the value of the list's
     item, without its header."""
-    return _list_items(payload, item_tag, None)
+    return _list_items(payload, TAG_BYTES, None)
 
 
 def _list_items(payload: bytes, item_tag: int, parse) -> list:
@@ -532,6 +534,58 @@ def read_log(path: str) -> list[tuple[int, bytes]]:
                       f"bytes at byte offset {whole}", RuntimeWarning)
         os.truncate(path, whole)
     return frames
+
+
+def append_frames(path: str, payloads: list[bytes]) -> None:
+    """Append frames to the file at path, which must exist, in one write,
+    and fsync it.  A failed append is cut back off the file, so no later
+    append lands behind torn bytes; if the cut fails too, CorruptionError."""
+    data = b"".join(map(frame, payloads))
+    if not data:
+        return
+    with open(path, "r+b", buffering=0) as fh:
+        start = fh.seek(0, os.SEEK_END)
+        try:
+            _write_durably(fh, data, path)
+        except BaseException:
+            try:
+                os.ftruncate(fh.fileno(), start)
+            except OSError as exc:
+                raise CorruptionError(
+                    f"{path}: a failed append could not be cut off: {exc}"
+                ) from exc
+            raise
+
+
+def replace_frames(path: str, payloads: list[bytes]) -> None:
+    """Write frames to path + ".tmp", fsync it, rename it over path and
+    fsync the directory.  This is how a file is created: whole, with its
+    first frames.  If any step fails, a file that did not exist before is
+    not left behind."""
+    tmp = path + ".tmp"
+    existed = os.path.exists(path)
+    try:
+        with open(tmp, "wb", buffering=0) as fh:
+            _write_durably(fh, b"".join(map(frame, payloads)), path)
+        os.replace(tmp, path)
+        fd = os.open(os.path.dirname(path) or os.curdir, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except BaseException:
+        for leftover in (tmp,) if existed else (tmp, path):
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
+        raise
+
+
+def _write_durably(fh, data: bytes, path: str) -> None:
+    """One write of data, all of it, then an fsync (through the os module,
+    so a benchmark can stand it in)."""
+    if fh.write(data) != len(data):
+        raise OSError(errno.EIO, f"short write to {path}")
+    os.fsync(fh.fileno())
 
 
 def decode_frame(decode, path: str, offset: int, payload: bytes):

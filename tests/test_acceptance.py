@@ -25,7 +25,7 @@ from conninsure.rand import RandomSource
 from conninsure.scenario import SimClock, run_scenario
 from conninsure.transport import InProcessChannel
 from claim_mutations import claim_mutations
-from conftest import load_hex_fixture
+from support import load_hex_fixture
 
 
 def criterion(number, title):

@@ -232,6 +232,76 @@ class TestFileDrivenFlow:
         assert result.exit_code == 4
 
 
+@pytest.fixture
+def deployed(runner, tmp_path):
+    """A simulated server, an insurer and one registered customer on disk."""
+    paths = {name: str(tmp_path / name) for name in ("bob.der", "insurer", "client")}
+    _invoke(runner, "simserver", "init", "--domain", "bob.example.org",
+            "--out", str(tmp_path / "bob.simserver"), "--cert-out", paths["bob.der"],
+            "--seed", "1")
+    _invoke(runner, "insurer", "init", "--state-dir", paths["insurer"],
+            "--cert", paths["bob.der"], "--seed", "2")
+    assert _invoke(runner, "client", "register", "--state-dir", paths["client"],
+                   "--insurer-dir", paths["insurer"], "--seed", "3").exit_code == 0
+    return paths
+
+
+def _snapshot(directory: str) -> dict:
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))}
+
+
+class TestRefusals:
+    """A second set-up into the same place leaves the first one as it was."""
+
+    def test_insurer_init_refuses_an_existing_log(self, runner, deployed):
+        before = _snapshot(deployed["insurer"])
+        result = _invoke(runner, "insurer", "init", "--state-dir", deployed["insurer"],
+                         "--cert", deployed["bob.der"], "--seed", "4")
+        assert result.exit_code == 9
+        assert "already exists" in result.stderr
+        assert _snapshot(deployed["insurer"]) == before
+
+    def test_client_register_refuses_a_saved_customer(self, runner, deployed):
+        """Refused before the insurer is contacted: its log takes no REGISTER."""
+        before = (_snapshot(deployed["insurer"]), _snapshot(deployed["client"]))
+        result = _invoke(runner, "client", "register", "--state-dir", deployed["client"],
+                         "--insurer-dir", deployed["insurer"], "--seed", "5")
+        assert result.exit_code == 9
+        assert "already holds" in result.stderr
+        assert (_snapshot(deployed["insurer"]), _snapshot(deployed["client"])) == before
+
+
+class TestErrorExits:
+    """Every command maps a protocol error to its exit code, and a file it
+    cannot read to 1, with an error: line and no traceback."""
+
+    def test_junk_insurer_key_is_a_parse_error(self, runner, tmp_path):
+        claim, key = str(tmp_path / "case.ciclaim"), str(tmp_path / "insurer.pk")
+        _invoke(runner, "simulate", "--scenario", "mitm", "--cycles", "2",
+                "--domains", "3", "--seed", "5", "--rogue-cycle", "2",
+                "--claim-out", claim, "--insurer-key-out", key)
+        with open(key, "wb") as fh:
+            fh.write(b"not a key")
+        result = _invoke(runner, "judge", "verify", claim, "--insurer-key", key)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ")
+
+    def test_junk_state_file_is_a_parse_error(self, runner, deployed):
+        with open(os.path.join(deployed["client"], "state.tlv"), "wb") as fh:
+            fh.write(b"\x00\x00\x00\x05junk!")
+        result = _invoke(runner, "client", "update", "--state-dir", deployed["client"],
+                         "--insurer-dir", deployed["insurer"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ")
+
+    def test_missing_insurer_log_is_an_error_line(self, runner, deployed, tmp_path):
+        result = _invoke(runner, "client", "update", "--state-dir", deployed["client"],
+                         "--insurer-dir", str(tmp_path))
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and "insurer.log" in result.stderr
+
+
 class TestServedChannel:
     """client register against a live insurer over the framed TCP channel."""
 

@@ -5,8 +5,7 @@ import os
 
 import pytest
 
-import conninsure.client as client_module
-from conftest import fail_once, io_error, torn_write
+from support import FailAt, fail_once, fail_write, io_error, torn_write
 from conninsure import crypto, merkle, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import (
@@ -422,35 +421,6 @@ class TestPersistence:
         assert reloaded.rollback_entries == client.rollback_entries[: kept["rollback.tlv"]]
 
 
-class _FailAt:
-    """Counts the file writes, fsyncs and renames of the client module; the
-    n-th one fails (a write after writing half its bytes)."""
-
-    def __init__(self, monkeypatch, n: int):
-        self.n = n
-        self.calls = 0
-
-        def counting_open(*args, **kwargs):
-            fh = open(*args, **kwargs)
-            real_write = fh.write
-            fh.write = lambda data: self._step(real_write, torn_write, data)
-            return fh
-
-        monkeypatch.setattr(client_module, "open", counting_open, raising=False)
-        for name in ("fsync", "replace"):
-            real = getattr(client_module.os, name)
-            monkeypatch.setattr(
-                client_module.os, name,
-                lambda *args, real=real: self._step(real, io_error, *args),
-            )
-
-    def _step(self, real, fault, *args):
-        self.calls += 1
-        if self.calls == self.n:
-            return fault(real, *args)
-        return real(*args)
-
-
 def _closed_cycle(world, client, i: int):
     """One cycle with one voucher, then a list change at the insurer."""
     insurer, servers, channel, _, clock, rng = world
@@ -479,7 +449,7 @@ class TestSaveFaults:
             client.save(directory)
         claims = [_claim(client, record) for record in saved]
         _closed_cycle(world, client, 2)
-        _FailAt(monkeypatch, n)
+        FailAt(monkeypatch, n)
         with pytest.raises(OSError, match="injected"):
             client.save(directory)
         monkeypatch.undo()
@@ -490,6 +460,25 @@ class TestSaveFaults:
         reloaded.save(directory)
         assert _claim(ClientState.load(directory), record) == _claim(reloaded, record)
 
+    # A first save makes 12 such calls: each of the three files is created
+    # by a write, an fsync, a rename and a directory fsync.
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_failed_first_save_leaves_no_state(self, tmp_path, world, monkeypatch, n):
+        client = world[3]
+        FailAt(monkeypatch, n)
+        with pytest.raises(OSError, match="injected"):
+            client.save(str(tmp_path))
+        monkeypatch.undo()
+        assert not (tmp_path / "state.tlv").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+        client.save(str(tmp_path))
+        reloaded = ClientState.load(str(tmp_path))
+        assert reloaded.contract == client.contract
+        record = _closed_cycle(world, reloaded, 0)
+        reloaded.save(str(tmp_path))
+        assert _claim(ClientState.load(str(tmp_path)), record) == _claim(reloaded, record)
+
     @pytest.mark.parametrize(
         "name, saved_before",
         [("archive.tlv", 0), ("archive.tlv", 1), ("rollback.tlv", 1)],
@@ -497,8 +486,9 @@ class TestSaveFaults:
     def test_save_retried_after_a_torn_append(
         self, tmp_path, world, monkeypatch, name, saved_before
     ):
-        """A torn append is cut back off its file (a file it created goes),
-        so saving again from the same live state loads every cycle."""
+        """A torn append is cut back off its file, and a torn first write
+        leaves no file, so saving again from the same live state loads every
+        cycle."""
         directory = str(tmp_path)
         client = world[3]
         records = []
@@ -508,13 +498,7 @@ class TestSaveFaults:
         for i in range(saved_before, 3):
             records.append(_closed_cycle(world, client, i))
 
-        def tearing_open(path, *args, **kwargs):
-            fh = open(path, *args, **kwargs)
-            if os.path.basename(path) == name:
-                fail_once(monkeypatch, fh, "write", torn_write)
-            return fh
-
-        monkeypatch.setattr(client_module, "open", tearing_open, raising=False)
+        fail_write(monkeypatch, torn_write, name)
         with pytest.raises(OSError, match="injected"):
             client.save(directory)
         monkeypatch.undo()
@@ -536,7 +520,7 @@ class TestSaveFaults:
         client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
         client.save(directory)
         record = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
-        fail_once(monkeypatch, client_module.os, "replace", io_error)
+        fail_once(monkeypatch, wire.os, "replace", io_error)
         with pytest.raises(OSError):
             client.save(directory)
 

@@ -45,7 +45,7 @@ from conninsure.model import (
 )
 from conninsure.rand import RandomSource
 from conninsure.transport import unwrap_response
-from conftest import load_hex_fixture
+from support import load_hex_fixture
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_codec.json")
 START = 1_700_000_000

@@ -6,9 +6,11 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conninsure.insurer as insurer_module
-from conftest import fail_once, io_error, short_write, torn_write
+from support import FailAt, fail_once, fail_write, io_error, short_write, torn_write
 from conninsure import crypto, wire
 from conninsure.errors import (
     CorruptionError,
@@ -136,7 +138,31 @@ class TestSetup:
         frames = list(wire.iter_frames(log.read_bytes()))
         tags = [frame[0] for frame in frames]
         assert tags.count(wire.LOG_SNAPSHOT) == 2
-        assert len(synced) == len(frames) == 6
+        # and set-up fsyncs the directory it created the log in
+        assert len(synced) == len(frames) + 1 == 7
+
+    def test_refuses_an_existing_log(self, tmp_path):
+        log = tmp_path / "insurer.log"
+        Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log)).close()
+        before = log.read_bytes()
+        with pytest.raises(ParameterError, match="exists"):
+            Insurer.setup(CERTS, rng=RandomSource(12), log_path=str(log))
+        assert log.read_bytes() == before
+
+    # Set-up creates the log by a write, an fsync, a rename and a directory
+    # fsync; whichever fails, no log is left and set-up can be retried.
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_failed_setup_leaves_no_log(self, tmp_path, monkeypatch, n):
+        log = str(tmp_path / "insurer.log")
+        FailAt(monkeypatch, n)
+        with pytest.raises(OSError, match="injected"):
+            Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+        insurer.update_cert_list([b"cert-delta"], [])
+        assert _reloaded_snapshot(log) == insurer.snapshot_bytes()
 
 
 class TestRegistration:
@@ -376,6 +402,33 @@ class TestDeltaDownload:
             insurer.update_cert_list([], [b"cert-beta", b"cert-beta"])
         with pytest.raises(ParameterError):
             insurer.update_cert_list([], [b"cert-beta", b"cert-gamma"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        certs=st.lists(st.sampled_from([b"a", b"b", b"c"]), min_size=1, max_size=10),
+        removes=st.lists(st.sampled_from([b"a", b"b", b"c", b"d"]), max_size=8),
+    )
+    def test_removals_match_one_index_per_removal(self, certs, removes):
+        """The one-walk removal takes what list.index per removal, skipping
+        positions already taken, would take, and fails where it would."""
+        removed: set[int] = set()
+        try:
+            for cert in removes:
+                pos = certs.index(cert)
+                while pos in removed:
+                    pos = certs.index(cert, pos + 1)
+                removed.add(pos)
+        except ValueError:
+            removed = None
+        insurer = Insurer.setup(certs, rng=RandomSource(11))
+        if removed is None:
+            with pytest.raises(NotFoundError):
+                insurer.update_cert_list([b"added"], removes)
+            assert (insurer.certs, insurer.cert_version) == (certs, 0)
+        else:
+            insurer.update_cert_list([b"added"], removes)
+            kept = [cert for i, cert in enumerate(certs) if i not in removed]
+            assert insurer.certs == kept + [b"added"]
 
     @pytest.mark.parametrize("tag, value, match", [
         (wire.LOG_BEGIN_CYCLE, (1, b"\x21" * 32, 5), "version 5"),
@@ -635,9 +688,9 @@ class TestLogFaults:
 
         call, action = APPEND_FAULTS[fault]
         if call == "write":
-            fail_once(monkeypatch, insurer._log_file, "write", action)
+            fail_write(monkeypatch, action)
         else:
-            fail_once(monkeypatch, insurer_module.os, "fsync", action)
+            fail_once(monkeypatch, wire.os, "fsync", action)
         if operation == "update_cert_list":
             with pytest.raises(OSError):
                 _operate(insurer, customer, operation)
@@ -657,9 +710,9 @@ class TestLogFaults:
         log = str(tmp_path / "insurer.log")
         insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
         before = insurer.snapshot_bytes()
-        fail_once(monkeypatch, insurer._log_file, "write", torn_write)
-        fail_once(monkeypatch, insurer_module.os, "ftruncate", io_error)
-        with pytest.raises(OSError):
+        fail_write(monkeypatch, torn_write)
+        fail_once(monkeypatch, wire.os, "ftruncate", io_error)
+        with pytest.raises(CorruptionError, match="could not be cut off"):
             insurer.update_cert_list([b"cert-delta"], [])
         with pytest.raises(CorruptionError, match="restart"):
             insurer.update_cert_list([b"cert-delta"], [])

@@ -13,7 +13,7 @@ from conninsure import merkle
 from conninsure.errors import CapacityError, NotFoundError, ParameterError
 from conninsure.model import PAD_DOMAIN, Voucher
 from conninsure.rand import RandomSource
-from conftest import load_hex_fixture
+from support import load_hex_fixture
 
 CUSTOMER = 7
 CYCLEID = bytes(range(32))

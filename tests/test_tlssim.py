@@ -9,7 +9,7 @@ from conninsure import crypto, tlssim
 from conninsure.errors import EvidenceError
 from conninsure.model import Voucher
 from conninsure.rand import RandomSource
-from conftest import load_hex_fixture
+from support import load_hex_fixture
 
 CYCLEID = bytes(range(32))
 
@@ -90,7 +90,7 @@ class TestServerKeyExchange:
     def test_explicit_randoms_op(self, rng):
         server = tlssim.SimServer.create("bob.example.org", rng=rng, now=1000)
         cr, sr = b"\x0a" * 32, b"\x0b" * 32
-        transcript = tlssim.server_key_exchange(server, cr, sr, rng)
+        transcript = server.key_exchange(cr, sr, rng)
         assert transcript.client_random == cr and transcript.server_random == sr
         assert tlssim.verify_transcript_signature(server.presented_cert, transcript)
 

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import conninsure.insurer as insurer_module
-from conftest import fail_once, io_error
+from support import fail_once, io_error
 from conninsure import crypto, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import CIError, EncodingError, NotFoundError

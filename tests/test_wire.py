@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conninsure import crypto, wire
 from conninsure.errors import EncodingError, ParameterError
-from conftest import load_hex_fixture
+from support import load_hex_fixture
 
 payload_tuples = st.tuples(
     st.sampled_from(["Certificates", "Vouchers"]),
