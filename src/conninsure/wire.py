@@ -1,6 +1,7 @@
 """Canonical tag-length-value encoding for every signed payload, protocol
 message, and persisted artifact, plus the length-prefixed framing used on
-the client-insurer channel.
+the client-insurer channel and in every file, with the one reader and the
+one durable writer of those files.
 
 Layout of one TLV item: tag (1 byte) || length (4-byte big-endian) || value.
 Compound records nest TLV items in a fixed field order, so every encoding

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -247,8 +248,7 @@ def deployed(runner, tmp_path):
 
 
 def _snapshot(directory: str) -> dict:
-    return {name: open(os.path.join(directory, name), "rb").read()
-            for name in sorted(os.listdir(directory))}
+    return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
 
 
 class TestRefusals:

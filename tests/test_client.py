@@ -1,8 +1,6 @@
 """Client agent: cycle participation, browsing, submission, claim assembly,
 rollback fidelity, and on-disk state determinism."""
 
-import os
-
 import pytest
 
 from support import FailAt, fail_once, fail_write, io_error, torn_write
