@@ -539,8 +539,9 @@ def read_log(path: str) -> list[tuple[int, bytes]]:
 
 def append_frames(path: str, payloads: list[bytes]) -> None:
     """Append frames to the file at path, which must exist, in one write,
-    and fsync it.  A failed append is cut back off the file, so no later
-    append lands behind torn bytes; if the cut fails too, CorruptionError."""
+    and fsync it; no frames, no write.  A failed append is cut back off the
+    file, so no later append lands behind torn bytes; if the cut fails too,
+    CorruptionError."""
     data = b"".join(map(frame, payloads))
     if not data:
         return
