@@ -370,15 +370,26 @@ def client_submit(state_dir, connect, insurer_dir, seed, as_json):
            "covered": record.covered, "vouchers": len(record.evidences)}, as_json)
 
 
+def _cycleid(ctx, param, value: str) -> bytes:
+    try:
+        cycleid = bytes.fromhex(value)
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not hex") from None
+    if len(cycleid) != wire.CYCLEID_LEN:
+        raise click.BadParameter(f"{len(cycleid)} bytes, expected {wire.CYCLEID_LEN}")
+    return cycleid
+
+
 @client.command("claim")
 @click.option("--state-dir", type=click.Path(exists=True), required=True)
-@click.option("--cycleid", required=True, help="Cycle identifier, hex.")
+@click.option("--cycleid", required=True, callback=_cycleid,
+              help=f"Cycle identifier, {wire.CYCLEID_LEN} bytes in hex.")
 @click.option("--domain", required=True)
 @click.option("--out", type=click.Path(), required=True)
 def client_claim(state_dir, cycleid, domain, out):
     """Assemble a .ciclaim file for one vouched connection."""
     state = ClientState.load(state_dir)
-    claim = state.assemble_claim(bytes.fromhex(cycleid), domain)
+    claim = state.assemble_claim(cycleid, domain)
     with open(out, "wb") as fh:
         fh.write(claim.to_bytes())
     click.echo(out)

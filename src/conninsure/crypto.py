@@ -8,11 +8,16 @@ through one fixed-base comb per group (FixedBaseComb, Lim-Lee).  Every
 power of a recipient key y (y^r in the chameleon hash, y^c in the trapdoor
 proof check) goes through RECIPIENT_COMBS, a bounded LRU of combs keyed by
 (params, y): a key's first use is a plain pow(), and a chameleon hash
-toward a key seen before builds its comb.  With both combs a chameleon hash at the 2048/256 group costs about a
-quarter of two plain pow() calls, and the pure-Python path meets the 5 ms
-sign/verify gate; a key seen once (a cold recipient) pays one full pow().
-The cache holds only public values and never changes a result.  Powers of
-other bases use built-in pow().
+toward a key seen before builds its comb.  With both combs a chameleon
+hash at the 2048/256 group costs about a quarter of two plain pow() calls,
+and the pure-Python path meets the 5 ms sign/verify gate; a key seen once
+(a cold recipient) pays one full pow().  verify_trapdoor keeps the results
+of its last RECIPIENT_COMB_CAPACITY distinct calls, keyed by every input,
+so a process checks a contract's proof once while it stays there: the
+insurer's registration, the client's own check and every claim the judge
+settles under that contract share one result.  The caches hold only
+public values and never change a result.  Powers of other bases use
+built-in pow().
 """
 
 import functools
@@ -534,17 +539,23 @@ def prove_trapdoor(
     return TrapdoorProof(u, c, z)
 
 
+@functools.lru_cache(maxsize=RECIPIENT_COMB_CAPACITY)
 def verify_trapdoor(
     y: int, params: GroupParams, context: bytes, proof: TrapdoorProof
 ) -> bool:
-    """Accept iff g^z = u * y^c mod p with c recomputed from the transcript."""
+    """Accept iff g^z = u * y^c mod p with c recomputed from the transcript.
+
+    Memoized on every input: a contract checked again (each claim embeds
+    its contract) costs a lookup.  A peer sending new proofs can only evict
+    entries, each costing one check again.
+    """
     if not (0 < proof.u < params.p and 0 <= proof.z < params.q):
         return False
     if proof.c != _trapdoor_challenge(params, y, proof.u, context):
         return False
     lhs = generator_comb(params).pow(proof.z)
-    # A proof is checked at registration and by each contract check, which
-    # need not be followed by any signature toward y: it marks the key as
-    # seen and uses its comb, but leaves the build to the chameleon hashes.
+    # A proof is checked at registration and by contract checks, which need
+    # not be followed by any signature toward y: it marks the key as seen
+    # and uses its comb, but leaves the build to the chameleon hashes.
     rhs = proof.u * RECIPIENT_COMBS.pow(params, y, proof.c, build=False) % params.p
     return lhs == rhs

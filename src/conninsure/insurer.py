@@ -455,17 +455,19 @@ class Insurer:
     # -- protocol operations ---------------------------------------------------
 
     def register(self, request: RegistrationRequest, now: int) -> Contract:
+        # The checks read only the request, so a proof check's modexp
+        # stalls no other customer's operation.
+        if request.requested_delta_t <= 0:
+            raise RegistrationRejected("update-interval bound must be positive")
+        ok = crypto.verify_trapdoor(
+            request.chameleon.y,
+            request.chameleon.params,
+            registration_context(request.pk_a),
+            request.trapdoor_proof,
+        )
+        if not ok:
+            raise RegistrationRejected("trapdoor proof does not verify")
         with self._lock:
-            ok = crypto.verify_trapdoor(
-                request.chameleon.y,
-                request.chameleon.params,
-                registration_context(request.pk_a),
-                request.trapdoor_proof,
-            )
-            if not ok:
-                raise RegistrationRejected("trapdoor proof does not verify")
-            if request.requested_delta_t <= 0:
-                raise RegistrationRejected("update-interval bound must be positive")
             contract = Contract(
                 customer=self._next_customer,
                 pk_in=self.keypair.public,

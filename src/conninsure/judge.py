@@ -165,16 +165,15 @@ def resolve_denial(
     digest = crypto._chameleon_digest(params, disputed_ch, sig.context)
     if not crypto.verify(pk_in, digest, sig.inner_sig):
         raise ParameterError("disputed signature does not verify at all")
-    if record is not None:
-        recorded_message, recorded_r = record
-        try:
-            recorded_ch = crypto.chameleon_hash(
-                params, recipient.y, recorded_message, recorded_r
-            )
-        except ParameterError:
-            return Ruling.INSURER_BOUND
-        if recorded_ch == disputed_ch and (
-            recorded_message != message or recorded_r != sig.r
-        ):
-            return Ruling.CUSTOMER_FORGED
-    return Ruling.INSURER_BOUND
+    if record is None:
+        return Ruling.INSURER_BOUND
+    recorded_message, recorded_r = record
+    # The disputed pair itself shows no collision, whatever its CH, and its
+    # r has passed the range check: no second CH is needed.
+    if recorded_message == message and recorded_r == sig.r:
+        return Ruling.INSURER_BOUND
+    try:
+        recorded_ch = crypto.chameleon_hash(params, recipient.y, recorded_message, recorded_r)
+    except ParameterError:
+        return Ruling.INSURER_BOUND
+    return Ruling.CUSTOMER_FORGED if recorded_ch == disputed_ch else Ruling.INSURER_BOUND

@@ -13,6 +13,12 @@ def toy_vectors():
         return json.load(fh)
 
 
+@pytest.fixture(autouse=True)
+def clear_trapdoor_memo():
+    """Each test starts with no proof result remembered, whatever ran before."""
+    crypto.verify_trapdoor.cache_clear()
+
+
 @pytest.fixture
 def rng():
     return RandomSource(1234)

@@ -302,6 +302,17 @@ class TestErrorExits:
         assert result.stderr.startswith("error: ") and "insurer.log" in result.stderr
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("cycleid", ["zz", "ab" * 31, "ab" * 33], ids=["not-hex", "short", "long"])
+    def test_bad_cycleid_exits_2(self, runner, deployed, tmp_path, cycleid):
+        out = tmp_path / "case.ciclaim"
+        result = _invoke(runner, "client", "claim", "--state-dir", deployed["client"],
+                         "--cycleid", cycleid, "--domain", "bob.example.org", "--out", str(out))
+        assert result.exit_code == 2
+        assert "--cycleid" in result.stderr
+        assert not out.exists()
+
+
 class TestServedChannel:
     """client register against a live insurer over the framed TCP channel."""
 

@@ -4,6 +4,7 @@ arithmetic (see fixtures/toy_chameleon_vectors.json) or from sha256sum
 known answers.
 """
 
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -320,10 +321,12 @@ class TestRecipientCombs:
         recipient = prod_chameleon.public
         proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
         for _ in range(2):
+            crypto.verify_trapdoor.cache_clear()  # check the proof, not recall it
             assert crypto.verify_trapdoor(recipient.y, recipient.params, b"contract", proof)
         assert built == [] and len(modexps) == 2
         sig, _ = crypto.chameleon_sign(insurer_keypair, recipient, b"m", b"ctx", rng)
         assert built == [recipient.y]
+        crypto.verify_trapdoor.cache_clear()
         assert crypto.verify_trapdoor(recipient.y, recipient.params, b"contract", proof)
         assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig)
         assert built == [recipient.y] and len(modexps) == 2
@@ -419,6 +422,7 @@ class TestRecipientCombs:
         cleared = []
         for case in cases:
             cache.clear()
+            crypto.verify_trapdoor.cache_clear()
             cleared.append(decide(case))
         assert cleared == expected
         built.clear()
@@ -460,3 +464,58 @@ class TestTrapdoorProof:
         assert not crypto.verify_trapdoor(
             prod_chameleon.y, prod_chameleon.params, b"ctx-b", proof
         )
+
+
+class TestTrapdoorMemo:
+    """verify_trapdoor remembers results keyed by all of its inputs."""
+
+    def test_any_changed_input_is_checked_afresh(self, prod_chameleon, rng):
+        params, y = prod_chameleon.params, prod_chameleon.y
+        proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
+        assert crypto.verify_trapdoor(y, params, b"contract", proof)
+        p, q, g = params.p, params.q, params.g
+        proofs = [
+            dataclasses.replace(proof, u=proof.u * g % p),
+            dataclasses.replace(proof, c=(proof.c + 1) % q),
+            dataclasses.replace(proof, z=(proof.z + 1) % q),
+        ]
+        changed = [
+            (y * g % p, params, b"contract", proof),
+            (y, dataclasses.replace(params, g=g * g % p), b"contract", proof),
+            (y, params, b"contracT", proof),
+        ] + [(y, params, b"contract", other) for other in proofs]
+        for args in changed:
+            assert not crypto.verify_trapdoor(*args), args
+        assert crypto.verify_trapdoor(y, params, b"contract", proof)
+        assert crypto.verify_trapdoor.cache_info().hits == 1
+
+    def test_bounded_by_capacity(self, toy_chameleon, rng):
+        capacity = crypto.verify_trapdoor.cache_info().maxsize
+        assert capacity == crypto.RECIPIENT_COMB_CAPACITY
+        proof = crypto.prove_trapdoor(toy_chameleon, b"contract", rng)
+        for i in range(capacity + 3):
+            crypto.verify_trapdoor(18, crypto.TOY_GROUP, b"%d" % i, proof)
+            assert crypto.verify_trapdoor.cache_info().currsize <= capacity
+        assert crypto.verify_trapdoor.cache_info().currsize == capacity
+
+    def test_second_claim_check_makes_no_proof_powers(self, monkeypatch):
+        """A second claim under the same contract neither raises g to the
+        proof's z nor y to its c, by a comb or by modexp."""
+        report = run_scenario("mitm", cycles=2, domains=3, seed=21, rogue_cycle=2)
+        proof = Claim.from_bytes(report.claim_bytes).contract.trapdoor_proof
+        exponents = []
+        real_comb_pow, real_modexp = crypto.FixedBaseComb.pow, crypto.modexp
+        monkeypatch.setattr(
+            crypto.FixedBaseComb, "pow",
+            lambda comb, e: exponents.append(e) or real_comb_pow(comb, e),
+        )
+        monkeypatch.setattr(
+            crypto, "modexp", lambda b, e, m: exponents.append(e) or real_modexp(b, e, m)
+        )
+        crypto.verify_trapdoor.cache_clear()
+        for first in (True, False):
+            exponents.clear()
+            verdict = judge.verify_claim_bytes(report.claim_bytes, report.insurer_public, True)
+            assert verdict is Verdict.ACCEPT
+            proof_powers = {proof.z, proof.c} & set(exponents)
+            assert proof_powers == ({proof.z, proof.c} if first else set())

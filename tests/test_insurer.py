@@ -3,6 +3,7 @@ chameleon-record log, persistence, and the framed endpoints exercised
 through raw request bytes."""
 
 import gc
+import threading
 import weakref
 
 import pytest
@@ -187,6 +188,41 @@ class TestRegistration:
         )
         with pytest.raises(RegistrationRejected):
             insurer.register(bad, NOW)
+
+    def test_proof_check_does_not_block_other_customers(self, enrolled, monkeypatch):
+        """While one registration's proof check runs, another customer's
+        begin_cycle completes."""
+        insurer, _, _, contract, rng = enrolled
+        _, _, request = _registration(rng)
+        entered, release = threading.Event(), threading.Event()
+        real = crypto.verify_trapdoor
+
+        def held(*args):
+            entered.set()
+            release.wait(timeout=30)
+            return real(*args)
+
+        monkeypatch.setattr(crypto, "verify_trapdoor", held)
+        registered, began = [], []
+        registering = threading.Thread(
+            target=lambda: registered.append(insurer.register(request, NOW))
+        )
+        beginning = threading.Thread(
+            target=lambda: began.append(insurer.begin_cycle(contract.customer, b"", NOW))
+        )
+        registering.start()
+        try:
+            assert entered.wait(timeout=10)
+            beginning.start()
+            beginning.join(timeout=5)
+            assert not beginning.is_alive() and len(began) == 1
+            assert registering.is_alive() and registered == []
+        finally:
+            release.set()
+            registering.join(timeout=30)
+            beginning.join(timeout=30)
+        assert not registering.is_alive()
+        assert registered[0].customer == contract.customer + 1
 
 
 class TestCycleStateMachine:

@@ -301,22 +301,28 @@ class TestResolveDenial:
                 insurer_keypair.public, prod_chameleon.public, b"m", sig, None
             )
 
-    @pytest.mark.parametrize("with_record, hashes", [(True, 2), (False, 1)])
+    @pytest.mark.parametrize(
+        "with_record, hashes", [("matching", 1), ("different", 2), (False, 1)]
+    )
     def test_one_chameleon_hash_per_side(
         self, insurer_keypair, prod_chameleon, signed_pair, monkeypatch,
         with_record, hashes,
     ):
         """The disputed CH is computed once and also checks the inner
-        signature; a record adds the recorded CH."""
+        signature; a record other than the disputed pair adds its CH."""
         message, sig = signed_pair
+        record = {
+            "matching": (message, sig.r),
+            "different": (b"unrelated", sig.r),
+            False: None,
+        }[with_record]
         calls = []
         real_hash = crypto.chameleon_hash
         monkeypatch.setattr(
             crypto, "chameleon_hash", lambda *a: calls.append(1) or real_hash(*a)
         )
         ruling = judge.resolve_denial(
-            insurer_keypair.public, prod_chameleon.public, message, sig,
-            record=(message, sig.r) if with_record else None,
+            insurer_keypair.public, prod_chameleon.public, message, sig, record=record
         )
         assert ruling is Ruling.INSURER_BOUND
         assert len(calls) == hashes
