@@ -303,7 +303,9 @@ class TestErrorExits:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("cycleid", ["zz", "ab" * 31, "ab" * 33], ids=["not-hex", "short", "long"])
+    @pytest.mark.parametrize(
+        "cycleid", ["zz", "ab" * 31, "ab" * 33], ids=["not-hex", "short", "long"]
+    )
     def test_bad_cycleid_exits_2(self, runner, deployed, tmp_path, cycleid):
         out = tmp_path / "case.ciclaim"
         result = _invoke(runner, "client", "claim", "--state-dir", deployed["client"],
