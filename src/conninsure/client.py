@@ -2,11 +2,14 @@
 with voucher creation, the evidence store with rollback deltas, and claim
 assembly.
 
-State is one writer per contract: a working-state file plus an append-only
-archive of closed cycles.  Only the up-to-date certificate list is kept;
-older lists are reconstructed through rollback deltas when a claim needs
-them.  Each update downloads a forward delta from the list the client
-holds, and the rollback delta is its inverse.
+State is one writer per contract, in four files: a small working-state
+file, an append-only archive of closed cycles, an append-only log of
+rollback deltas, and the list log, which holds the up-to-date certificate
+list as a base frame plus the forward deltas of later cycles.  Each update
+downloads a forward delta from the list the client holds; the list log
+keeps that delta and the rollback log its inverse, so a save writes in
+proportion to what changed.  Older lists are reconstructed through the
+rollback deltas when a claim needs them.
 """
 
 import os
@@ -25,6 +28,7 @@ from .insurer import (
     ACK_CERTS_RESPONSE,
     BEGIN_CYCLE_REQUEST,
     BEGIN_CYCLE_RESPONSE,
+    LIST_DELTA,
     REGISTER_RESPONSE,
     SUBMIT_VOUCHERS_REQUEST,
     SUBMIT_VOUCHERS_RESPONSE,
@@ -50,8 +54,13 @@ from .rand import DEFAULT, RandomSource
 STATE_FILE = "state.tlv"
 ARCHIVE_FILE = "archive.tlv"
 ROLLBACK_FILE = "rollback.tlv"
+# list.tlv: frames of LIST_DELTA items (removed positions, appended
+# certificates, cycle index).  The first, the base, applies to the empty
+# list; each later one is the forward delta to the next cycle's list.
+LIST_FILE = "list.tlv"
 
-# state.tlv: one frame holding these fields (no enclosing tag).
+# state.tlv: one frame holding these fields (no enclosing tag).  certs is
+# written empty: it holds the list only in files from before list.tlv.
 _STATE = wire.Record(
     None,
     None,
@@ -96,6 +105,12 @@ class ClientState:
         self._archived_on_disk = 0
         # None once pruning has dropped entries: the log is rewritten whole.
         self._rollback_on_disk: int | None = 0
+        # The cycle index list.tlv reaches (None: rewrite it whole), the
+        # bytes of its base frame and of its delta frames, and the forward
+        # deltas (removed, appended, cycle index) not yet written to it.
+        self._list_on_disk: int | None = None
+        self._list_bytes = (0, 0)
+        self._list_deltas: list[tuple] = []
 
     @property
     def customer(self) -> int:
@@ -192,6 +207,7 @@ class ClientState:
             self.rollback_entries.append(RollbackEntry(delta, now))
         self.listing = new
         self.current_index = index
+        self._list_deltas.append((removed, appended, index))
         self.open_cycle = CycleRecord(
             cycle_index=index,
             cycleid=cycleid,
@@ -267,14 +283,7 @@ class ClientState:
         """Roll the current list back to the one downloaded in cycle_index."""
         if not 1 <= cycle_index <= self.current_index:
             raise NotFoundError(f"no cycle {cycle_index}")
-        by_index = {e.delta.cycle_index: e.delta for e in self.rollback_entries}
-        certs = list(self.certs)
-        for i in range(self.current_index, cycle_index, -1):
-            delta = by_index.get(i)
-            if delta is None:
-                raise CorruptionError(f"rollback delta for cycle {i} is missing")
-            certs = apply_rollback(certs, delta)
-        return certs
+        return _roll_back(self.certs, self.current_index, cycle_index, self.rollback_entries)
 
     def _archived(self, cycleid: bytes) -> CycleRecord:
         for record in self.archive:
@@ -321,9 +330,17 @@ class ClientState:
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Append to archive.tlv, then to rollback.tlv, then replace
-        state.tlv, which drops the open cycle once it is archived: a crash
-        between the writes loses no archived cycle."""
+        """Append to archive.tlv, then to rollback.tlv, then write list.tlv,
+        then replace state.tlv, whose current_index commits the list and
+        which drops the open cycle once it is archived: a crash between the
+        writes loses no archived cycle.
+
+        list.tlv takes the forward deltas of the cycles since its last
+        write as appended frames, until its delta frames would outgrow its
+        base frame; then, or when it must be rewritten, it is replaced by
+        one base frame holding the current list.  So a save writes in
+        proportion to what changed, and list.tlv stays within twice its
+        base frame."""
         os.makedirs(directory, exist_ok=True)
         self._archived_on_disk = _save_log(
             directory, ARCHIVE_FILE, self.archive, self._archived_on_disk
@@ -331,13 +348,32 @@ class ClientState:
         self._rollback_on_disk = _save_log(
             directory, ROLLBACK_FILE, self.rollback_entries, self._rollback_on_disk
         )
+        self._save_list(os.path.join(directory, LIST_FILE))
         kp = self.chameleon_kp
         body = _STATE.encode_body((
             self.keypair.public, self.keypair.secret, kp.params, kp.x, kp.y,
-            self.contract, self.certs, self.current_index, self.warnings,
+            self.contract, [], self.current_index, self.warnings,
             self.open_cycle,
         ))
         wire.replace_frames(os.path.join(directory, STATE_FILE), [body])
+
+    def _save_list(self, path: str) -> None:
+        on_disk = self._list_on_disk if os.path.exists(path) else None
+        if on_disk == self.current_index:
+            return
+        self._list_on_disk = None  # until the write below succeeds
+        base, deltas = self._list_bytes
+        frames = [] if on_disk is None else list(map(LIST_DELTA.encode, self._list_deltas))
+        size = sum(map(len, frames)) + 4 * len(frames)
+        if frames and deltas + size <= base:
+            wire.append_frames(path, frames)
+            self._list_bytes = (base, deltas + size)
+        else:
+            frame = LIST_DELTA.encode(((), self.certs, self.current_index))
+            wire.replace_frames(path, [frame])
+            self._list_bytes = (4 + len(frame), 0)
+        self._list_deltas = []
+        self._list_on_disk = self.current_index
 
     def prune_rollbacks(self, now: int,
                         retention_seconds: int = 365 * 86400) -> int:
@@ -354,6 +390,9 @@ class ClientState:
 
     @classmethod
     def load(cls, directory: str) -> "ClientState":
+        """The state that save wrote to directory.  A state.tlv whose certs
+        is not empty is the layout from before list.tlv: its list is used,
+        and the next save writes list.tlv."""
         with open(os.path.join(directory, STATE_FILE), "rb") as fh:
             body = wire.only_frame(fh.read())
         (public, secret, params, x, y, contract, certs, current_index, warnings,
@@ -363,12 +402,15 @@ class ClientState:
             crypto.ChameleonKeyPair(params, x, y),
             contract,
         )
-        state.listing = CertList(certs)
         state.current_index = current_index
         state.warnings = list(warnings)
         state.open_cycle = open_cycle
         state.rollback_entries = _read_log(directory, ROLLBACK_FILE, RollbackEntry)
         state._rollback_on_disk = len(state.rollback_entries)
+        if certs:
+            state.listing = CertList(certs)
+        else:
+            state._load_list(os.path.join(directory, LIST_FILE))
         state.archive = _read_log(directory, ARCHIVE_FILE, CycleRecord)
         state._archived_on_disk = len(state.archive)
         # Archived yet open: a save crashed before it replaced state.tlv.
@@ -384,6 +426,53 @@ class ClientState:
             for evidence in state.open_cycle.evidences.values():
                 tlssim.validate_evidence(evidence)
         return state
+
+    def _load_list(self, path: str) -> None:
+        """Apply list.tlv's base frame, then its delta frames.  A list past
+        current_index was left by a save that failed after it wrote
+        list.tlv (a delta, or a compacted base) and before it replaced
+        state.tlv.  That save had written the rollback deltas of its cycles
+        first, so they take the list back to current_index, and the next
+        save rewrites list.tlv whole."""
+        index = self.current_index
+        listing, version = CertList([]), 0
+        sizes = [0, 0]
+        intact = os.path.exists(path)
+        for offset, payload in wire.read_log(path) if intact else ():
+            removed, appended, produces = wire.decode_frame(
+                LIST_DELTA.decode, path, offset, payload
+            )
+            follows = offset == 0 or produces == version + 1
+            if not (follows and valid_positions(removed, len(listing.certs))):
+                raise CorruptionError(
+                    f"{path}: frame at byte offset {offset} does not follow cycle {version}"
+                )
+            listing, version = listing.updated(removed, appended), produces
+            sizes[offset > 0] += 4 + len(payload)
+        if version > index:
+            certs = _roll_back(listing.certs, version, index, self.rollback_entries)
+            listing, intact = CertList(certs), False
+        elif version < index:
+            raise CorruptionError(f"{path} ends at cycle {version}, state at {index}")
+        self.listing = listing
+        self._list_bytes = tuple(sizes)
+        self._list_on_disk = index if intact else None
+
+
+def _roll_back(certs: list[bytes], start: int, stop: int, entries) -> list[bytes]:
+    """The list of cycle stop from certs, the list of cycle start, through
+    the rollback deltas of cycles start down to stop + 1 (the latest entry
+    for a cycle wins).  Cycle 0 has the empty list."""
+    if stop == 0:
+        return []
+    by_index = {e.delta.cycle_index: e.delta for e in entries}
+    certs = list(certs)
+    for i in range(start, stop, -1):
+        delta = by_index.get(i)
+        if delta is None:
+            raise CorruptionError(f"rollback delta for cycle {i} is missing")
+        certs = apply_rollback(certs, delta)
+    return certs
 
 
 def _read_log(directory: str, name: str, record_type) -> list:

@@ -12,12 +12,12 @@ toward a key seen before builds its comb.  With both combs a chameleon
 hash at the 2048/256 group costs about a quarter of two plain pow() calls,
 and the pure-Python path meets the 5 ms sign/verify gate; a key seen once
 (a cold recipient) pays one full pow().  verify_trapdoor keeps the results
-of its last RECIPIENT_COMB_CAPACITY distinct calls, keyed by every input,
-so a process checks a contract's proof once while it stays there: the
-insurer's registration, the client's own check and every claim the judge
-settles under that contract share one result.  The caches hold only
-public values and never change a result.  Powers of other bases use
-built-in pow().
+of its last RECIPIENT_COMB_CAPACITY distinct calls, keyed by every input
+(the context by its hash), so a process checks a contract's proof once
+while it stays there: the insurer's registration, the client's own check
+and every claim the judge settles under that contract share one result.
+The caches hold only public values and never change a result.  Powers of
+other bases use built-in pow().
 """
 
 import functools
@@ -25,6 +25,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import KeyFormatError, ParameterError
 from .rand import DEFAULT, RandomSource
@@ -369,19 +370,24 @@ RECIPIENT_COMB_CAPACITY = 256
 _UNSEEN = object()
 
 
-class RecipientCombs:
-    """Thread-safe LRU of recipient combs keyed by value (params, y).
+class CacheInfo(NamedTuple):
+    """The fields of functools.lru_cache's cache_info(), in its order."""
 
-    An entry is None once its key has been seen and the comb once the key
-    is seen again, so a key used only once costs one plain pow() and no
-    comb.  Combs are built outside the lock; two threads racing on one key
-    may both build it, and either copy gives the same powers.
-    """
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class LRU:
+    """Thread-safe map that keeps the capacity keys used last; get counts
+    its hits and misses."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
+        self._hits = self._misses = 0
 
     def __len__(self) -> int:
         with self._lock:  # _put may hold capacity + 1 entries for a moment
@@ -390,12 +396,41 @@ class RecipientCombs:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._hits = self._misses = 0
 
-    def _put(self, key, comb: FixedBaseComb | None) -> None:
-        self._entries[key] = comb
+    def cache_info(self) -> CacheInfo:
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, self.capacity, len(self._entries))
+
+    def _put(self, key, value) -> None:
+        self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+
+    def get(self, key, default=None):
+        with self._lock:
+            value = self._entries.get(key, _UNSEEN)
+            if value is _UNSEEN:
+                self._misses += 1
+                return default
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._put(key, value)
+
+
+class RecipientCombs(LRU):
+    """LRU of recipient combs keyed by value (params, y).
+
+    An entry is None once its key has been seen and the comb once the key
+    is seen again, so a key used only once costs one plain pow() and no
+    comb.  Combs are built outside the lock; two threads racing on one key
+    may both build it, and either copy gives the same powers.
+    """
 
     def pow(self, params: GroupParams, y: int, e: int, build: bool = True) -> int:
         """y^e mod p for 0 <= e < 2^bits(q); with build False a key seen
@@ -539,16 +574,37 @@ def prove_trapdoor(
     return TrapdoorProof(u, c, z)
 
 
-@functools.lru_cache(maxsize=RECIPIENT_COMB_CAPACITY)
+# Results of the last RECIPIENT_COMB_CAPACITY distinct proof checks.
+TRAPDOOR_MEMO = LRU(RECIPIENT_COMB_CAPACITY)
+
+
 def verify_trapdoor(
     y: int, params: GroupParams, context: bytes, proof: TrapdoorProof
 ) -> bool:
     """Accept iff g^z = u * y^c mod p with c recomputed from the transcript.
 
-    Memoized on every input: a contract checked again (each claim embeds
-    its contract) costs a lookup.  A peer sending new proofs can only evict
-    entries, each costing one check again.
+    Memoized on (y, params, hash_h(context), proof): a contract checked
+    again (each claim embeds its contract) costs a lookup.  The memo keeps
+    a digest of the context, not the context, which a peer chooses and
+    which embeds a registration's whole signature key.  A peer sending new
+    proofs can only evict entries, each costing one check again.
     """
+    key = (y, params, hash_h(context), proof)
+    ok = TRAPDOOR_MEMO.get(key)
+    if ok is None:
+        ok = _check_trapdoor(y, params, context, proof)
+        TRAPDOOR_MEMO.put(key, ok)
+    return ok
+
+
+# functools.lru_cache's interface to the memo.
+verify_trapdoor.cache_info = TRAPDOOR_MEMO.cache_info
+verify_trapdoor.cache_clear = TRAPDOOR_MEMO.clear
+
+
+def _check_trapdoor(
+    y: int, params: GroupParams, context: bytes, proof: TrapdoorProof
+) -> bool:
     if not (0 < proof.u < params.p and 0 <= proof.z < params.q):
         return False
     if proof.c != _trapdoor_challenge(params, y, proof.u, context):

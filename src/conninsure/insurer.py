@@ -114,6 +114,15 @@ _SNAPSHOT_FIELDS = (
     ("used_cycleids", wire.BYTES_LIST),
 )
 
+# UPDATE_CERTS: the positions removed from the current list, in ascending
+# order, the certificates appended, and the new version.  The client's
+# list.tlv is a file of these items, with cycle indexes for versions.
+LIST_DELTA = wire.Record(
+    wire.LOG_UPDATE_CERTS, None,
+    ("removed", wire.list_of(wire.U64)), ("appended", wire.BYTES_LIST),
+    ("version", wire.U64),
+)
+
 # Log events, by tag.  SETUP and SNAPSHOT carry the full state.
 _SNAPSHOT = wire.Record(wire.LOG_SNAPSHOT, None, *_SNAPSHOT_FIELDS)
 _EVENTS = {
@@ -122,13 +131,7 @@ _EVENTS = {
     wire.LOG_REGISTER: wire.Record(
         wire.LOG_REGISTER, None, ("contract", Contract.CODEC)
     ),
-    # UPDATE_CERTS: the positions removed from the current list, in
-    # ascending order, the certificates appended, and the new version.
-    wire.LOG_UPDATE_CERTS: wire.Record(
-        wire.LOG_UPDATE_CERTS, None,
-        ("removed", wire.list_of(wire.U64)), ("appended", wire.BYTES_LIST),
-        ("version", wire.U64),
-    ),
+    wire.LOG_UPDATE_CERTS: LIST_DELTA,
     # BEGIN_CYCLE: the cycle downloads the current list, named by version.
     wire.LOG_BEGIN_CYCLE: wire.Record(
         wire.LOG_BEGIN_CYCLE, None,

@@ -340,11 +340,19 @@ class Record:
             getter = attrgetter(*names)
             self._values = getter if len(names) > 1 else lambda obj: (getter(obj),)
 
+    def _encode_items(self, value) -> list[bytes]:
+        return [item(v) for item, v in zip(self._items, self._values(value))]
+
     def encode_body(self, value) -> bytes:
-        return b"".join([item(v) for item, v in zip(self._items, self._values(value))])
+        return b"".join(self._encode_items(value))
 
     def encode(self, value) -> bytes:
-        return pack(self.tag, self.encode_body(value))
+        """The record's item, its header and fields joined in one copy."""
+        items = self._encode_items(value)
+        size = sum(map(len, items))
+        if size > _MAX_LEN:
+            raise EncodingError("payload too large for a 4-byte length")
+        return b"".join([_HEADER.pack(self.tag, size), *items])
 
     def decode_body(self, body: bytes):
         return self._make(*_split(body, self._parsers))
@@ -491,6 +499,14 @@ def frame(payload: bytes) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
+def _frames(payloads: list[bytes]) -> bytes:
+    """The frames of payloads back to back, joined in one copy."""
+    if any(len(payload) > _MAX_LEN for payload in payloads):
+        raise EncodingError("frame payload too large")
+    headers = map(_LENGTH.pack, map(len, payloads))
+    return b"".join(chain.from_iterable(zip(headers, payloads)))
+
+
 def read_frame(read_exact) -> bytes:
     """Read one frame via read_exact(n) -> exactly n bytes (or raises)."""
     header = read_exact(4)
@@ -542,7 +558,7 @@ def append_frames(path: str, payloads: list[bytes]) -> None:
     and fsync it; no frames, no write.  A failed append is cut back off the
     file, so no later append lands behind torn bytes; if the cut fails too,
     CorruptionError."""
-    data = b"".join(map(frame, payloads))
+    data = _frames(payloads)
     if not data:
         return
     with open(path, "r+b", buffering=0) as fh:
@@ -568,7 +584,7 @@ def replace_frames(path: str, payloads: list[bytes]) -> None:
     existed = os.path.exists(path)
     try:
         with open(tmp, "wb", buffering=0) as fh:
-            _write_durably(fh, b"".join(map(frame, payloads)), path)
+            _write_durably(fh, _frames(payloads), path)
         os.replace(tmp, path)
         fd = os.open(os.path.dirname(path) or os.curdir, os.O_RDONLY)
         try:

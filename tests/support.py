@@ -2,6 +2,7 @@
 
 import errno
 import os
+from collections import Counter
 
 from conninsure import wire
 
@@ -92,3 +93,18 @@ class FailAt:
         if self.calls == self.n:
             return fault(real, *args)
         return real(*args)
+
+
+def count_written(monkeypatch) -> Counter:
+    """From now on, the bytes that wire.append_frames and wire.replace_frames
+    are asked to write, by file name."""
+    written = Counter()
+    for name in ("append_frames", "replace_frames"):
+        real = getattr(wire, name)
+
+        def counting(path, payloads, real=real):
+            written[os.path.basename(path)] += sum(4 + len(p) for p in payloads)
+            return real(path, payloads)
+
+        monkeypatch.setattr(wire, name, counting)
+    return written

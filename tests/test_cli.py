@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from support import count_written
 from conninsure.cli import main
 from conninsure.insurer import Insurer
 from conninsure.transport import InsurerServer
@@ -270,6 +271,25 @@ class TestRefusals:
         assert result.exit_code == 9
         assert "already holds" in result.stderr
         assert (_snapshot(deployed["insurer"]), _snapshot(deployed["client"])) == before
+
+
+class TestClientSaves:
+    def test_browse_writes_no_list_bytes(self, runner, deployed, monkeypatch):
+        """After update has saved the cycle's list, browse saves only the
+        state file, which does not hold the list."""
+        client = deployed["client"]
+        assert _invoke(runner, "client", "update", "--state-dir", client,
+                       "--insurer-dir", deployed["insurer"]).exit_code == 0
+        written = count_written(monkeypatch)
+        server_file = os.path.join(os.path.dirname(client), "bob.simserver")
+        browse = _invoke(runner, "client", "browse", "--state-dir", client,
+                         "--domain", "bob.example.org", "--server-file", server_file,
+                         "--seed", "4", "--json")
+        assert json.loads(browse.output)["status"] == "vouched"
+        assert +written == {"state.tlv": written["state.tlv"]}
+        # The certificate is in the open cycle's evidence, not in a list.
+        cert = Path(deployed["bob.der"]).read_bytes()
+        assert Path(client, "state.tlv").read_bytes().count(cert) == 1
 
 
 class TestErrorExits:

@@ -1,18 +1,21 @@
 """Client agent: cycle participation, browsing, submission, claim assembly,
 rollback fidelity, and on-disk state determinism."""
 
+import os
+
 import pytest
 
-from support import FailAt, fail_once, fail_write, io_error, torn_write
+from support import FailAt, count_written, fail_once, fail_write, io_error, torn_write
 from conninsure import crypto, merkle, tlssim, wire
-from conninsure.client import ClientState
+from conninsure.client import LIST_FILE, ClientState
 from conninsure.errors import (
+    CorruptionError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
     SequencingError,
 )
-from conninsure.insurer import BEGIN_CYCLE_RESPONSE, Insurer
+from conninsure.insurer import BEGIN_CYCLE_RESPONSE, LIST_DELTA, Insurer
 from conninsure.model import PAD_DOMAIN
 from conninsure.rand import RandomSource
 from conninsure.scenario import SimClock
@@ -24,12 +27,18 @@ DOMAINS = [f"d{i:03d}.example.org" for i in range(4)]
 @pytest.fixture
 def world():
     """Insurer + servers + registered client on a shared simulated clock."""
+    return _make_world()
+
+
+def _make_world(fillers: list[bytes] = ()):
+    """The world, with fillers listed after the servers' certificates."""
     rng = RandomSource(55)
     clock = SimClock()
     servers = {
         d: tlssim.SimServer.create(d, rng=rng, now=clock.now) for d in DOMAINS
     }
-    insurer = Insurer.setup([servers[d].presented_cert for d in DOMAINS], rng=rng)
+    certs = [servers[d].presented_cert for d in DOMAINS] + list(fillers)
+    insurer = Insurer.setup(certs, rng=rng)
     channel = InProcessChannel(insurer, now_fn=clock)
     client = ClientState.register(
         channel, requested_delta_t=86_400, rng=rng, group=crypto.TOY_GROUP
@@ -433,12 +442,28 @@ def _claim(client, record) -> bytes:
     return client.assemble_claim(record.cycleid, DOMAINS[0]).to_bytes()
 
 
+def _list_frames(directory) -> list[tuple]:
+    """The (removed, appended, cycle index) frames of list.tlv."""
+    with open(os.path.join(directory, LIST_FILE), "rb") as fh:
+        return [LIST_DELTA.decode(payload) for payload in wire.iter_frames(fh.read())]
+
+
+def _next_cycle_covered(world, client, directory: str, i: int) -> None:
+    """The client's next cycle completes covered, and its save reloads to
+    the same list and a byte-identical claim."""
+    record = _closed_cycle(world, client, i)
+    assert record.covered
+    client.save(directory)
+    reloaded = ClientState.load(directory)
+    assert reloaded.certs == client.certs
+    assert _claim(reloaded, record) == _claim(client, record)
+
+
 class TestSaveFaults:
-    # A save after a closed cycle makes 8 such calls: the archive write and
-    # fsync, the rollback write and fsync, then the state write, fsync,
-    # rename and directory fsync.
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_failed_save_loses_no_saved_cycle(self, tmp_path, world, monkeypatch, n):
+    def _fail_third_save(self, tmp_path, world, monkeypatch, n, compacts):
+        """Two cycles saved, a third closed; the n-th writer call of its save
+        fails.  After a reload both saved cycles give the same claims."""
+        insurer = world[0]
         directory = str(tmp_path)
         client = world[3]
         saved = []
@@ -446,6 +471,8 @@ class TestSaveFaults:
             saved.append(_closed_cycle(world, client, i))
             client.save(directory)
         claims = [_claim(client, record) for record in saved]
+        if compacts:  # a delta larger than list.tlv's base
+            insurer.update_cert_list([b"big" * len(b"".join(insurer.certs))], [])
         _closed_cycle(world, client, 2)
         FailAt(monkeypatch, n)
         with pytest.raises(OSError, match="injected"):
@@ -454,13 +481,94 @@ class TestSaveFaults:
 
         reloaded = ClientState.load(directory)
         assert [_claim(reloaded, record) for record in saved] == claims
-        record = _closed_cycle(world, reloaded, 3)
-        reloaded.save(directory)
-        assert _claim(ClientState.load(directory), record) == _claim(reloaded, record)
+        _next_cycle_covered(world, reloaded, directory, 3)
 
-    # A first save makes 12 such calls: each of the three files is created
-    # by a write, an fsync, a rename and a directory fsync.
+    # A save after a closed cycle makes 10 such calls: the archive write and
+    # fsync, the rollback write and fsync, the list write and fsync, then
+    # the state write, fsync, rename and directory fsync.
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_failed_save_loses_no_saved_cycle(self, tmp_path, world, monkeypatch, n):
+        self._fail_third_save(tmp_path, world, monkeypatch, n, compacts=False)
+
+    # When the save compacts list.tlv, the list write and fsync are a write,
+    # an fsync, a rename and a directory fsync: 12 calls.  From the rename
+    # on, list.tlv holds a base frame past state.tlv's current_index.
     @pytest.mark.parametrize("n", range(1, 13))
+    def test_failed_compacting_save_loses_no_saved_cycle(
+        self, tmp_path, world, monkeypatch, n
+    ):
+        self._fail_third_save(tmp_path, world, monkeypatch, n, compacts=True)
+
+    def test_delta_frame_past_the_state_is_dropped(self, tmp_path, world, monkeypatch):
+        """A save that appended its delta to list.tlv and failed before it
+        replaced state.tlv leaves a frame past current_index: load takes the
+        list back to current_index, and the next save rewrites list.tlv
+        whole."""
+        directory = str(tmp_path)
+        client = world[3]
+        saved = [_closed_cycle(world, client, 0)]
+        client.save(directory)
+        claims = [_claim(client, record) for record in saved]
+        _closed_cycle(world, client, 1)
+        fail_once(monkeypatch, wire.os, "replace", io_error)  # state.tlv's rename
+        with pytest.raises(OSError, match="injected"):
+            client.save(directory)
+        monkeypatch.undo()
+        assert [index for _, _, index in _list_frames(directory)] == [1, 2]
+
+        reloaded = ClientState.load(directory)
+        assert reloaded.current_index == 1
+        assert reloaded.certs == client.reconstruct_list(1)
+        assert [_claim(reloaded, record) for record in saved] == claims
+        _next_cycle_covered(world, reloaded, directory, 2)
+        assert [index for _, _, index in _list_frames(directory)] == [2]
+
+    def test_save_after_a_failed_cut_rewrites_the_list(self, tmp_path, world, monkeypatch):
+        """An append to list.tlv that tears and cannot be cut back raises
+        CorruptionError; saving again replaces list.tlv instead of
+        appending behind the torn bytes."""
+        directory = str(tmp_path)
+        client = world[3]
+        saved = [_closed_cycle(world, client, 0)]
+        client.save(directory)
+        saved.append(_closed_cycle(world, client, 1))
+        fail_write(monkeypatch, torn_write, LIST_FILE)
+        fail_once(monkeypatch, wire.os, "ftruncate", io_error)
+        with pytest.raises(CorruptionError, match="could not be cut off"):
+            client.save(directory)
+        monkeypatch.undo()
+        client.save(directory)
+        assert [index for _, _, index in _list_frames(directory)] == [2]
+
+        reloaded = ClientState.load(directory)
+        assert reloaded.certs == client.certs
+        assert [_claim(reloaded, r) for r in saved] == [_claim(client, r) for r in saved]
+        _next_cycle_covered(world, reloaded, directory, 2)
+
+    def test_delta_from_the_empty_list_is_saved_whole(self, tmp_path, world):
+        """When the insurer sends the whole list as a delta from the empty
+        list, as after a restart from a snapshot, the save replaces list.tlv
+        with one base frame instead of appending that delta."""
+        insurer, servers, channel, client, clock, rng = world
+        directory = str(tmp_path)
+        saved = [_closed_cycle(world, client, i) for i in range(2)]
+        client.save(directory)
+        claims = [_claim(client, record) for record in saved]
+        resend = lambda c, b, r, a: (c, b"", [], list(insurer.certs))
+        client.do_update_cycle(_rewriting_channel(channel, resend, []), now=clock.now)
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        saved.append(client.submit_cycle(channel, now=clock.advance(3600), rng=rng))
+        claims.append(_claim(client, saved[-1]))
+        client.save(directory)
+        assert _list_frames(directory) == [((), client.certs, 3)]
+
+        reloaded = ClientState.load(directory)
+        assert [_claim(reloaded, record) for record in saved] == claims
+        _next_cycle_covered(world, reloaded, directory, 3)
+
+    # A first save makes 16 such calls: each of the four files is created
+    # by a write, an fsync, a rename and a directory fsync.
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_failed_first_save_leaves_no_state(self, tmp_path, world, monkeypatch, n):
         client = world[3]
         FailAt(monkeypatch, n)
@@ -479,7 +587,8 @@ class TestSaveFaults:
 
     @pytest.mark.parametrize(
         "name, saved_before",
-        [("archive.tlv", 0), ("archive.tlv", 1), ("rollback.tlv", 1)],
+        [("archive.tlv", 0), ("archive.tlv", 1), ("rollback.tlv", 1),
+         ("list.tlv", 0), ("list.tlv", 1)],
     )
     def test_save_retried_after_a_torn_append(
         self, tmp_path, world, monkeypatch, name, saved_before
@@ -505,6 +614,7 @@ class TestSaveFaults:
         reloaded = ClientState.load(directory)
         assert reloaded.archive == client.archive
         assert reloaded.rollback_entries == client.rollback_entries
+        assert reloaded.certs == client.certs
         assert [_claim(reloaded, r) for r in records] == [_claim(client, r) for r in records]
 
     def test_archived_cycle_left_open_by_a_failed_save_is_closed(
@@ -527,3 +637,73 @@ class TestSaveFaults:
         assert _claim(reloaded, record) == _claim(client, record)
         reloaded.do_update_cycle(channel, now=clock.now)
         assert reloaded.submit_cycle(channel, now=clock.advance(3600), rng=rng).covered
+
+
+FILLER_SIZE = 500
+
+
+def _fillers(tag: bytes, count: int) -> list[bytes]:
+    return [tag + b"-%05d-" % i + bytes(FILLER_SIZE - len(tag) - 7) for i in range(count)]
+
+
+class TestListLog:
+    def _cycle_writes(self, monkeypatch, tmp_path, size: int, churn: int):
+        """Bytes written by file in the two saves of one cycle, after churn
+        of a list with size fillers: (update save, submit save)."""
+        world = _make_world(_fillers(b"filler", size))
+        insurer, servers, channel, client, clock, rng = world
+        directory = str(tmp_path / f"{size}-{churn}")
+        client.do_update_cycle(channel, now=clock.now)
+        client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        client.save(directory)
+        removes = insurer.certs[len(DOMAINS):len(DOMAINS) + churn]
+        insurer.update_cert_list(_fillers(b"new", churn), removes)
+
+        written = count_written(monkeypatch)
+        client.do_update_cycle(channel, now=clock.advance(3600))
+        client.save(directory)
+        update_save = dict(written)
+        written.clear()
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        client.submit_cycle(channel, now=clock.advance(60), rng=rng)
+        client.save(directory)
+        monkeypatch.undo()
+        return update_save, dict(written)
+
+    def test_save_cost_follows_the_churn_not_the_list(self, monkeypatch, tmp_path):
+        total = {}
+        for size in (200, 400):
+            for churn in (1, 8):
+                update_save, submit_save = self._cycle_writes(
+                    monkeypatch, tmp_path, size, churn
+                )
+                assert LIST_FILE in update_save
+                assert LIST_FILE not in submit_save
+                total[size, churn] = sum(update_save.values()) + sum(submit_save.values())
+        for churn in (1, 8):
+            assert abs(total[400, churn] - total[200, churn]) < FILLER_SIZE
+        for size in (200, 400):
+            # Each churned entry is in the forward delta and in the rollback.
+            grown = total[size, 8] - total[size, 1]
+            assert 7 * 2 * FILLER_SIZE <= grown < 7 * 3 * FILLER_SIZE
+            assert total[size, 8] < size * FILLER_SIZE / 4
+
+    def test_list_log_stays_within_twice_its_base(self, tmp_path, world):
+        """Deltas are appended until they would outgrow the base frame, and
+        then list.tlv is compacted to one base frame; every save reloads to
+        the same list."""
+        insurer, _, _, client, _, _ = world
+        directory = str(tmp_path)
+        frame_counts = []
+        for i in range(12):
+            _closed_cycle(world, client, i)
+            removes = [insurer.certs[-2]] if i else []
+            insurer.update_cert_list([b"%03d" % i * 50], removes)
+            client.save(directory)
+            data = (tmp_path / LIST_FILE).read_bytes()
+            frames = list(wire.iter_frames(data))
+            assert len(data) <= 2 * (4 + len(frames[0]))
+            frame_counts.append(len(frames))
+            assert ClientState.load(directory).certs == client.certs
+        assert max(frame_counts) > 2
+        assert 1 in frame_counts[1:]

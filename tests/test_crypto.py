@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -497,6 +498,26 @@ class TestTrapdoorMemo:
             crypto.verify_trapdoor(18, crypto.TOY_GROUP, b"%d" % i, proof)
             assert crypto.verify_trapdoor.cache_info().currsize <= capacity
         assert crypto.verify_trapdoor.cache_info().currsize == capacity
+
+    def test_rejected_contexts_are_not_held(self, prod_chameleon, rng):
+        """The memo keeps a digest of each context, not the context: after
+        as many rejected checks as it holds, with 64 KB contexts, under
+        1 MB stays allocated."""
+        params, y = prod_chameleon.params, prod_chameleon.y
+        proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
+        capacity = crypto.RECIPIENT_COMB_CAPACITY
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(capacity):
+                context = i.to_bytes(4, "big") * (1 << 14)
+                assert not crypto.verify_trapdoor(y, params, context, proof)
+            del context
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert crypto.verify_trapdoor.cache_info().currsize == capacity
+        assert held < 1 << 20
 
     def test_second_claim_check_makes_no_proof_powers(self, monkeypatch):
         """A second claim under the same contract neither raises g to the

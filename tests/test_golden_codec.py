@@ -10,6 +10,9 @@ artifact with tests/fixtures/golden_codec.json and decodes each fixture back.
 tests/fixtures/insurer_log_v1.hex is the same deployment's log as written
 when BEGIN_CYCLE and UPDATE_CERTS events carried the whole list; it is not
 regenerated, and must still load to the same state.
+tests/fixtures/client_dir_v1.json holds the same deployment's client files
+as written when state.tlv held the whole list and there was no list.tlv;
+it is not regenerated either, and must still load to the same state.
 
 Regenerate the fixture file (only when a layout change is intended):
 
@@ -29,6 +32,7 @@ from conninsure.client import ClientState
 from conninsure.errors import CorruptionError
 from conninsure.insurer import (
     BEGIN_CYCLE_REQUEST,
+    LIST_DELTA,
     Insurer,
     RegistrationRequest,
     handle_request,
@@ -45,11 +49,12 @@ from conninsure.model import (
 )
 from conninsure.rand import RandomSource
 from conninsure.transport import unwrap_response
-from support import load_hex_fixture
+from support import fixture_path, load_hex_fixture
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_codec.json")
 START = 1_700_000_000
 DOMAINS = ("alpha.example.org", "beta.example.org")
+CLIENT_FILES = ("state.tlv", "archive.tlv", "rollback.tlv", "list.tlv")
 
 # Name -> decoder whose output re-encodes with to_bytes().
 RECORD_TYPES = {
@@ -152,6 +157,7 @@ def build_artifacts(workdir, monkeypatch_interval):
         if cycle < 3:
             clock.now += 60
             client.submit_cycle(channel, now=clock.now, rng=client_rng)
+            client.save(client_dir)  # list.tlv: a base, then a delta per save
 
     client.save(client_dir)
     first = client.archive[0]
@@ -183,10 +189,14 @@ def build_artifacts(workdir, monkeypatch_interval):
     with open(log_path, "rb") as fh:
         out["insurer_log"] = fh.read()
     out["insurer_snapshot"] = insurer.snapshot_bytes()
-    for name in ("state.tlv", "archive.tlv", "rollback.tlv"):
+    for name in CLIENT_FILES:
         with open(os.path.join(client_dir, name), "rb") as fh:
-            out[name.replace(".", "_")] = fh.read()
+            out[_artifact(name)] = fh.read()
     return out, insurer, client
+
+
+def _artifact(file_name: str) -> str:
+    return file_name.replace(".", "_")
 
 
 def load_fixture():
@@ -214,6 +224,12 @@ def golden():
 @pytest.fixture(scope="module")
 def full_list_log():
     return load_hex_fixture("insurer_log_v1.hex")
+
+
+@pytest.fixture(scope="module")
+def client_dir_v1():
+    with open(fixture_path("client_dir_v1.json")) as fh:
+        return {name: bytes.fromhex(blob) for name, blob in json.load(fh).items()}
 
 
 def test_fixture_covers_every_artifact(built, golden):
@@ -329,22 +345,22 @@ def test_corrupt_frame_before_the_tail_names_its_offset(golden, tmp_path):
     assert path.read_bytes()[offset + 4] == 0xEE  # nothing was cut off
 
 
-@pytest.mark.parametrize("name", ["archive.tlv", "rollback.tlv"])
+@pytest.mark.parametrize("name", ["archive.tlv", "rollback.tlv", "list.tlv"])
 def test_corrupt_client_log_frame_names_its_offset(golden, tmp_path, name):
-    for other in ("state.tlv", "archive.tlv", "rollback.tlv"):
-        (tmp_path / other).write_bytes(golden[other.replace(".", "_")])
-    data = golden[name.replace(".", "_")]
+    _write_client_files(tmp_path, golden, CLIENT_FILES)
+    data = golden[_artifact(name)]
     assert len(list(wire.iter_frames(data))) > 1
     (tmp_path / name).write_bytes(data[:4] + b"\xee" + data[5:])
     with pytest.raises(CorruptionError, match=f"{name}: frame at byte offset 0:"):
         ClientState.load(str(tmp_path))
 
 
-def test_client_file_fixtures_reload(built, golden, tmp_path):
-    _, _, live = built
-    for name in ("state.tlv", "archive.tlv", "rollback.tlv"):
-        (tmp_path / name).write_bytes(golden[name.replace(".", "_")])
-    loaded = ClientState.load(str(tmp_path))
+def _write_client_files(directory, artifacts, names) -> None:
+    for name in names:
+        (directory / name).write_bytes(artifacts[_artifact(name)])
+
+
+def _assert_same_client(loaded, live) -> None:
     assert loaded.contract == live.contract
     assert loaded.certs == live.certs
     assert loaded.current_index == live.current_index
@@ -352,8 +368,40 @@ def test_client_file_fixtures_reload(built, golden, tmp_path):
     assert loaded.open_cycle == live.open_cycle
     assert loaded.archive == live.archive
     assert loaded.rollback_entries == live.rollback_entries
+
+
+def test_list_log_fixture_is_a_base_and_deltas(golden):
+    """The list log holds the first save's list, then one delta per save."""
+    frames = [LIST_DELTA.decode(payload) for payload in wire.iter_frames(golden["list_tlv"])]
+    assert [version for _, _, version in frames] == [1, 2, 3]
+    assert [len(removed) for removed, _, _ in frames] == [0, 0, 1]
+
+
+def test_client_file_fixtures_reload(built, golden, tmp_path):
+    _, _, live = built
+    _write_client_files(tmp_path, golden, CLIENT_FILES)
+    loaded = ClientState.load(str(tmp_path))
+    _assert_same_client(loaded, live)
+    loaded.save(str(tmp_path))
+    for name in CLIENT_FILES:
+        assert (tmp_path / name).read_bytes() == golden[_artifact(name)]
+
+
+def test_client_files_before_the_list_log_migrate(built, golden, client_dir_v1, tmp_path):
+    """Client files from when state.tlv held the whole list load to the
+    same state.  The next save writes list.tlv as one base frame and
+    state.tlv without the list, and those reload to the same state."""
+    _, _, live = built
+    _write_client_files(tmp_path, client_dir_v1, CLIENT_FILES[:3])
+    loaded = ClientState.load(str(tmp_path))
+    _assert_same_client(loaded, live)
     loaded.save(str(tmp_path))
     assert (tmp_path / "state.tlv").read_bytes() == golden["state_tlv"]
+    for name in ("archive.tlv", "rollback.tlv"):
+        assert (tmp_path / name).read_bytes() == client_dir_v1[_artifact(name)]
+    (base,) = wire.iter_frames((tmp_path / "list.tlv").read_bytes())
+    assert LIST_DELTA.decode(base) == ((), live.certs, live.current_index)
+    _assert_same_client(ClientState.load(str(tmp_path)), live)
 
 
 def _write_fixture():
