@@ -369,9 +369,9 @@ class ClientState:
             wire.append_frames(path, frames)
             self._list_bytes = (base, deltas + size)
         else:
-            frame = LIST_DELTA.encode(((), self.certs, self.current_index))
+            frame = LIST_DELTA.encode_parts(((), self.certs, self.current_index))
             wire.replace_frames(path, [frame])
-            self._list_bytes = (4 + len(frame), 0)
+            self._list_bytes = (4 + sum(map(len, frame)), 0)
         self._list_deltas = []
         self._list_on_disk = self.current_index
 

@@ -346,13 +346,17 @@ class Record:
     def encode_body(self, value) -> bytes:
         return b"".join(self._encode_items(value))
 
-    def encode(self, value) -> bytes:
-        """The record's item, its header and fields joined in one copy."""
+    def encode_parts(self, value) -> list[bytes]:
+        """The record's item in parts, its header and then each field's
+        item, which a frame writer joins with its frame header in one copy."""
         items = self._encode_items(value)
         size = sum(map(len, items))
         if size > _MAX_LEN:
             raise EncodingError("payload too large for a 4-byte length")
-        return b"".join([_HEADER.pack(self.tag, size), *items])
+        return [_HEADER.pack(self.tag, size), *items]
+
+    def encode(self, value) -> bytes:
+        return b"".join(self.encode_parts(value))
 
     def decode_body(self, body: bytes):
         return self._make(*_split(body, self._parsers))
@@ -499,12 +503,20 @@ def frame(payload: bytes) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-def _frames(payloads: list[bytes]) -> bytes:
-    """The frames of payloads back to back, joined in one copy."""
-    if any(len(payload) > _MAX_LEN for payload in payloads):
-        raise EncodingError("frame payload too large")
-    headers = map(_LENGTH.pack, map(len, payloads))
-    return b"".join(chain.from_iterable(zip(headers, payloads)))
+def _frames(payloads: list) -> bytes:
+    """The frames of payloads back to back, joined in one copy.  A payload
+    is a byte string, or a list of the parts it joins, such as
+    Record.encode_parts gives."""
+    parts = []
+    for payload in payloads:
+        if isinstance(payload, bytes):
+            payload = (payload,)
+        size = sum(map(len, payload))
+        if size > _MAX_LEN:
+            raise EncodingError("frame payload too large")
+        parts.append(_LENGTH.pack(size))
+        parts += payload
+    return b"".join(parts)
 
 
 def read_frame(read_exact) -> bytes:
@@ -553,7 +565,7 @@ def read_log(path: str) -> list[tuple[int, bytes]]:
     return frames
 
 
-def append_frames(path: str, payloads: list[bytes]) -> None:
+def append_frames(path: str, payloads: list) -> None:
     """Append frames to the file at path, which must exist, in one write,
     and fsync it; no frames, no write.  A failed append is cut back off the
     file, so no later append lands behind torn bytes; if the cut fails too,
@@ -575,7 +587,7 @@ def append_frames(path: str, payloads: list[bytes]) -> None:
             raise
 
 
-def replace_frames(path: str, payloads: list[bytes]) -> None:
+def replace_frames(path: str, payloads: list) -> None:
     """Write frames to path + ".tmp", fsync it, rename it over path and
     fsync the directory.  This is how a file is created: whole, with its
     first frames.  If any step fails, a file that did not exist before is

@@ -202,3 +202,16 @@ class TestFraming:
         for buf in (b"", wire.frame(b"x") * 2):
             with pytest.raises(EncodingError):
                 wire.only_frame(buf)
+
+    def test_a_record_in_parts_writes_its_frame(self, tmp_path):
+        """A payload given as Record.encode_parts writes the bytes of the
+        record's encoding, framed, by append and by replace."""
+        record = wire.pair(("n", wire.U64), ("certs", wire.BYTES_LIST))
+        value = (7, [b"a" * 300, b"", b"b"])
+        assert b"".join(record.encode_parts(value)) == record.encode(value)
+        path = str(tmp_path / "log")
+        wire.replace_frames(path, [record.encode_parts(value), b"x"])
+        wire.append_frames(path, [b"y", record.encode_parts(value)])
+        with open(path, "rb") as fh:
+            frames = list(wire.iter_frames(fh.read()))
+        assert frames == [record.encode(value), b"x", b"y", record.encode(value)]
