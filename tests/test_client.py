@@ -499,7 +499,7 @@ class TestSaveFaults:
     ):
         self._fail_third_save(tmp_path, world, monkeypatch, n, compacts=True)
 
-    def test_delta_frame_past_the_state_is_dropped(self, tmp_path, world, monkeypatch):
+    def test_delta_frame_past_the_state_is_taken_back(self, tmp_path, world, monkeypatch):
         """A save that appended its delta to list.tlv and failed before it
         replaced state.tlv leaves a frame past current_index: load takes the
         list back to current_index, and the next save rewrites list.tlv
