@@ -102,8 +102,9 @@ class ClientState:
         self.open_cycle: CycleRecord | None = None
         self.archive: list[CycleRecord] = []
         self.warnings: list[tuple[int, str]] = []
-        self._archived_on_disk = 0
-        # None once pruning has dropped entries: the log is rewritten whole.
+        # Records on disk in archive.tlv and rollback.tlv; None (after
+        # pruning or a failed write) rewrites the log whole.
+        self._archived_on_disk: int | None = 0
         self._rollback_on_disk: int | None = 0
         # The cycle index list.tlv reaches (None: rewrite it whole), the
         # bytes of its base frame and of its delta frames, and the forward
@@ -342,11 +343,14 @@ class ClientState:
         proportion to what changed, and list.tlv stays within twice its
         base frame."""
         os.makedirs(directory, exist_ok=True)
-        self._archived_on_disk = _save_log(
-            directory, ARCHIVE_FILE, self.archive, self._archived_on_disk
-        )
+        # Each count is None until its write succeeds: a failed append may
+        # leave a torn tail that could not be cut off, so the next save
+        # replaces that log whole instead of appending behind it.
+        on_disk, self._archived_on_disk = self._archived_on_disk, None
+        self._archived_on_disk = _save_log(directory, ARCHIVE_FILE, self.archive, on_disk)
+        on_disk, self._rollback_on_disk = self._rollback_on_disk, None
         self._rollback_on_disk = _save_log(
-            directory, ROLLBACK_FILE, self.rollback_entries, self._rollback_on_disk
+            directory, ROLLBACK_FILE, self.rollback_entries, on_disk
         )
         self._save_list(os.path.join(directory, LIST_FILE))
         kp = self.chameleon_kp

@@ -48,10 +48,11 @@ class FixedBaseComb:
     product of base^(2^(k*a + j*b)) over the set bits k of i.  A power then
     costs b-1 squarings and at most a multiplications, against the ~bits
     squarings of a plain pow(); the tables hold tables * 2^teeth elements.
+    An index is one byte, so teeth is at most 8.
     """
 
     def __init__(self, base: int, mod: int, bits: int, teeth: int, tables: int = 1):
-        if mod < 2 or bits < 1 or teeth < 1 or tables < 1:
+        if mod < 2 or bits < 1 or not 1 <= teeth <= 8 or tables < 1:
             raise ParameterError("bad comb dimensions")
         self.base = base
         self.mod = mod
@@ -60,6 +61,8 @@ class FixedBaseComb:
         self._a = -(-bits // teeth)
         self._b = -(-self._a // tables)
         tables = -(-self._a // self._b)
+        # One set bit in each byte of an a-byte integer.
+        self._ones = int.from_bytes(b"\x01" * self._a, "big")
         # spokes[j][k] = base^(2^(k*a + j*b)), by repeated squaring.
         spokes = [[0] * teeth for _ in range(tables)]
         power = base % mod
@@ -76,22 +79,50 @@ class FixedBaseComb:
                 table += [entry * spoke % mod for entry in table]
             self._tables.append(table)
 
-    def pow(self, e: int) -> int:
+    def _columns(self, e: int) -> list[list[int]]:
+        """For each column c < b, the table entries that a power of e
+        multiplies in at c, each table's index computed once."""
         if e < 0 or e >> self.bits:
             raise ParameterError("exponent outside the comb's range")
-        a, b, mod = self._a, self._b, self.mod
-        mask = (1 << a) - 1
-        rows = [(e >> (k * a)) & mask for k in range(self.teeth)]
-        acc = 1
-        for col in range(b - 1, -1, -1):
-            acc = acc * acc % mod
-            for start, table in zip(range(col, a, b), self._tables):
-                idx = 0
-                for k, row in enumerate(rows):
-                    idx |= ((row >> start) & 1) << k
-                if idx:
-                    acc = acc * table[idx] % mod
-        return acc
+        a, b = self._a, self._b
+        # Byte i of spread is bit i of e (its binary digits are ASCII '0'
+        # and '1', and _ones keeps their low bits), so byte c of indices
+        # gathers bit c of every row: the index of column c.
+        spread = int.from_bytes(format(e, f"0{self.teeth * a}b").encode(), "big")
+        indices = 0
+        for k in range(self.teeth):
+            indices |= ((spread >> (8 * k * a)) & self._ones) << k
+        indices = indices.to_bytes(a, "little")
+        return [
+            [table[i] for table, i in zip(self._tables, indices[col::b]) if i]
+            for col in range(b)
+        ]
+
+    def pow(self, e: int) -> int:
+        return _comb_product(self.mod, self._columns(e))
+
+    def pow2(self, e: int, other: "FixedBaseComb", f: int) -> int:
+        """base^e * other.base^f mod p in one pass (Moeller, SAC 2001): each
+        column squares once for both combs, and a comb with fewer columns
+        joins when the pass reaches them."""
+        if other.mod != self.mod:
+            raise ParameterError("combs over different moduli")
+        mine, theirs = self._columns(e), other._columns(f)
+        if len(mine) < len(theirs):
+            mine, theirs = theirs, mine
+        for col, entries in enumerate(theirs):
+            mine[col] += entries
+        return _comb_product(self.mod, mine)
+
+
+def _comb_product(mod: int, columns: list[list[int]]) -> int:
+    """The product, mod mod, of every entry of columns[c] squared c times."""
+    acc = 1
+    for entries in reversed(columns):
+        acc = acc * acc % mod
+        for entry in entries:
+            acc = acc * entry % mod
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +350,8 @@ TOY_GROUP = GroupParams(p=23, q=11, g=4)
 
 @functools.lru_cache(maxsize=4)
 def generator_comb(params: GroupParams) -> FixedBaseComb:
-    """The comb for g, built on first use: 256 elements (64 KB at 2048 bits)."""
-    return FixedBaseComb(params.g, params.p, params.q.bit_length(), teeth=6, tables=4)
+    """The comb for g, built on first use: 512 elements (128 KB at 2048 bits)."""
+    return FixedBaseComb(params.g, params.p, params.q.bit_length(), teeth=8, tables=2)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +386,16 @@ def generate_chameleon_keypair(
 
 
 def recipient_comb(recipient: ChameleonPublicKey) -> FixedBaseComb:
-    """A comb for one recipient's y: 64 elements (16 KB at 2048 bits).
+    """A comb for one recipient's y: 128 elements (32 KB at 2048 bits).
 
-    Building it costs about one plain exponentiation, so it pays off for a
+    Building it costs about 1.2 plain exponentiations, so it pays off for a
     key that checks or receives many signatures.
     """
     params = recipient.params
-    return FixedBaseComb(recipient.y, params.p, params.q.bit_length(), teeth=5, tables=2)
+    return FixedBaseComb(recipient.y, params.p, params.q.bit_length(), teeth=6, tables=2)
 
 
-# About 4 MB of combs at 2048 bits: room for every customer of a fleet.
+# At most 8 MB of combs at 2048 bits: room for every customer of a fleet.
 RECIPIENT_COMB_CAPACITY = 256
 
 _UNSEEN = object()
@@ -432,9 +463,9 @@ class RecipientCombs(LRU):
     may both build it, and either copy gives the same powers.
     """
 
-    def pow(self, params: GroupParams, y: int, e: int, build: bool = True) -> int:
-        """y^e mod p for 0 <= e < 2^bits(q); with build False a key seen
-        before keeps a plain pow() until another call builds its comb."""
+    def comb(self, params: GroupParams, y: int, build: bool = True) -> FixedBaseComb | None:
+        """The comb for y, or None while the key is cold: on its first
+        sight, and, with build False, until another call builds it."""
         key = (params, y)
         with self._lock:
             comb = self._entries.get(key, _UNSEEN)
@@ -443,9 +474,7 @@ class RecipientCombs(LRU):
             comb = recipient_comb(ChameleonPublicKey(params, y))
             with self._lock:
                 self._put(key, comb)
-        if comb is None or comb is _UNSEEN:
-            return modexp(y, e, params.p)
-        return comb.pow(e)
+        return None if comb is _UNSEEN else comb
 
 
 RECIPIENT_COMBS = RecipientCombs(RECIPIENT_COMB_CAPACITY)
@@ -457,11 +486,15 @@ def message_exponent(params: GroupParams, message: bytes) -> int:
 
 
 def chameleon_hash(params: GroupParams, y: int, message: bytes, r: int) -> int:
-    """CH(m, r) = g^{h(m)} * y^r mod p."""
+    """CH(m, r) = g^{h(m)} * y^r mod p, in one comb pass once y's comb exists."""
     if not 0 <= r < params.q:
         raise ParameterError("chameleon randomizer out of range")
-    g_e = generator_comb(params).pow(message_exponent(params, message))
-    return g_e * RECIPIENT_COMBS.pow(params, y, r) % params.p
+    g_comb = generator_comb(params)
+    e = message_exponent(params, message)
+    y_comb = RECIPIENT_COMBS.comb(params, y)
+    if y_comb is None:
+        return g_comb.pow(e) * modexp(y, r, params.p) % params.p
+    return g_comb.pow2(e, y_comb, r)
 
 
 def find_collision(
@@ -613,5 +646,6 @@ def _check_trapdoor(
     # A proof is checked at registration and by contract checks, which need
     # not be followed by any signature toward y: it marks the key as seen
     # and uses its comb, but leaves the build to the chameleon hashes.
-    rhs = proof.u * RECIPIENT_COMBS.pow(params, y, proof.c, build=False) % params.p
-    return lhs == rhs
+    comb = RECIPIENT_COMBS.comb(params, y, build=False)
+    y_c = modexp(y, proof.c, params.p) if comb is None else comb.pow(proof.c)
+    return lhs == proof.u * y_c % params.p

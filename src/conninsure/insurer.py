@@ -289,13 +289,17 @@ class Insurer:
 
     @classmethod
     def load(cls, log_path: str, rng: RandomSource = DEFAULT) -> "Insurer":
-        """Rebuild state from the last snapshot plus the event tail."""
+        """Rebuild state from the last snapshot plus the event tail.  The
+        tail counts toward the next snapshot as it did when it was written,
+        so a log driven through reloads takes its snapshots where one
+        driven by a single process does."""
         frames = wire.read_log(log_path)
-        start = 0
+        start = counted = 0
         for i, (offset, payload) in enumerate(frames):
             tag = wire.decode_frame(_event_tag, log_path, offset, payload)
             if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-                start = i
+                # The frames since it: a SETUP counts itself, a SNAPSHOT not.
+                start, counted = i, len(frames) - i - (tag == wire.LOG_SNAPSHOT)
         insurer = None
         for offset, payload in frames[start:]:
             tag, value = wire.decode_frame(_decode_event, log_path, offset, payload)
@@ -313,6 +317,7 @@ class Insurer:
         if insurer is None:
             raise EncodingError("log contains no snapshot")
         insurer._log_path = log_path
+        insurer._events_since_snapshot = counted
         return insurer
 
     def close(self) -> None:

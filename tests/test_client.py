@@ -7,7 +7,7 @@ import pytest
 
 from support import FailAt, count_written, fail_once, fail_write, io_error, torn_write
 from conninsure import crypto, merkle, tlssim, wire
-from conninsure.client import LIST_FILE, ClientState
+from conninsure.client import ARCHIVE_FILE, LIST_FILE, ROLLBACK_FILE, ClientState
 from conninsure.errors import (
     CorruptionError,
     InsurerMisbehavior,
@@ -541,6 +541,32 @@ class TestSaveFaults:
         assert [index for _, _, index in _list_frames(directory)] == [2]
 
         reloaded = ClientState.load(directory)
+        assert reloaded.certs == client.certs
+        assert [_claim(reloaded, r) for r in saved] == [_claim(client, r) for r in saved]
+        _next_cycle_covered(world, reloaded, directory, 2)
+
+    @pytest.mark.parametrize("name", [ARCHIVE_FILE, ROLLBACK_FILE])
+    def test_save_after_a_failed_cut_rewrites_the_log(
+        self, tmp_path, world, monkeypatch, name
+    ):
+        """An append to archive.tlv or rollback.tlv that tears and cannot be
+        cut back raises CorruptionError; saving again replaces that log
+        instead of appending behind the torn bytes."""
+        directory = str(tmp_path)
+        client = world[3]
+        saved = [_closed_cycle(world, client, 0)]
+        client.save(directory)
+        saved.append(_closed_cycle(world, client, 1))
+        fail_write(monkeypatch, torn_write, name)
+        fail_once(monkeypatch, wire.os, "ftruncate", io_error)
+        with pytest.raises(CorruptionError, match="could not be cut off"):
+            client.save(directory)
+        monkeypatch.undo()
+        client.save(directory)
+
+        reloaded = ClientState.load(directory)
+        assert reloaded.archive == client.archive
+        assert reloaded.rollback_entries == client.rollback_entries
         assert reloaded.certs == client.certs
         assert [_claim(reloaded, r) for r in saved] == [_claim(client, r) for r in saved]
         _next_cycle_covered(world, reloaded, directory, 2)

@@ -238,11 +238,59 @@ class TestFixedBaseComb:
                 assert comb.pow(e) == pow(base, e, params.p)
 
     @pytest.mark.parametrize("params", _GROUPS, ids=["2048", "toy"])
+    def test_pow2_matches_pow(self, params, rng):
+        """g^e * y^f in one pass, either comb first, for the edge exponents
+        on both sides and random ones."""
+        top = (1 << params.q.bit_length()) - 1
+        edges = [0, 1, params.q - 1, top]
+        pairs = [(e, f) for e in edges for f in edges]
+        pairs += [(rng.below(params.q), rng.below(params.q)) for _ in range(10)]
+        (g_comb, g), (y_comb, y) = _combs(params)
+        for e, f in pairs:
+            expected = pow(g, e, params.p) * pow(y, f, params.p) % params.p
+            assert g_comb.pow2(e, y_comb, f) == expected
+            assert y_comb.pow2(f, g_comb, e) == expected
+
+    @pytest.mark.parametrize(
+        "shape, other_shape",
+        [((1, 1), (8, 3)), ((3, 2), (5, 1)), ((8, 2), (6, 2)), ((7, 4), (2, 9))],
+    )
+    def test_pow2_with_combs_of_other_shapes(self, shape, other_shape, rng):
+        """Combs whose column counts differ, from one column to a table per
+        column, give the same products as pow()."""
+        p, bits = crypto.GROUP_2048_256.p, 61
+        base, other_base = 3, 5
+        comb = crypto.FixedBaseComb(base, p, bits, *shape)
+        other = crypto.FixedBaseComb(other_base, p, bits, *other_shape)
+        for e, f in [(0, 0), (1, (1 << bits) - 1), ((1 << bits) - 1, 0)] + [
+            (rng.below(1 << bits), rng.below(1 << bits)) for _ in range(10)
+        ]:
+            expected = pow(base, e, p) * pow(other_base, f, p) % p
+            assert comb.pow(e) == pow(base, e, p)
+            assert comb.pow2(e, other, f) == expected
+            assert other.pow2(f, comb, e) == expected
+
+    @pytest.mark.parametrize("params", _GROUPS, ids=["2048", "toy"])
     def test_out_of_range_exponent_rejected(self, params):
-        for comb, _ in _combs(params):
-            for e in (-1, 1 << params.q.bit_length()):
+        (g_comb, _), (y_comb, _) = _combs(params)
+        for e in (-1, 1 << params.q.bit_length()):
+            for comb in (g_comb, y_comb):
                 with pytest.raises(ParameterError):
                     comb.pow(e)
+            with pytest.raises(ParameterError):
+                g_comb.pow2(e, y_comb, 1)
+            with pytest.raises(ParameterError):
+                g_comb.pow2(1, y_comb, e)
+
+    def test_bad_dimensions_rejected(self):
+        p = crypto.TOY_GROUP.p
+        for teeth in (0, 9):  # an index is one byte
+            with pytest.raises(ParameterError):
+                crypto.FixedBaseComb(2, p, 8, teeth)
+        toy = crypto.FixedBaseComb(2, p, 8, 2)
+        prod = crypto.FixedBaseComb(2, crypto.GROUP_2048_256.p, 8, 2)
+        with pytest.raises(ParameterError):
+            toy.pow2(1, prod, 1)
 
     def test_generator_comb_built_once(self):
         params = crypto.GroupParams(crypto.TOY_GROUP.p, crypto.TOY_GROUP.q, 4)
@@ -258,8 +306,14 @@ class TestFixedBaseComb:
     ):
         """Signatures and hashes made with the key cold, while its comb is
         built and with it warm are identical, and match the plain formula."""
-        monkeypatch.setattr(crypto, "RECIPIENT_COMBS", crypto.RecipientCombs(8))
+        cache, built = _counting_combs(monkeypatch, capacity=8)
         recipient = request.getfixturevalue(chameleon).public
+        e, r = crypto.message_exponent(params, b"m"), params.q - 2
+        expected = pow(params.g, e, params.p) * pow(recipient.y, r, params.p) % params.p
+        for sight in range(3):  # a plain pow(), then a pass with the new comb, then warm
+            assert crypto.chameleon_hash(params, recipient.y, b"m", r) == expected
+            assert built == ([] if sight == 0 else [recipient.y])
+        cache.clear()
         runs = []
         for _ in range(3):
             sig, ch = crypto.chameleon_sign(
@@ -295,19 +349,21 @@ class TestRecipientCombs:
         exponents = [0, 1, params.q - 1] + [rng.below(params.q) for _ in range(5)]
         for sight in range(3):
             for y in keys:
-                for e in exponents:
-                    assert cache.pow(params, y, e) == pow(y, e, params.p), (sight, y, e)
+                comb = cache.comb(params, y)
+                assert (comb is None) is (sight == 0)
+                for e in exponents if comb else ():
+                    assert comb.pow(e) == pow(y, e, params.p), (sight, y, e)
         assert sorted(built) == sorted(keys)
 
     def test_comb_built_on_second_sight_only(self, prod_chameleon, monkeypatch):
         cache, built = _counting_combs(monkeypatch)
         params, y = prod_chameleon.params, prod_chameleon.y
-        cache.pow(params, y, 5)
+        assert cache.comb(params, y) is None
         assert built == [] and len(cache) == 1
-        cache.pow(params, y, 6)
+        comb = cache.comb(params, y)
         assert built == [y]
-        for e in range(3):
-            cache.pow(params, y, e)
+        for _ in range(3):
+            assert cache.comb(params, y) is comb
         assert built == [y]
 
     def test_trapdoor_checks_mark_keys_and_hashes_build(
@@ -337,12 +393,13 @@ class TestRecipientCombs:
         cache, built = _counting_combs(monkeypatch, capacity)
         params = crypto.TOY_GROUP
         for y in range(2, 2 + capacity + 3):
-            for e in range(3):
-                assert cache.pow(params, y, e) == pow(y, e, params.p)
+            for _ in range(3):
+                comb = cache.comb(params, y)
+            assert comb.pow(2) == pow(y, 2, params.p)
             assert len(cache) <= capacity
         assert len(built) == capacity + 3
         # The oldest keys were evicted: the first is cold again.
-        cache.pow(params, 2, 1)
+        assert cache.comb(params, 2) is None
         assert len(built) == capacity + 3
         assert crypto.RECIPIENT_COMB_CAPACITY == 256
 
@@ -359,7 +416,8 @@ class TestRecipientCombs:
             for _ in range(3):
                 for y in keys:
                     e = rng.below(params.q)
-                    if cache.pow(params, y, e) != pow(y, e, params.p):
+                    comb = cache.comb(params, y)
+                    if comb is not None and comb.pow(e) != pow(y, e, params.p):
                         errors.append((seed, y, e))
                     if len(cache) > cache.capacity:
                         errors.append(("over capacity", len(cache)))

@@ -761,6 +761,25 @@ class TestLogFaults:
         assert reloaded.update_cert_list([b"cert-delta"], []) == 1
         reloaded.close()
 
+    def test_reload_counts_the_tail_toward_the_next_snapshot(self, tmp_path, monkeypatch):
+        """A log driven with a reload before every event, as the CLI drives
+        it, takes its snapshots where a log driven by one process does: a
+        reloaded insurer snapshots after SNAPSHOT_INTERVAL - tail events."""
+        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 3)
+        single, reloaded = tmp_path / "single.log", tmp_path / "reloaded.log"
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(single))
+        for i in range(8):
+            insurer.update_cert_list([b"cert-%d" % i], [])
+        insurer.close()
+        Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(reloaded)).close()
+        for i in range(8):
+            insurer = Insurer.load(str(reloaded))
+            insurer.update_cert_list([b"cert-%d" % i], [])
+            insurer.close()
+        tags = [payload[0] for payload in wire.iter_frames(single.read_bytes())]
+        assert tags.count(wire.LOG_SNAPSHOT) == 3
+        assert reloaded.read_bytes() == single.read_bytes()
+
     def test_failed_snapshot_keeps_its_event(self, tmp_path, monkeypatch):
         """The periodic snapshot is appended after its event is applied; if
         it fails, the operation still succeeds and the next event appends
