@@ -132,10 +132,11 @@ class ClientState:
     def _verify_countersignature(
         self, payload: bytes, chsig: crypto.ChameleonSignature, label: str
     ) -> None:
-        """Check an insurer countersignature under this client's own chameleon key."""
-        ok = crypto.chameleon_verify(
+        """Check an insurer countersignature under this client's own chameleon
+        key, through its trapdoor."""
+        ok = crypto.recipient_verify(
             self.contract.pk_in,
-            self.chameleon_kp.public,
+            self.chameleon_kp,
             payload,
             chsig,
             context=chameleon_context(self.customer, label),

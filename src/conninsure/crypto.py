@@ -13,7 +13,9 @@ comb.  With both combs a chameleon hash g^h(m) * y^r is one pass over the
 columns of both (FixedBaseComb.pow2): at the 2048/256 group, 21 shared
 squarings and at most 75 multiplications, about a fifth of two plain pow()
 calls, so the pure-Python path meets the 5 ms sign/verify gate; a key seen
-once (a cold recipient) pays one full pow().  verify_trapdoor keeps the results
+once (a cold recipient) pays one full pow().  The recipient itself holds
+x, so recipient_verify takes CH as g^{(h(m) + x*r) mod q}, one pass of the
+generator comb, and builds no comb for y.  verify_trapdoor keeps the results
 of its last RECIPIENT_COMB_CAPACITY distinct calls, keyed by every input
 (the context by its hash), so a process checks a contract's proof once
 while it stays there: the insurer's registration, the client's own check
@@ -499,6 +501,17 @@ def chameleon_hash(params: GroupParams, y: int, message: bytes, r: int) -> int:
     return g_comb.pow2(e, y_comb, r)
 
 
+def trapdoor_hash(kp: ChameleonKeyPair, message: bytes, r: int) -> int:
+    """CH(m, r) as its recipient computes it: g^{(h(m) + x*r) mod q}, one
+    comb pass over g and no power of y.  It equals chameleon_hash only if
+    y = g^x."""
+    params = kp.params
+    if not 0 <= r < params.q:
+        raise ParameterError("chameleon randomizer out of range")
+    e = (message_exponent(params, message) + kp.x * r) % params.q
+    return generator_comb(params).pow(e)
+
+
 def find_collision(
     kp: ChameleonKeyPair, message: bytes, r: int, new_message: bytes
 ) -> int:
@@ -568,6 +581,24 @@ def chameleon_verify(
         return False
     ch = chameleon_hash(params, recipient.y, message, sig.r)
     return verify(signer_pub, _chameleon_digest(params, ch, sig.context), sig.inner_sig)
+
+
+def recipient_verify(
+    signer_pub: PublicKey,
+    kp: ChameleonKeyPair,
+    message: bytes,
+    sig: ChameleonSignature,
+    context: bytes | None = None,
+) -> bool:
+    """chameleon_verify for the recipient, who holds the trapdoor: CH comes
+    from trapdoor_hash.  That is CH only if y = g^x, so a signature it
+    rejects is checked again by chameleon_verify; a key pair whose y is not
+    g^x never makes a good signature look forged."""
+    if (context is None or sig.context == context) and 0 <= sig.r < kp.params.q:
+        ch = trapdoor_hash(kp, message, sig.r)
+        if verify(signer_pub, _chameleon_digest(kp.params, ch, sig.context), sig.inner_sig):
+            return True
+    return chameleon_verify(signer_pub, kp.public, message, sig, context)
 
 
 # ---------------------------------------------------------------------------

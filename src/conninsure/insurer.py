@@ -48,6 +48,11 @@ _log = logging.getLogger(__name__)
 
 RECENCY_WINDOW = 300
 DEFAULT_POLICY_DAYS = 365
+# A snapshot follows an event once at least this many events have been
+# appended since the last SETUP or SNAPSHOT frame (a SETUP counts itself)
+# and their payload bytes are at least that frame's.  The events pay for
+# every snapshot but the latest, so the log stays under about twice its
+# event bytes plus one snapshot, however long it runs.
 SNAPSHOT_INTERVAL = 256
 
 _PENDING = "pending"
@@ -255,7 +260,11 @@ class Insurer:
         self._lock = threading.RLock()
         self._log_path: str | None = None
         self._log_broken = False
+        # Frames and payload bytes appended since the last SETUP or
+        # SNAPSHOT frame, and that frame's payload bytes.
         self._events_since_snapshot = 0
+        self._bytes_since_snapshot = 0
+        self._snapshot_size = 0
 
     @property
     def certs(self) -> list[bytes]:
@@ -285,6 +294,7 @@ class Insurer:
             wire.replace_frames(log_path, [setup])
             insurer._log_path = log_path
             insurer._events_since_snapshot = 1  # SETUP counts, as every frame does
+            insurer._snapshot_size = len(setup)
         return insurer
 
     @classmethod
@@ -294,12 +304,11 @@ class Insurer:
         so a log driven through reloads takes its snapshots where one
         driven by a single process does."""
         frames = wire.read_log(log_path)
-        start = counted = 0
+        start = 0
         for i, (offset, payload) in enumerate(frames):
             tag = wire.decode_frame(_event_tag, log_path, offset, payload)
             if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-                # The frames since it: a SETUP counts itself, a SNAPSHOT not.
-                start, counted = i, len(frames) - i - (tag == wire.LOG_SNAPSHOT)
+                start = i
         insurer = None
         for offset, payload in frames[start:]:
             tag, value = wire.decode_frame(_decode_event, log_path, offset, payload)
@@ -317,7 +326,10 @@ class Insurer:
         if insurer is None:
             raise EncodingError("log contains no snapshot")
         insurer._log_path = log_path
-        insurer._events_since_snapshot = counted
+        checkpoint, tail = frames[start][1], frames[start + 1 :]
+        insurer._events_since_snapshot = len(tail) + (checkpoint[0] == wire.LOG_SETUP)
+        insurer._bytes_since_snapshot = sum(len(payload) for _, payload in tail)
+        insurer._snapshot_size = len(checkpoint)
         return insurer
 
     def close(self) -> None:
@@ -326,20 +338,32 @@ class Insurer:
 
     def _commit(self, tag: int, value) -> None:
         """Append one event, encoded by its table in _EVENTS, and then apply
-        it; every SNAPSHOT_INTERVAL events, append a snapshot after it.  If
-        the event's append fails, memory is left as it was; if the
-        snapshot's fails, the event stands and the next one retries it."""
+        it; append a snapshot after it when one is due.  If the event's
+        append fails, memory is left as it was; if the snapshot's fails, the
+        event stands, the counters keep counting, and the next event
+        retries it."""
         if self._log_path:
             if self._log_broken:
                 raise CorruptionError("log append could not be undone; restart")
             self._write_frame(_EVENTS[tag].encode(value))
         self._apply(tag, value)
-        if self._log_path and self._events_since_snapshot >= SNAPSHOT_INTERVAL:
+        if self._log_path and self._snapshot_due():
+            snapshot = _SNAPSHOT.encode(self._snapshot_values())
             try:
-                self._write_frame(_SNAPSHOT.encode(self._snapshot_values()))
-                self._events_since_snapshot = 0
+                self._write_frame(snapshot)
             except (OSError, CorruptionError):
                 _log.exception("snapshot append failed")
+            else:
+                self._events_since_snapshot = self._bytes_since_snapshot = 0
+                self._snapshot_size = len(snapshot)
+
+    def _snapshot_due(self) -> bool:
+        """Whether the frames since the last snapshot (or SETUP) are both
+        SNAPSHOT_INTERVAL events and as many bytes as that snapshot."""
+        return (
+            self._events_since_snapshot >= SNAPSHOT_INTERVAL
+            and self._bytes_since_snapshot >= self._snapshot_size
+        )
 
     def _write_frame(self, payload: bytes) -> None:
         """Append one frame and count it toward the next snapshot; if a
@@ -350,6 +374,7 @@ class Insurer:
             self._log_broken = True
             raise
         self._events_since_snapshot += 1
+        self._bytes_since_snapshot += len(payload)
 
     def _snapshot_values(self) -> tuple:
         return (

@@ -46,6 +46,10 @@ class InProcessChannel:
 # sock.recv(n) allocates n bytes before any arrive, and a frame header
 # announces up to 4 GiB, so a frame is read in chunks of at most this size.
 RECV_CHUNK = 1 << 20
+# The largest request frame the insurer reads.  Its largest request, a
+# registration, is under 1 KB at 2048 bits; a connection announcing more
+# is closed.  Responses have no limit: a whole-list download must fit.
+MAX_REQUEST = 64 << 10
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -80,7 +84,7 @@ class _Handler(socketserver.BaseRequestHandler):
         sock = self.request
         while True:
             try:
-                payload = wire.read_frame(lambda n: _recv_exact(sock, n))
+                payload = wire.read_frame(lambda n: _recv_exact(sock, n), MAX_REQUEST)
             except EncodingError:
                 return
             response = handle_request(

@@ -519,10 +519,14 @@ def _frames(payloads: list) -> bytes:
     return b"".join(parts)
 
 
-def read_frame(read_exact) -> bytes:
-    """Read one frame via read_exact(n) -> exactly n bytes (or raises)."""
+def read_frame(read_exact, limit: int | None = None) -> bytes:
+    """Read one frame via read_exact(n) -> exactly n bytes (or raises).  A
+    header that announces more than limit bytes raises EncodingError
+    before any of the body is read."""
     header = read_exact(4)
     (length,) = _LENGTH.unpack(header)
+    if limit is not None and length > limit:
+        raise EncodingError(f"frame of {length} bytes exceeds the limit of {limit}")
     if length == 0:
         return b""
     return read_exact(length)

@@ -1,6 +1,7 @@
 """Client agent: cycle participation, browsing, submission, claim assembly,
 rollback fidelity, and on-disk state determinism."""
 
+import dataclasses
 import os
 
 import pytest
@@ -15,7 +16,13 @@ from conninsure.errors import (
     ParameterError,
     SequencingError,
 )
-from conninsure.insurer import BEGIN_CYCLE_RESPONSE, LIST_DELTA, Insurer
+from conninsure.insurer import (
+    ACK_CERTS_RESPONSE,
+    BEGIN_CYCLE_RESPONSE,
+    LIST_DELTA,
+    SUBMIT_VOUCHERS_RESPONSE,
+    Insurer,
+)
 from conninsure.model import PAD_DOMAIN
 from conninsure.rand import RandomSource
 from conninsure.scenario import SimClock
@@ -101,6 +108,40 @@ class TestUpdateCycle:
             client.do_update_cycle(ForgingChannel(), now=clock.now)
         assert client.open_cycle is None
 
+    @pytest.mark.parametrize("tag", [wire.REQ_ACK_CERTS, wire.REQ_SUBMIT_VOUCHERS],
+                             ids=["ack", "submit"])
+    def test_countersignature_with_flipped_randomizer_aborts(self, world, tag):
+        _, _, channel, client, clock, rng = world
+        q = client.chameleon_kp.params.q
+        response_type = {
+            wire.REQ_ACK_CERTS: ACK_CERTS_RESPONSE,
+            wire.REQ_SUBMIT_VOUCHERS: SUBMIT_VOUCHERS_RESPONSE,
+        }[tag]
+
+        class FlippingChannel:
+            def request(self, payload):
+                response = channel.request(payload)
+                if payload[0] == tag:
+                    sig, *rest = response_type.decode_body(response)
+                    bad = dataclasses.replace(sig, r=(sig.r + 1) % q)
+                    return response_type.encode_body((bad, *rest))
+                return response
+
+        flipping = FlippingChannel()
+        with pytest.raises(InsurerMisbehavior):
+            client.do_update_cycle(flipping, now=clock.now)
+            client.submit_cycle(flipping, now=clock.advance(60), rng=rng)
+        assert client.archive == []
+
+    def test_client_with_wrong_trapdoor_accepts_good_countersignatures(self, world):
+        """A state whose y is not g^x checks the insurer's signatures the
+        two-base way and still takes them as good."""
+        _, _, channel, client, clock, rng = world
+        kp = client.chameleon_kp
+        client.chameleon_kp = crypto.ChameleonKeyPair(kp.params, kp.x % kp.params.q + 1, kp.y)
+        client.do_update_cycle(channel, now=clock.now)
+        assert client.submit_cycle(channel, now=clock.advance(60), rng=rng).covered
+
 
 def _rewriting_channel(channel, rewrite, seen):
     """Passes requests to channel, records their tags in seen, and lets
@@ -166,9 +207,9 @@ class TestDeltaDownload:
         client.save(str(tmp_path))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == on_disk
 
-    @pytest.mark.parametrize("interval", [256, 1], ids=["held-list-replayed", "snapshot"])
+    @pytest.mark.parametrize("snapshots", [False, True], ids=["held-list-replayed", "snapshot"])
     def test_cycle_after_insurer_restart_and_client_load(
-        self, tmp_path, monkeypatch, interval
+        self, tmp_path, monkeypatch, snapshots
     ):
         """After a restart the insurer answers with a delta from the held
         list it replayed, or, if a snapshot dropped it, with the whole list;
@@ -177,7 +218,8 @@ class TestDeltaDownload:
         import conninsure.insurer as insurer_module
         from conninsure import judge
 
-        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", interval)
+        if snapshots:  # a snapshot after every event
+            monkeypatch.setattr(insurer_module.Insurer, "_snapshot_due", lambda self: True)
         rng = RandomSource(56)
         clock = SimClock()
         servers = {d: tlssim.SimServer.create(d, rng=rng, now=clock.now) for d in DOMAINS}
@@ -195,7 +237,7 @@ class TestDeltaDownload:
         insurer.close()
 
         insurer = Insurer.load(log)
-        assert bool(insurer.held) is (interval > 1)
+        assert bool(insurer.held) is not snapshots
         channel = InProcessChannel(insurer, now_fn=clock)
         client = ClientState.load(str(tmp_path / "client"))
         second = client.do_update_cycle(channel, now=clock.advance(3600))

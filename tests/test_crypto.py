@@ -216,6 +216,59 @@ class TestChameleonSignatures:
 _GROUPS = [crypto.GROUP_2048_256, crypto.TOY_GROUP]
 
 
+class TestTrapdoorHash:
+    """The recipient's CH through its trapdoor, against chameleon_hash."""
+
+    @pytest.mark.parametrize("params", _GROUPS, ids=["2048", "toy"])
+    def test_equals_chameleon_hash(self, params):
+        rng = RandomSource(21)
+        kp = crypto.generate_chameleon_keypair(params, rng)
+        for r in (0, params.q - 1, *(rng.below(params.q) for _ in range(20))):
+            m = rng.bytes(rng.below(64))
+            assert crypto.trapdoor_hash(kp, m, r) == crypto.chameleon_hash(params, kp.y, m, r)
+
+    @pytest.mark.parametrize("r", [-1, crypto.TOY_GROUP.q])
+    def test_randomizer_out_of_range_rejected(self, r):
+        kp = crypto.ChameleonKeyPair(crypto.TOY_GROUP, 3, 18)
+        with pytest.raises(ParameterError):
+            crypto.trapdoor_hash(kp, b"m", r)
+
+    def test_recipient_verify_accepts_what_chameleon_verify_does(
+        self, insurer_keypair, prod_chameleon, rng
+    ):
+        sig, _ = crypto.chameleon_sign(
+            insurer_keypair, prod_chameleon.public, b"m", b"ctx", rng
+        )
+        forged_r = crypto.find_collision(prod_chameleon, b"m", sig.r, b"forged")
+        forged = crypto.ChameleonSignature(forged_r, sig.inner_sig, sig.context)
+        q = prod_chameleon.params.q
+        cases = [
+            (b"m", sig, None, True),
+            (b"m", sig, b"ctx", True),
+            (b"forged", forged, b"ctx", True),
+            (b"m", sig, b"other", False),
+            (b"other", sig, None, False),
+            (b"m", dataclasses.replace(sig, r=(sig.r + 1) % q), None, False),
+            (b"m", dataclasses.replace(sig, r=q), None, False),
+            (b"m", dataclasses.replace(sig, inner_sig=sig.inner_sig[:-1] + b"\0"), None, False),
+        ]
+        for message, candidate, context, expected in cases:
+            args = (insurer_keypair.public, message, candidate, context)
+            assert crypto.chameleon_verify(args[0], prod_chameleon.public, *args[1:]) is expected
+            assert crypto.recipient_verify(args[0], prod_chameleon, *args[1:]) is expected
+
+    def test_key_pair_with_wrong_trapdoor_still_verifies(self, insurer_keypair, rng):
+        """If y is not g^x, the trapdoor's CH is wrong; the two-base check
+        behind it keeps a good signature good."""
+        kp = crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng)
+        wrong = dataclasses.replace(kp, x=kp.x + 1)
+        sig, _ = crypto.chameleon_sign(insurer_keypair, kp.public, b"m", b"ctx", rng)
+        assert crypto.trapdoor_hash(wrong, b"m", sig.r) != crypto.chameleon_hash(
+            kp.params, kp.y, b"m", sig.r
+        )
+        assert crypto.recipient_verify(insurer_keypair.public, wrong, b"m", sig, b"ctx")
+
+
 def _combs(params):
     """(comb, base) for g and for a recipient y of the group."""
     kp = crypto.generate_chameleon_keypair(params, RandomSource(11))

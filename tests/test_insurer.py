@@ -133,8 +133,9 @@ class TestSetup:
         log = tmp_path / "insurer.log"
         persisted = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
         persisted.register(_registration(RandomSource(12))[2], NOW)
-        persisted.update_cert_list([b"cert-delta"], [])
-        persisted.update_cert_list([b"cert-epsilon"], [])
+        # Certificates large enough that two events outweigh the snapshot.
+        persisted.update_cert_list([b"cert-delta" * 25], [])
+        persisted.update_cert_list([b"cert-epsilon" * 25], [])
         persisted.close()
         frames = list(wire.iter_frames(log.read_bytes()))
         tags = [frame[0] for frame in frames]
@@ -708,6 +709,51 @@ def _reloaded_snapshot(log: str) -> bytes:
     return reloaded.snapshot_bytes()
 
 
+def _fail_second_fsync(monkeypatch) -> None:
+    synced = []
+    real_fsync = insurer_module.os.fsync
+
+    def fsync(fd):
+        synced.append(fd)
+        if len(synced) == 2:
+            io_error(real_fsync, fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(insurer_module.os, "fsync", fsync)
+
+
+def _single_and_reloaded_logs(tmp_path, certs, updates) -> tuple[bytes, bytes]:
+    """The log of one insurer making the list updates, and that of one
+    reloaded from its log before each update."""
+    single, reloaded = tmp_path / "single.log", tmp_path / "reloaded.log"
+    insurer = Insurer.setup(certs, rng=RandomSource(11), log_path=str(single))
+    for adds, removes in updates:
+        insurer.update_cert_list(adds, removes)
+    insurer.close()
+    Insurer.setup(certs, rng=RandomSource(11), log_path=str(reloaded)).close()
+    for adds, removes in updates:
+        insurer = Insurer.load(str(reloaded))
+        insurer.update_cert_list(adds, removes)
+        insurer.close()
+    return single.read_bytes(), reloaded.read_bytes()
+
+
+def _assert_snapshots_follow_the_rule(frames: list[bytes]) -> None:
+    """A snapshot follows exactly the events after which the frames since
+    the last SETUP or SNAPSHOT are SNAPSHOT_INTERVAL events (a SETUP
+    counting itself) and at least as many payload bytes as it."""
+    due = False
+    for payload in frames:
+        if payload[0] in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
+            assert due is (payload[0] == wire.LOG_SNAPSHOT)
+            events, size, since = int(payload[0] == wire.LOG_SETUP), len(payload), 0
+        else:
+            assert not due
+            events, since = events + 1, since + len(payload)
+        due = events >= insurer_module.SNAPSHOT_INTERVAL and since >= size
+    assert not due
+
+
 class TestLogFaults:
     """A failed log append leaves memory equal to what the log replays to."""
 
@@ -766,19 +812,54 @@ class TestLogFaults:
         it, takes its snapshots where a log driven by one process does: a
         reloaded insurer snapshots after SNAPSHOT_INTERVAL - tail events."""
         monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 3)
-        single, reloaded = tmp_path / "single.log", tmp_path / "reloaded.log"
-        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(single))
-        for i in range(8):
-            insurer.update_cert_list([b"cert-%d" % i], [])
-        insurer.close()
-        Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(reloaded)).close()
-        for i in range(8):
-            insurer = Insurer.load(str(reloaded))
-            insurer.update_cert_list([b"cert-%d" % i], [])
-            insurer.close()
-        tags = [payload[0] for payload in wire.iter_frames(single.read_bytes())]
+        # Each update swaps one large certificate for the next, so the list
+        # stays one certificate long, every event outweighs a third of the
+        # snapshot, and the event count alone decides.
+        big = [bytes([i]) * 300 for i in range(9)]
+        updates = [([big[i + 1]], [big[i]]) for i in range(8)]
+        certs = CERTS + big[:1]
+        single, reloaded = _single_and_reloaded_logs(tmp_path, certs, updates)
+        tags = [payload[0] for payload in wire.iter_frames(single)]
         assert tags.count(wire.LOG_SNAPSHOT) == 3
-        assert reloaded.read_bytes() == single.read_bytes()
+        assert reloaded == single
+
+    def test_reload_keeps_the_byte_count_toward_the_next_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        """Where the bytes decide, a log driven through reloads still takes
+        its snapshots where one driven by a single process does."""
+        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 1)
+        updates = [([b"cert-%d" % i], []) for i in range(30)]
+        single, reloaded = _single_and_reloaded_logs(tmp_path, CERTS, updates)
+        frames = list(wire.iter_frames(single))
+        snapshots = [payload for payload in frames if payload[0] == wire.LOG_SNAPSHOT]
+        assert 2 <= len(snapshots) < len(updates) // 4
+        _assert_snapshots_follow_the_rule(frames)
+        assert reloaded == single
+
+    def test_snapshots_cost_no_more_than_the_events(self, tmp_path, monkeypatch):
+        """The events since a snapshot pay for it: over a log of 1 000
+        events, SETUP and snapshots together are at most the event bytes
+        plus the latest of them, so the log grows linearly."""
+        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 8)
+        log = tmp_path / "insurer.log"
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
+        rng = RandomSource(12)
+        customers = []
+        for _ in range(4):
+            keypair, _, request = _registration(rng)
+            customers.append((keypair, insurer.register(request, NOW)))
+        for i in range(332):
+            keypair, contract = customers[i % len(customers)]
+            _run_cycle(insurer, keypair, contract, NOW + i)
+        insurer.close()
+        frames = list(wire.iter_frames(log.read_bytes()))
+        checkpoints = [p for p in frames if p[0] in (wire.LOG_SETUP, wire.LOG_SNAPSHOT)]
+        events = [p for p in frames if p[0] not in (wire.LOG_SETUP, wire.LOG_SNAPSHOT)]
+        assert len(events) >= 1000 and len(checkpoints) >= 4
+        _assert_snapshots_follow_the_rule(frames)
+        assert sum(map(len, checkpoints)) <= sum(map(len, events)) + len(checkpoints[-1])
+        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
 
     def test_failed_snapshot_keeps_its_event(self, tmp_path, monkeypatch):
         """The periodic snapshot is appended after its event is applied; if
@@ -787,18 +868,31 @@ class TestLogFaults:
         monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 2)
         log = tmp_path / "insurer.log"
         insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
-        synced = []
-        real_fsync = insurer_module.os.fsync
-
-        def fsync(fd):  # the second fsync is the snapshot's
-            synced.append(fd)
-            if len(synced) == 2:
-                io_error(real_fsync, fd)
-            real_fsync(fd)
-
-        monkeypatch.setattr(insurer_module.os, "fsync", fsync)
-        assert insurer.update_cert_list([b"cert-delta"], []) == 1
+        _fail_second_fsync(monkeypatch)  # the first is the event's
+        # A certificate large enough that its event outweighs the SETUP.
+        assert insurer.update_cert_list([b"cert-delta" * 25], []) == 1
         assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
+        insurer.update_cert_list([b"cert-epsilon"], [])
+        insurer.close()
+        tags = [payload[0] for payload in wire.iter_frames(log.read_bytes())]
+        assert tags == [
+            wire.LOG_SETUP, wire.LOG_UPDATE_CERTS, wire.LOG_UPDATE_CERTS, wire.LOG_SNAPSHOT
+        ]
+        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["live", "reloaded"])
+    def test_failed_snapshot_keeps_its_byte_count(self, tmp_path, monkeypatch, reload):
+        """After a failed snapshot append the bytes since the SETUP still
+        count, in memory and as a reload restores them: the next event,
+        however small, retries the snapshot."""
+        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 1)
+        log = tmp_path / "insurer.log"
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
+        _fail_second_fsync(monkeypatch)
+        insurer.update_cert_list([b"cert-delta" * 25], [])
+        if reload:
+            insurer.close()
+            insurer = Insurer.load(str(log))
         insurer.update_cert_list([b"cert-epsilon"], [])
         insurer.close()
         tags = [payload[0] for payload in wire.iter_frames(log.read_bytes())]

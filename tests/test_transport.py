@@ -18,6 +18,7 @@ from conninsure.transport import (
     InProcessChannel,
     InsurerServer,
     SocketChannel,
+    MAX_REQUEST,
     _recv_exact,
 )
 
@@ -142,3 +143,32 @@ def test_announced_frame_length_is_not_allocated_up_front():
         assert peak < 4 << 20
     finally:
         ours.close()
+
+
+def test_oversized_request_frame_closes_its_connection(served_insurer):
+    """A request header announcing 1 GiB gets its connection closed before
+    any body is read; another connection is still served."""
+    _, address = served_insurer
+    with socket.create_connection(address) as hostile:
+        hostile.settimeout(10)
+        hostile.sendall(struct.pack(">I", 1 << 30) + b"0123456789")
+        try:
+            closed = hostile.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+        assert closed
+    channel = SocketChannel(*address)
+    try:
+        rng = RandomSource(75)
+        client = ClientState.register(channel, 86_400, rng=rng, group=crypto.TOY_GROUP)
+        assert client.customer == 1
+    finally:
+        channel.close()
+
+
+def test_read_frame_limit():
+    frames = iter([struct.pack(">I", MAX_REQUEST), b"x" * MAX_REQUEST])
+    assert wire.read_frame(lambda n: next(frames), MAX_REQUEST) == b"x" * MAX_REQUEST
+    frames = iter([struct.pack(">I", MAX_REQUEST + 1)])
+    with pytest.raises(EncodingError, match="exceeds the limit"):
+        wire.read_frame(lambda n: next(frames), MAX_REQUEST)
