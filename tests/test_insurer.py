@@ -710,6 +710,7 @@ def _reloaded_snapshot(log: str) -> bytes:
 
 
 def _fail_second_fsync(monkeypatch) -> None:
+    """Make the second os.fsync from now on raise an injected I/O error."""
     synced = []
     real_fsync = insurer_module.os.fsync
 
@@ -812,9 +813,9 @@ class TestLogFaults:
         it, takes its snapshots where a log driven by one process does: a
         reloaded insurer snapshots after SNAPSHOT_INTERVAL - tail events."""
         monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 3)
-        # Each update swaps one large certificate for the next, so the list
-        # stays one certificate long, every event outweighs a third of the
-        # snapshot, and the event count alone decides.
+        # Each update swaps one large certificate for the next, so the
+        # snapshot stays the same size, any two events outweigh it, and the
+        # event count alone decides.
         big = [bytes([i]) * 300 for i in range(9)]
         updates = [([big[i + 1]], [big[i]]) for i in range(8)]
         certs = CERTS + big[:1]
