@@ -1,12 +1,11 @@
 """Wall-clock benchmark for chameleon sign/verify at production group size.
 
 The gated means are for one recipient, whose comb (6 teeth, 2 tables) the
-crypto module's recipient cache builds inside the timed sign loop on the
-key's second use (the warm case: a client checking its own
-countersignatures); from then on each chameleon hash is one pass over the
-columns of g's comb and y's.  The cold mean signs toward a never-seen
-recipient on every call, so each pays a power of g's comb times one plain
-pow(); it is reported, not gated.
+first chameleon hash toward it builds inside the timed sign loop (the warm
+case: an insurer signing for a returning customer); from then on each
+chameleon hash is one pass over the columns of g's comb and y's.  The cold
+mean signs toward a never-seen recipient on every call, so each pays one
+comb build for that key plus one pass; it is reported, not gated.
 """
 
 import time

@@ -2,34 +2,30 @@
 oracles, the chameleon hash/signature construction, and the Schnorr-style
 proof of trapdoor knowledge.
 
-All group arithmetic happens in a prime-order subgroup of Z_p^*.  The hot
-kernel is modular exponentiation.  Every power of the generator g goes
-through one fixed-base comb per group (FixedBaseComb, Lim-Lee; 8 teeth,
-2 tables).  Every power of a recipient key y (y^r in the chameleon hash,
-y^c in the trapdoor proof check) goes through RECIPIENT_COMBS, a bounded
-LRU of combs (6 teeth, 2 tables) keyed by (params, y): a key's first use
-is a plain pow(), and a chameleon hash toward a key seen before builds its
-comb.  With both combs a chameleon hash g^h(m) * y^r is one pass over the
-columns of both (FixedBaseComb.pow2): at the 2048/256 group, 21 shared
-squarings and at most 75 multiplications, about a fifth of two plain pow()
-calls, so the pure-Python path meets the 5 ms sign/verify gate; a key seen
-once (a cold recipient) pays one full pow().  The recipient itself holds
-x, so recipient_verify takes CH as g^{(h(m) + x*r) mod q}, one pass of the
-generator comb, and builds no comb for y.  verify_trapdoor keeps the results
-of its last RECIPIENT_COMB_CAPACITY distinct calls, keyed by every input
-(the context by its hash), so a process checks a contract's proof once
-while it stays there: the insurer's registration, the client's own check
-and every claim the judge settles under that contract share one result.
-The caches hold only public values and never change a result.  Powers of
-other bases use built-in pow().
+All group arithmetic happens in a prime-order subgroup of Z_p^*, one of
+GROUPS.  The hot kernel is modular exponentiation, and every cache here is
+a functools.lru_cache holding public values only, so none changes a
+result.  Every power of the generator g goes through generator_comb, one
+fixed-base comb per group (FixedBaseComb, Lim-Lee; 8 teeth, 2 tables).
+A recipient key y gets its comb (6 teeth, 2 tables) from recipient_comb,
+which keeps RECIPIENT_COMB_CAPACITY keys; the first chameleon hash toward
+a key builds it.  A chameleon hash g^h(m) * y^r is one pass over the
+columns of both combs (FixedBaseComb.pow2): at the 2048/256 group, 21
+shared squarings and at most 75 multiplications, about a fifth of two
+plain pow() calls, so the pure-Python path meets the 5 ms sign/verify
+gate.  The recipient itself holds x, so recipient_verify takes CH as
+g^{(h(m) + x*r) mod q}, one pass of the generator comb, and builds no comb
+for y.  verify_trapdoor checks the ranges and the Fiat-Shamir challenge on
+every call, then raises y to c by modexp; _proof_holds caches that last
+step for RECIPIENT_COMB_CAPACITY proofs, keyed without the context, so the
+insurer's registration, the client's own check and every claim the judge
+settles under one contract raise its powers once.  Powers of other bases
+use built-in pow().
 """
 
 import functools
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import KeyFormatError, ParameterError
 from .rand import DEFAULT, RandomSource
@@ -351,6 +347,10 @@ GROUP_2048_256 = GroupParams(
 # Tiny group for algebra tests; offers no security.
 TOY_GROUP = GroupParams(p=23, q=11, g=4)
 
+# The groups a contract may name.  A peer naming another is refused before
+# any power is computed, so no peer picks a group whose comb costs seconds.
+GROUPS = (GROUP_2048_256, TOY_GROUP)
+
 
 @functools.lru_cache(maxsize=4)
 def generator_comb(params: GroupParams) -> FixedBaseComb:
@@ -389,8 +389,14 @@ def generate_chameleon_keypair(
     return ChameleonKeyPair(params, x, generator_comb(params).pow(x))
 
 
+# At most 8 MB of combs at 2048 bits: room for every customer of a fleet.
+RECIPIENT_COMB_CAPACITY = 256
+
+
+@functools.lru_cache(maxsize=RECIPIENT_COMB_CAPACITY)
 def recipient_comb(recipient: ChameleonPublicKey) -> FixedBaseComb:
-    """A comb for one recipient's y: 128 elements (32 KB at 2048 bits).
+    """The comb for one recipient's y, built by the first chameleon hash
+    toward it: 128 elements (32 KB at 2048 bits).
 
     Building it costs about 1.2 plain exponentiations, so it pays off for a
     key that checks or receives many signatures.
@@ -399,106 +405,18 @@ def recipient_comb(recipient: ChameleonPublicKey) -> FixedBaseComb:
     return FixedBaseComb(recipient.y, params.p, params.q.bit_length(), teeth=6, tables=2)
 
 
-# At most 8 MB of combs at 2048 bits: room for every customer of a fleet.
-RECIPIENT_COMB_CAPACITY = 256
-
-_UNSEEN = object()
-
-
-class CacheInfo(NamedTuple):
-    """The fields of functools.lru_cache's cache_info(), in its order."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-class LRU:
-    """Thread-safe map that keeps the capacity keys used last; get counts
-    its hits and misses."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = self._misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:  # _put may hold capacity + 1 entries for a moment
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = self._misses = 0
-
-    def cache_info(self) -> CacheInfo:
-        with self._lock:
-            return CacheInfo(self._hits, self._misses, self.capacity, len(self._entries))
-
-    def _put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def get(self, key, default=None):
-        with self._lock:
-            value = self._entries.get(key, _UNSEEN)
-            if value is _UNSEEN:
-                self._misses += 1
-                return default
-            self._hits += 1
-            self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._put(key, value)
-
-
-class RecipientCombs(LRU):
-    """LRU of recipient combs keyed by value (params, y).
-
-    An entry is None once its key has been seen and the comb once the key
-    is seen again, so a key used only once costs one plain pow() and no
-    comb.  Combs are built outside the lock; two threads racing on one key
-    may both build it, and either copy gives the same powers.
-    """
-
-    def comb(self, params: GroupParams, y: int, build: bool = True) -> FixedBaseComb | None:
-        """The comb for y, or None while the key is cold: on its first
-        sight, and, with build False, until another call builds it."""
-        key = (params, y)
-        with self._lock:
-            comb = self._entries.get(key, _UNSEEN)
-            self._put(key, None if comb is _UNSEEN else comb)
-        if comb is None and build:
-            comb = recipient_comb(ChameleonPublicKey(params, y))
-            with self._lock:
-                self._put(key, comb)
-        return None if comb is _UNSEEN else comb
-
-
-RECIPIENT_COMBS = RecipientCombs(RECIPIENT_COMB_CAPACITY)
-
-
 def message_exponent(params: GroupParams, message: bytes) -> int:
     """h(m) as a big-endian integer reduced mod q."""
     return int.from_bytes(hash_h(message), "big") % params.q
 
 
 def chameleon_hash(params: GroupParams, y: int, message: bytes, r: int) -> int:
-    """CH(m, r) = g^{h(m)} * y^r mod p, in one comb pass once y's comb exists."""
+    """CH(m, r) = g^{h(m)} * y^r mod p, in one pass over g's comb and y's."""
     if not 0 <= r < params.q:
         raise ParameterError("chameleon randomizer out of range")
-    g_comb = generator_comb(params)
     e = message_exponent(params, message)
-    y_comb = RECIPIENT_COMBS.comb(params, y)
-    if y_comb is None:
-        return g_comb.pow(e) * modexp(y, r, params.p) % params.p
-    return g_comb.pow2(e, y_comb, r)
+    y_comb = recipient_comb(ChameleonPublicKey(params, y))
+    return generator_comb(params).pow2(e, y_comb, r)
 
 
 def trapdoor_hash(kp: ChameleonKeyPair, message: bytes, r: int) -> int:
@@ -640,45 +558,29 @@ def prove_trapdoor(
     return TrapdoorProof(u, c, z)
 
 
-# Results of the last RECIPIENT_COMB_CAPACITY distinct proof checks.
-TRAPDOOR_MEMO = LRU(RECIPIENT_COMB_CAPACITY)
-
-
 def verify_trapdoor(
     y: int, params: GroupParams, context: bytes, proof: TrapdoorProof
 ) -> bool:
     """Accept iff g^z = u * y^c mod p with c recomputed from the transcript.
 
-    Memoized on (y, params, hash_h(context), proof): a contract checked
-    again (each claim embeds its contract) costs a lookup.  The memo keeps
-    a digest of the context, not the context, which a peer chooses and
-    which embeds a registration's whole signature key.  A peer sending new
-    proofs can only evict entries, each costing one check again.
+    The ranges and the challenge, a hash, are checked on every call; only
+    the powers are cached, keyed without the context, so a contract checked
+    again (each claim embeds its contract) costs one hash, and a context
+    that fails the challenge is never held.
     """
-    key = (y, params, hash_h(context), proof)
-    ok = TRAPDOOR_MEMO.get(key)
-    if ok is None:
-        ok = _check_trapdoor(y, params, context, proof)
-        TRAPDOOR_MEMO.put(key, ok)
-    return ok
-
-
-# functools.lru_cache's interface to the memo.
-verify_trapdoor.cache_info = TRAPDOOR_MEMO.cache_info
-verify_trapdoor.cache_clear = TRAPDOOR_MEMO.clear
-
-
-def _check_trapdoor(
-    y: int, params: GroupParams, context: bytes, proof: TrapdoorProof
-) -> bool:
-    if not (0 < proof.u < params.p and 0 <= proof.z < params.q):
+    if not (0 < y < params.p and 0 < proof.u < params.p and 0 <= proof.z < params.q):
         return False
     if proof.c != _trapdoor_challenge(params, y, proof.u, context):
         return False
+    return _proof_holds(y, params, proof)
+
+
+@functools.lru_cache(maxsize=RECIPIENT_COMB_CAPACITY)
+def _proof_holds(y: int, params: GroupParams, proof: TrapdoorProof) -> bool:
     lhs = generator_comb(params).pow(proof.z)
-    # A proof is checked at registration and by contract checks, which need
-    # not be followed by any signature toward y: it marks the key as seen
-    # and uses its comb, but leaves the build to the chameleon hashes.
-    comb = RECIPIENT_COMBS.comb(params, y, build=False)
-    y_c = modexp(y, proof.c, params.p) if comb is None else comb.pow(proof.c)
-    return lhs == proof.u * y_c % params.p
+    return lhs == proof.u * modexp(y, proof.c, params.p) % params.p
+
+
+# The test suite clears the cache between tests through these.
+verify_trapdoor.cache_info = _proof_holds.cache_info
+verify_trapdoor.cache_clear = _proof_holds.cache_clear

@@ -492,6 +492,8 @@ class Insurer:
         # stalls no other customer's operation.
         if request.requested_delta_t <= 0:
             raise RegistrationRejected("update-interval bound must be positive")
+        if request.chameleon.params not in crypto.GROUPS:
+            raise RegistrationRejected("chameleon key names an unknown group")
         ok = crypto.verify_trapdoor(
             request.chameleon.y,
             request.chameleon.params,

@@ -64,6 +64,8 @@ class Contract:
             raise ClaimFormatError("contract validity term is empty")
         if self.delta_t <= 0:
             raise ClaimFormatError("update-interval bound must be positive")
+        if self.chameleon.params not in crypto.GROUPS:
+            raise ClaimFormatError("chameleon key names an unknown group")
         ok = crypto.verify_trapdoor(
             self.chameleon.y,
             self.chameleon.params,

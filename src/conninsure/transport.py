@@ -50,6 +50,9 @@ RECV_CHUNK = 1 << 20
 # registration, is under 1 KB at 2048 bits; a connection announcing more
 # is closed.  Responses have no limit: a whole-list download must fit.
 MAX_REQUEST = 64 << 10
+# Seconds the insurer waits for each read from a connection before closing
+# it, so a silent or vanished peer does not hold its thread forever.
+IDLE_TIMEOUT = 120
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -82,15 +85,16 @@ class SocketChannel:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         sock = self.request
-        while True:
-            try:
+        sock.settimeout(IDLE_TIMEOUT)
+        try:
+            while True:
                 payload = wire.read_frame(lambda n: _recv_exact(sock, n), MAX_REQUEST)
-            except EncodingError:
-                return
-            response = handle_request(
-                self.server.insurer, payload, int(self.server.now_fn())
-            )
-            sock.sendall(wire.frame(response))
+                response = handle_request(
+                    self.server.insurer, payload, int(self.server.now_fn())
+                )
+                sock.sendall(wire.frame(response))
+        except (EncodingError, OSError):  # a bad frame, a timeout or a reset
+            return
 
 
 class InsurerServer(socketserver.ThreadingTCPServer):

@@ -1,5 +1,6 @@
 """CLI integration: every subcommand, exit codes, and the served-TCP path."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -8,8 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 from support import count_written
+from conninsure import crypto
 from conninsure.cli import main
 from conninsure.insurer import Insurer
+from conninsure.model import Claim
 from conninsure.transport import InsurerServer
 
 
@@ -124,6 +127,38 @@ class TestJudgeCli:
             runner, "judge", "verify", claim_path, "--insurer-key", key_path
         )
         assert result.exit_code == 18
+
+
+    @pytest.mark.parametrize("hostile", ["group", "y"])
+    def test_contract_on_unknown_group_or_key_is_a_parse_error(
+        self, runner, tmp_path, hostile
+    ):
+        """A claim whose contract names a group outside crypto.GROUPS, or a
+        y of 2^2048, is refused with PARSE_ERROR and exit 3."""
+        claim_path = str(tmp_path / "case.ciclaim")
+        key_path = str(tmp_path / "insurer.pk")
+        _invoke(
+            runner, "simulate", "--scenario", "mitm", "--cycles", "2",
+            "--domains", "3", "--seed", "5", "--claim-out", claim_path,
+            "--insurer-key-out", key_path, "--rogue-cycle", "2",
+        )
+        with open(claim_path, "rb") as fh:
+            claim = Claim.from_bytes(fh.read())
+        key = claim.contract.chameleon
+        if hostile == "group":
+            wide = crypto.GroupParams((1 << 8191) + 1, key.params.q, 2)
+            key = dataclasses.replace(key, params=wide)
+        else:
+            key = dataclasses.replace(key, y=1 << 2048)
+        contract = dataclasses.replace(claim.contract, chameleon=key)
+        with open(claim_path, "wb") as fh:
+            fh.write(dataclasses.replace(claim, contract=contract).to_bytes())
+        result = _invoke(
+            runner, "judge", "verify", claim_path, "--insurer-key", key_path,
+            "--assert-rogue", "--json",
+        )
+        assert result.exit_code == 3
+        assert json.loads(result.output)["verdict"] == "PARSE_ERROR"
 
 
 class TestBenchCli:
@@ -361,4 +396,5 @@ class TestServedChannel:
             assert os.path.exists(os.path.join(client_dir, "state.tlv"))
         finally:
             server.shutdown()
+            server.server_close()
             insurer.close()

@@ -5,6 +5,7 @@ known answers.
 """
 
 import dataclasses
+import functools
 import hashlib
 import sys
 import threading
@@ -357,16 +358,16 @@ class TestFixedBaseComb:
     def test_chameleon_results_same_with_comb(
         self, params, chameleon, insurer_keypair, request, monkeypatch
     ):
-        """Signatures and hashes made with the key cold, while its comb is
-        built and with it warm are identical, and match the plain formula."""
+        """Signatures and hashes made while the key's comb is built and with
+        it warm are identical, and match the plain formula."""
         cache, built = _counting_combs(monkeypatch, capacity=8)
         recipient = request.getfixturevalue(chameleon).public
         e, r = crypto.message_exponent(params, b"m"), params.q - 2
         expected = pow(params.g, e, params.p) * pow(recipient.y, r, params.p) % params.p
-        for sight in range(3):  # a plain pow(), then a pass with the new comb, then warm
+        for _ in range(3):  # the first hash builds the comb, the others reuse it
             assert crypto.chameleon_hash(params, recipient.y, b"m", r) == expected
-            assert built == ([] if sight == 0 else [recipient.y])
-        cache.clear()
+            assert built == [recipient.y]
+        cache.cache_clear()
         runs = []
         for _ in range(3):
             sig, ch = crypto.chameleon_sign(
@@ -382,14 +383,23 @@ class TestFixedBaseComb:
 
 
 def _counting_combs(monkeypatch, capacity: int = crypto.RECIPIENT_COMB_CAPACITY):
-    """A fresh recipient cache in place of the module's; the list returned
-    grows by one entry per recipient comb built."""
-    cache = crypto.RecipientCombs(capacity)
-    monkeypatch.setattr(crypto, "RECIPIENT_COMBS", cache)
+    """An empty recipient_comb cache of the given capacity in place of the
+    module's; the list returned grows by one y per recipient comb built."""
     built = []
-    real = crypto.recipient_comb
-    monkeypatch.setattr(crypto, "recipient_comb", lambda pub: built.append(pub.y) or real(pub))
+    build = crypto.recipient_comb.__wrapped__
+
+    def counting(recipient):
+        built.append(recipient.y)
+        return build(recipient)
+
+    cache = functools.lru_cache(maxsize=capacity)(counting)
+    monkeypatch.setattr(crypto, "recipient_comb", cache)
     return cache, built
+
+
+def _chameleon_hash_by_pow(params, y, message, r):
+    e = crypto.message_exponent(params, message)
+    return pow(params.g, e, params.p) * pow(y, r, params.p) % params.p
 
 
 class TestRecipientCombs:
@@ -397,33 +407,32 @@ class TestRecipientCombs:
 
     @pytest.mark.parametrize("params", _GROUPS, ids=["2048", "toy"])
     def test_matches_pow_cold_and_warm(self, params, rng, monkeypatch):
-        cache, built = _counting_combs(monkeypatch)
+        _, built = _counting_combs(monkeypatch)
         keys = {crypto.generate_chameleon_keypair(params, rng).y for _ in range(3)}
         exponents = [0, 1, params.q - 1] + [rng.below(params.q) for _ in range(5)]
         for sight in range(3):
             for y in keys:
-                comb = cache.comb(params, y)
-                assert (comb is None) is (sight == 0)
-                for e in exponents if comb else ():
+                comb = crypto.recipient_comb(crypto.ChameleonPublicKey(params, y))
+                for e in exponents:
                     assert comb.pow(e) == pow(y, e, params.p), (sight, y, e)
+                    expected = _chameleon_hash_by_pow(params, y, b"m", e)
+                    assert crypto.chameleon_hash(params, y, b"m", e) == expected
         assert sorted(built) == sorted(keys)
 
-    def test_comb_built_on_second_sight_only(self, prod_chameleon, monkeypatch):
-        cache, built = _counting_combs(monkeypatch)
-        params, y = prod_chameleon.params, prod_chameleon.y
-        assert cache.comb(params, y) is None
-        assert built == [] and len(cache) == 1
-        comb = cache.comb(params, y)
-        assert built == [y]
+    def test_comb_built_by_first_hash(self, prod_chameleon, monkeypatch):
+        _, built = _counting_combs(monkeypatch)
+        recipient = prod_chameleon.public
         for _ in range(3):
-            assert cache.comb(params, y) is comb
-        assert built == [y]
+            crypto.chameleon_hash(recipient.params, recipient.y, b"m", 5)
+            assert built == [recipient.y]
+        assert crypto.recipient_comb(recipient) is crypto.recipient_comb(recipient)
+        assert built == [recipient.y]
 
-    def test_trapdoor_checks_mark_keys_and_hashes_build(
+    def test_trapdoor_checks_build_no_comb(
         self, prod_chameleon, insurer_keypair, monkeypatch, rng
     ):
-        """A proof check marks its key but never builds a comb; a chameleon
-        hash toward a marked key does, and later proof checks use it."""
+        """A proof check raises y by modexp and never builds a comb, before
+        or after a chameleon hash toward the key has built one."""
         _, built = _counting_combs(monkeypatch)
         modexps = []
         real = crypto.modexp
@@ -439,7 +448,7 @@ class TestRecipientCombs:
         crypto.verify_trapdoor.cache_clear()
         assert crypto.verify_trapdoor(recipient.y, recipient.params, b"contract", proof)
         assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig)
-        assert built == [recipient.y] and len(modexps) == 2
+        assert built == [recipient.y] and len(modexps) == 3
 
     def test_bounded_by_capacity(self, monkeypatch):
         capacity = 4
@@ -447,18 +456,20 @@ class TestRecipientCombs:
         params = crypto.TOY_GROUP
         for y in range(2, 2 + capacity + 3):
             for _ in range(3):
-                comb = cache.comb(params, y)
-            assert comb.pow(2) == pow(y, 2, params.p)
-            assert len(cache) <= capacity
-        assert len(built) == capacity + 3
-        # The oldest keys were evicted: the first is cold again.
-        assert cache.comb(params, 2) is None
-        assert len(built) == capacity + 3
+                assert crypto.chameleon_hash(params, y, b"m", 2) == _chameleon_hash_by_pow(
+                    params, y, b"m", 2
+                )
+            assert cache.cache_info().currsize <= capacity
+        assert built == list(range(2, 2 + capacity + 3))
+        # The oldest keys were evicted: the first is built again.
+        crypto.chameleon_hash(params, 2, b"m", 2)
+        assert len(built) == capacity + 4
         assert crypto.RECIPIENT_COMB_CAPACITY == 256
 
     def test_same_keys_from_many_threads(self, monkeypatch):
         """More threads than cores on more keys than the cache holds: every
-        power still equals pow() and the cache stays within its capacity."""
+        chameleon hash still equals the one from pow() and the cache stays
+        within its capacity."""
         cache, _ = _counting_combs(monkeypatch, capacity=4)
         params = crypto.GROUP_2048_256
         keys = [crypto.generate_chameleon_keypair(params, RandomSource(i)).y for i in range(6)]
@@ -468,12 +479,12 @@ class TestRecipientCombs:
             rng = RandomSource(seed)
             for _ in range(3):
                 for y in keys:
-                    e = rng.below(params.q)
-                    comb = cache.comb(params, y)
-                    if comb is not None and comb.pow(e) != pow(y, e, params.p):
-                        errors.append((seed, y, e))
-                    if len(cache) > cache.capacity:
-                        errors.append(("over capacity", len(cache)))
+                    r = rng.below(params.q)
+                    ch = crypto.chameleon_hash(params, y, b"m", r)
+                    if ch != _chameleon_hash_by_pow(params, y, b"m", r):
+                        errors.append((seed, y, r))
+                    if cache.cache_info().currsize > 4:
+                        errors.append(("over capacity", cache.cache_info()))
 
         threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
         interval = sys.getswitchinterval()
@@ -489,21 +500,21 @@ class TestRecipientCombs:
         assert errors == []
 
     def test_cold_sign_bench_signs_toward_never_seen_keys(self, monkeypatch):
-        """bench_chameleon builds one comb, for its warm recipient; each cold
-        signature pays one plain pow()."""
+        """bench_chameleon builds one comb for its warm recipient and one for
+        each cold signature's key, and raises no key by modexp."""
         _, built = _counting_combs(monkeypatch)
         modexps = []
         real = crypto.modexp
         monkeypatch.setattr(crypto, "modexp", lambda *a: modexps.append(1) or real(*a))
         report = bench_chameleon(iterations=100, rng=RandomSource(41))
         assert report.all_verified
-        assert len(built) == 1
-        assert len(modexps) == 1 + 100
+        assert len(built) == len(set(built)) == 1 + 100
+        assert modexps == []
 
     def test_judge_same_with_cache_cleared_and_warm(
         self, prod_chameleon, insurer_keypair, monkeypatch
     ):
-        """The cache never changes a verdict or a ruling (judge purity)."""
+        """The caches never change a verdict or a ruling (judge purity)."""
         cache, built = _counting_combs(monkeypatch)
         report = run_scenario("mitm", cycles=3, domains=3, seed=21, rogue_cycle=2)
         claim = Claim.from_bytes(report.claim_bytes)
@@ -533,10 +544,11 @@ class TestRecipientCombs:
         expected = [case[-1] for case in cases]
         cleared = []
         for case in cases:
-            cache.clear()
+            cache.cache_clear()
             crypto.verify_trapdoor.cache_clear()
             cleared.append(decide(case))
         assert cleared == expected
+        cache.cache_clear()
         built.clear()
         for _ in range(2):
             assert [decide(case) for case in cases] == expected
@@ -579,7 +591,8 @@ class TestTrapdoorProof:
 
 
 class TestTrapdoorMemo:
-    """verify_trapdoor remembers results keyed by all of its inputs."""
+    """verify_trapdoor remembers the powers of each proof it accepts the
+    challenge of, keyed by the key, the group and the proof."""
 
     def test_any_changed_input_is_checked_afresh(self, prod_chameleon, rng):
         params, y = prod_chameleon.params, prod_chameleon.y
@@ -601,19 +614,23 @@ class TestTrapdoorMemo:
         assert crypto.verify_trapdoor(y, params, b"contract", proof)
         assert crypto.verify_trapdoor.cache_info().hits == 1
 
-    def test_bounded_by_capacity(self, toy_chameleon, rng):
+    def test_bounded_by_capacity(self, prod_chameleon, rng):
+        """Proofs that pass the challenge but carry different z fill the
+        memo up to its capacity and no further."""
         capacity = crypto.verify_trapdoor.cache_info().maxsize
         assert capacity == crypto.RECIPIENT_COMB_CAPACITY
-        proof = crypto.prove_trapdoor(toy_chameleon, b"contract", rng)
-        for i in range(capacity + 3):
-            crypto.verify_trapdoor(18, crypto.TOY_GROUP, b"%d" % i, proof)
+        params, y = prod_chameleon.params, prod_chameleon.y
+        proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
+        for z in range(capacity + 3):
+            other = dataclasses.replace(proof, z=z)
+            assert not crypto.verify_trapdoor(y, params, b"contract", other)
             assert crypto.verify_trapdoor.cache_info().currsize <= capacity
         assert crypto.verify_trapdoor.cache_info().currsize == capacity
 
     def test_rejected_contexts_are_not_held(self, prod_chameleon, rng):
-        """The memo keeps a digest of each context, not the context: after
-        as many rejected checks as it holds, with 64 KB contexts, under
-        1 MB stays allocated."""
+        """A context that fails the challenge never enters the memo: after
+        as many rejected checks as the memo holds, with 64 KB contexts,
+        under 1 MB stays allocated."""
         params, y = prod_chameleon.params, prod_chameleon.y
         proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
         capacity = crypto.RECIPIENT_COMB_CAPACITY
@@ -627,8 +644,29 @@ class TestTrapdoorMemo:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert crypto.verify_trapdoor.cache_info().currsize == capacity
+        assert crypto.verify_trapdoor.cache_info().currsize == 0
         assert held < 1 << 20
+
+    def test_out_of_range_proofs_rejected_without_error(self, prod_chameleon, rng):
+        """u >= p, u = 0, z >= q, y >= p and y = 0 are rejected before any
+        hash or power: False, never an exception."""
+        params, y = prod_chameleon.params, prod_chameleon.y
+        proof = crypto.prove_trapdoor(prod_chameleon, b"contract", rng)
+        big = 1 << params.p.bit_length()
+        cases = [
+            (y, dataclasses.replace(proof, u=params.p)),
+            (y, dataclasses.replace(proof, u=big)),
+            (y, dataclasses.replace(proof, u=0)),
+            (y, dataclasses.replace(proof, z=params.q)),
+            (y, dataclasses.replace(proof, z=big)),
+            (params.p, proof),
+            (big, proof),
+            (0, proof),
+        ]
+        for key, candidate in cases:
+            assert not crypto.verify_trapdoor(key, params, b"contract", candidate)
+        assert crypto.verify_trapdoor.cache_info().currsize == 0
+        assert crypto.verify_trapdoor(y, params, b"contract", proof)
 
     def test_second_claim_check_makes_no_proof_powers(self, monkeypatch):
         """A second claim under the same contract neither raises g to the

@@ -2,6 +2,7 @@
 chameleon-record log, persistence, and the framed endpoints exercised
 through raw request bytes."""
 
+import dataclasses
 import gc
 import threading
 import weakref
@@ -28,6 +29,7 @@ from conninsure.insurer import (
     BEGIN_CYCLE_REQUEST,
     BEGIN_CYCLE_RESPONSE,
     ERR_INTERNAL,
+    ERR_REGISTRATION,
     ERROR_RESPONSE,
     SUBMIT_VOUCHERS_REQUEST,
     Insurer,
@@ -224,6 +226,36 @@ class TestRegistration:
             beginning.join(timeout=30)
         assert not registering.is_alive()
         assert registered[0].customer == contract.customer + 1
+
+    def test_unknown_group_or_key_refused_before_any_power(self, insurer, monkeypatch):
+        """A chameleon key on g squared of the 2048/256 group, on an 8192-bit
+        modulus, or with y = 2^2048 gets ERR_REGISTRATION, and the insurer
+        builds no comb and calls no modexp for it."""
+        params = crypto.GROUP_2048_256
+        _, _, good = _registration(RandomSource(41), params)
+        y = good.chameleon.y
+        keys = [
+            crypto.ChameleonPublicKey(dataclasses.replace(params, g=params.g**2 % params.p), y),
+            crypto.ChameleonPublicKey(crypto.GroupParams((1 << 8191) + 1, params.q, 2), y),
+            crypto.ChameleonPublicKey(params, 1 << 2048),
+        ]
+        crypto.generator_comb.cache_clear()
+        powers = []
+        real_init, real_modexp = crypto.FixedBaseComb.__init__, crypto.modexp
+        monkeypatch.setattr(
+            crypto.FixedBaseComb, "__init__",
+            lambda comb, *a, **k: powers.append("comb") or real_init(comb, *a, **k),
+        )
+        monkeypatch.setattr(
+            crypto, "modexp", lambda *a: powers.append("modexp") or real_modexp(*a)
+        )
+        for key in keys:
+            request = dataclasses.replace(good, chameleon=key).to_bytes()
+            assert _error_code(handle_request(insurer, request, NOW)) == ERR_REGISTRATION
+        assert powers == [] and not insurer.contracts
+        # The same counters see the powers of a registration that is checked.
+        assert _error_code(handle_request(insurer, good.to_bytes(), NOW)) is None
+        assert sorted(set(powers)) == ["comb", "modexp"]
 
 
 class TestCycleStateMachine:

@@ -3,11 +3,13 @@
 import socket
 import struct
 import threading
+import time
 import tracemalloc
 
 import pytest
 
 import conninsure.insurer as insurer_module
+import conninsure.transport as transport_module
 from support import fail_once, io_error
 from conninsure import crypto, tlssim, wire
 from conninsure.client import ClientState
@@ -32,12 +34,11 @@ def served_insurer():
     server.serve_in_background()
     yield insurer, server.address
     server.shutdown()
+    server.server_close()
 
 
 class TestSocketChannel:
     def test_full_cycle_over_tcp(self, served_insurer):
-        import time
-
         _, (host, port) = served_insurer
         channel = SocketChannel(host, port)
         try:
@@ -52,8 +53,6 @@ class TestSocketChannel:
             channel.close()
 
     def test_error_crosses_the_wire(self, served_insurer):
-        import time
-
         _, (host, port) = served_insurer
         channel = SocketChannel(host, port)
         try:
@@ -67,8 +66,6 @@ class TestSocketChannel:
             channel.close()
 
     def test_concurrent_customers(self, served_insurer):
-        import time
-
         insurer, (host, port) = served_insurer
         errors = []
 
@@ -160,6 +157,28 @@ def test_oversized_request_frame_closes_its_connection(served_insurer):
     channel = SocketChannel(*address)
     try:
         rng = RandomSource(75)
+        client = ClientState.register(channel, 86_400, rng=rng, group=crypto.TOY_GROUP)
+        assert client.customer == 1
+    finally:
+        channel.close()
+
+
+def test_idle_connection_is_closed(served_insurer, monkeypatch):
+    """A connection that sends nothing is closed once a read waits longer
+    than IDLE_TIMEOUT; another connection is still served."""
+    monkeypatch.setattr(transport_module, "IDLE_TIMEOUT", 0.2)
+    _, address = served_insurer
+    with socket.create_connection(address) as idle:
+        idle.settimeout(10)
+        started = time.monotonic()
+        try:
+            closed = idle.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+        assert closed and time.monotonic() - started < 5
+    channel = SocketChannel(*address)
+    try:
+        rng = RandomSource(76)
         client = ClientState.register(channel, 86_400, rng=rng, group=crypto.TOY_GROUP)
         assert client.customer == 1
     finally:
