@@ -4,7 +4,7 @@ import errno
 import os
 from collections import Counter
 
-from conninsure import wire
+from conninsure import crypto, wire
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -16,6 +16,33 @@ def fixture_path(name: str) -> str:
 def load_hex_fixture(name: str) -> bytes:
     with open(fixture_path(name)) as fh:
         return bytes.fromhex(fh.read().strip())
+
+
+def count_powers(monkeypatch) -> list[str]:
+    """From now on, the list returned gets "comb" for each FixedBaseComb
+    built and "modexp" for each crypto.modexp call."""
+    powers = []
+    real_init, real_modexp = crypto.FixedBaseComb.__init__, crypto.modexp
+
+    def init(comb, *args, **kwargs):
+        powers.append("comb")
+        real_init(comb, *args, **kwargs)
+
+    def modexp(*args):
+        powers.append("modexp")
+        return real_modexp(*args)
+
+    monkeypatch.setattr(crypto.FixedBaseComb, "__init__", init)
+    monkeypatch.setattr(crypto, "modexp", modexp)
+    return powers
+
+
+def unchecked_proof(params, y: int, context: bytes):
+    """A trapdoor proof on params whose challenge holds but whose equation
+    need not: it reaches the powers of a proof check, and making it takes
+    none."""
+    u = 2
+    return crypto.TrapdoorProof(u, crypto._trapdoor_challenge(params, y, u, context), 1)
 
 
 # Fault injection: fail_once replaces owner.name so that its next call runs

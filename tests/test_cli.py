@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from support import count_written
+from support import count_powers, count_written, unchecked_proof
 from conninsure import crypto
 from conninsure.cli import main
 from conninsure.insurer import Insurer
-from conninsure.model import Claim
+from conninsure.model import Claim, registration_context
 from conninsure.transport import InsurerServer
 
 
@@ -128,13 +128,13 @@ class TestJudgeCli:
         )
         assert result.exit_code == 18
 
-
     @pytest.mark.parametrize("hostile", ["group", "y"])
     def test_contract_on_unknown_group_or_key_is_a_parse_error(
-        self, runner, tmp_path, hostile
+        self, runner, tmp_path, monkeypatch, hostile
     ):
         """A claim whose contract names a group outside crypto.GROUPS, or a
-        y of 2^2048, is refused with PARSE_ERROR and exit 3."""
+        y of 2^2048, is refused with PARSE_ERROR and exit 3, before any comb
+        is built or modexp runs."""
         claim_path = str(tmp_path / "case.ciclaim")
         key_path = str(tmp_path / "insurer.pk")
         _invoke(
@@ -144,21 +144,28 @@ class TestJudgeCli:
         )
         with open(claim_path, "rb") as fh:
             claim = Claim.from_bytes(fh.read())
-        key = claim.contract.chameleon
+        contract = claim.contract
+        key = contract.chameleon
         if hostile == "group":
             wide = crypto.GroupParams((1 << 8191) + 1, key.params.q, 2)
-            key = dataclasses.replace(key, params=wide)
+            proof = unchecked_proof(wide, key.y, registration_context(contract.pk_a))
+            contract = dataclasses.replace(
+                contract, chameleon=dataclasses.replace(key, params=wide), trapdoor_proof=proof
+            )
         else:
             key = dataclasses.replace(key, y=1 << 2048)
-        contract = dataclasses.replace(claim.contract, chameleon=key)
+            contract = dataclasses.replace(contract, chameleon=key)
         with open(claim_path, "wb") as fh:
             fh.write(dataclasses.replace(claim, contract=contract).to_bytes())
+        crypto.generator_comb.cache_clear()
+        powers = count_powers(monkeypatch)
         result = _invoke(
             runner, "judge", "verify", claim_path, "--insurer-key", key_path,
             "--assert-rogue", "--json",
         )
         assert result.exit_code == 3
         assert json.loads(result.output)["verdict"] == "PARSE_ERROR"
+        assert powers == []
 
 
 class TestBenchCli:

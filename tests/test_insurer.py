@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conninsure.insurer as insurer_module
-from support import FailAt, fail_once, fail_write, io_error, short_write, torn_write
+from support import (
+    FailAt,
+    count_powers,
+    fail_once,
+    fail_write,
+    io_error,
+    short_write,
+    torn_write,
+    unchecked_proof,
+)
 from conninsure import crypto, wire
 from conninsure.errors import (
     CorruptionError,
@@ -228,30 +237,32 @@ class TestRegistration:
         assert registered[0].customer == contract.customer + 1
 
     def test_unknown_group_or_key_refused_before_any_power(self, insurer, monkeypatch):
-        """A chameleon key on g squared of the 2048/256 group, on an 8192-bit
-        modulus, or with y = 2^2048 gets ERR_REGISTRATION, and the insurer
-        builds no comb and calls no modexp for it."""
+        """A chameleon key on g squared of the 2048/256 group or on an
+        8192-bit modulus, with a proof whose challenge holds, or a key with
+        y = 2^2048 gets ERR_REGISTRATION, and the insurer builds no comb and
+        calls no modexp for it."""
         params = crypto.GROUP_2048_256
         _, _, good = _registration(RandomSource(41), params)
-        y = good.chameleon.y
-        keys = [
-            crypto.ChameleonPublicKey(dataclasses.replace(params, g=params.g**2 % params.p), y),
-            crypto.ChameleonPublicKey(crypto.GroupParams((1 << 8191) + 1, params.q, 2), y),
-            crypto.ChameleonPublicKey(params, 1 << 2048),
+        y, context = good.chameleon.y, registration_context(good.pk_a)
+        requests = [
+            dataclasses.replace(
+                good,
+                chameleon=crypto.ChameleonPublicKey(group, y),
+                trapdoor_proof=unchecked_proof(group, y, context),
+            )
+            for group in (
+                dataclasses.replace(params, g=params.g**2 % params.p),
+                crypto.GroupParams((1 << 8191) + 1, params.q, 2),
+            )
         ]
+        requests.append(
+            dataclasses.replace(good, chameleon=crypto.ChameleonPublicKey(params, 1 << 2048))
+        )
         crypto.generator_comb.cache_clear()
-        powers = []
-        real_init, real_modexp = crypto.FixedBaseComb.__init__, crypto.modexp
-        monkeypatch.setattr(
-            crypto.FixedBaseComb, "__init__",
-            lambda comb, *a, **k: powers.append("comb") or real_init(comb, *a, **k),
-        )
-        monkeypatch.setattr(
-            crypto, "modexp", lambda *a: powers.append("modexp") or real_modexp(*a)
-        )
-        for key in keys:
-            request = dataclasses.replace(good, chameleon=key).to_bytes()
-            assert _error_code(handle_request(insurer, request, NOW)) == ERR_REGISTRATION
+        powers = count_powers(monkeypatch)
+        for request in requests:
+            response = handle_request(insurer, request.to_bytes(), NOW)
+            assert _error_code(response) == ERR_REGISTRATION
         assert powers == [] and not insurer.contracts
         # The same counters see the powers of a registration that is checked.
         assert _error_code(handle_request(insurer, good.to_bytes(), NOW)) is None

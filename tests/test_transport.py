@@ -142,18 +142,22 @@ def test_announced_frame_length_is_not_allocated_up_front():
         ours.close()
 
 
+def _closed_by_server(sock: socket.socket) -> bool:
+    """Whether the peer closes or resets sock within 10 s."""
+    sock.settimeout(10)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
 def test_oversized_request_frame_closes_its_connection(served_insurer):
     """A request header announcing 1 GiB gets its connection closed before
     any body is read; another connection is still served."""
     _, address = served_insurer
     with socket.create_connection(address) as hostile:
-        hostile.settimeout(10)
         hostile.sendall(struct.pack(">I", 1 << 30) + b"0123456789")
-        try:
-            closed = hostile.recv(1) == b""
-        except ConnectionResetError:
-            closed = True
-        assert closed
+        assert _closed_by_server(hostile)
     channel = SocketChannel(*address)
     try:
         rng = RandomSource(75)
@@ -169,13 +173,8 @@ def test_idle_connection_is_closed(served_insurer, monkeypatch):
     monkeypatch.setattr(transport_module, "IDLE_TIMEOUT", 0.2)
     _, address = served_insurer
     with socket.create_connection(address) as idle:
-        idle.settimeout(10)
         started = time.monotonic()
-        try:
-            closed = idle.recv(1) == b""
-        except ConnectionResetError:
-            closed = True
-        assert closed and time.monotonic() - started < 5
+        assert _closed_by_server(idle) and time.monotonic() - started < 5
     channel = SocketChannel(*address)
     try:
         rng = RandomSource(76)
