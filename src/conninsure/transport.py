@@ -50,8 +50,9 @@ RECV_CHUNK = 1 << 20
 # registration, is under 1 KB at 2048 bits; a connection announcing more
 # is closed.  Responses have no limit: a whole-list download must fit.
 MAX_REQUEST = 64 << 10
-# Seconds the insurer waits for each read from a connection before closing
-# it, so a silent or vanished peer does not hold its thread forever.
+# Seconds the insurer waits for each read from a connection, or to send
+# one response, before closing it, so a silent or vanished peer does not
+# hold its thread forever.
 IDLE_TIMEOUT = 120
 
 
