@@ -24,15 +24,8 @@ class BenchReport:
     cold_sign_ms: float
     all_verified: bool
 
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
 
-
-def bench_chameleon(
-    iterations: int = 1000,
-    params: crypto.GroupParams = crypto.GROUP_2048_256,
-    rng: RandomSource = DEFAULT,
-) -> BenchReport:
+def bench_chameleon(iterations: int = 1000, rng: RandomSource = DEFAULT) -> BenchReport:
     """Mean sign and verify times in milliseconds over fresh messages.
 
     The cold sign mean is taken over max(100, iterations // 10) recipients.
@@ -40,7 +33,7 @@ def bench_chameleon(
     if iterations < 100:
         raise ParameterError("need at least 100 iterations for a stable mean")
     signer = crypto.generate_sig_keypair(crypto.SCHEME_ED25519, rng)
-    recipient = crypto.generate_chameleon_keypair(params, rng).public
+    recipient = crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng).public
     context = b"\x00" * 8 + b"Certificates"
 
     messages = [rng.bytes(64) for _ in range(iterations)]
@@ -56,7 +49,7 @@ def bench_chameleon(
     t2 = time.perf_counter()
 
     cold = [
-        crypto.generate_chameleon_keypair(params, rng).public
+        crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng).public
         for _ in range(max(100, iterations // 10))
     ]
     t3 = time.perf_counter()

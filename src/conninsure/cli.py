@@ -143,7 +143,7 @@ def simulate(scenario, cycles, domains, seed, rogue_cycle, late_cycle, claim_out
             fh.write(report.claim_bytes)
     if insurer_key_out and report.insurer_public:
         with open(insurer_key_out, "wb") as fh:
-            fh.write(wire.encode_public_key(report.insurer_public))
+            fh.write(wire.PUBLIC_KEY.encode(report.insurer_public))
     _emit(report.as_dict(), as_json)
 
 
@@ -261,7 +261,7 @@ def insurer_export_key(state_dir, out):
     """Write the insurer's public key for use by the judge."""
     ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
     with open(out, "wb") as fh:
-        fh.write(wire.encode_public_key(ins.keypair.public))
+        fh.write(wire.PUBLIC_KEY.encode(ins.keypair.public))
     ins.close()
     click.echo(out)
 
@@ -462,7 +462,7 @@ def judge_group():
 def judge_verify(claim_file, insurer_key, assert_rogue, as_json):
     """Verify a .ciclaim file; exit 0 on ACCEPT, 10-18 on reject reasons."""
     with open(insurer_key, "rb") as fh:
-        pk_in = wire.decode_public_key(fh.read())
+        pk_in = wire.PUBLIC_KEY.decode(fh.read())
     with open(claim_file, "rb") as fh:
         data = fh.read()
     try:

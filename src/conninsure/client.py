@@ -152,11 +152,10 @@ class ClientState:
         channel,
         requested_delta_t: int,
         rng: RandomSource = DEFAULT,
-        scheme_id: int = crypto.SCHEME_ED25519,
         group: crypto.GroupParams = crypto.GROUP_2048_256,
     ) -> "ClientState":
         """Create keys, prove trapdoor knowledge, and obtain a contract."""
-        keypair = crypto.generate_sig_keypair(scheme_id, rng)
+        keypair = crypto.generate_sig_keypair(crypto.SCHEME_ED25519, rng)
         chameleon_kp = crypto.generate_chameleon_keypair(group, rng)
         proof = crypto.prove_trapdoor(
             chameleon_kp, registration_context(keypair.public), rng
@@ -274,7 +273,7 @@ class ClientState:
         cycle.chsig_vouchers = chsig
         cycle.tree_seed = seed
         cycle.covered = covered
-        cycle.covered_self = now - cycle.t <= self.contract.delta_t
+        cycle.covered_self = self.contract.covers(cycle.t, now)
         self.archive.append(cycle)
         self.open_cycle = None
         return cycle

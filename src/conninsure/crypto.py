@@ -135,7 +135,6 @@ def _comb_product(mod: int, columns: list[list[int]]) -> int:
 _H_PREFIX = b"\x68"
 _H28_PREFIX = b"\x48"
 
-HASH_LEN = 32
 H28_LEN = 28
 
 
@@ -165,11 +164,6 @@ def hash_h_each(prefix: bytes, suffixes) -> list[bytes]:
     return out
 
 
-def prf_each(key: bytes, messages) -> list[bytes]:
-    """[prf(key, m) for m in messages]."""
-    return hash_h_each(key, messages)
-
-
 # ---------------------------------------------------------------------------
 # Standard signature scheme
 # ---------------------------------------------------------------------------
@@ -196,65 +190,70 @@ class SigKeyPair:
         return self.public.scheme_id
 
 
-def _ed25519_private(secret: bytes):
-    from cryptography.hazmat.primitives.asymmetric import ed25519
+def private_key(scheme_id: int, secret: bytes):
+    """The cryptography private-key object that secret encodes under scheme_id."""
+    if scheme_id == SCHEME_ED25519:
+        from cryptography.hazmat.primitives.asymmetric import ed25519
 
-    if len(secret) != 32:
-        raise KeyFormatError("ed25519 secret must be 32 bytes")
-    return ed25519.Ed25519PrivateKey.from_private_bytes(secret)
+        if len(secret) != 32:
+            raise KeyFormatError("ed25519 secret must be 32 bytes")
+        return ed25519.Ed25519PrivateKey.from_private_bytes(secret)
+    if scheme_id == SCHEME_RSA_SHA256:
+        from cryptography.hazmat.primitives.serialization import load_der_private_key
+
+        try:
+            return load_der_private_key(secret, password=None)
+        except (ValueError, TypeError) as exc:
+            raise KeyFormatError(f"bad RSA secret key: {exc}") from exc
+    raise KeyFormatError(f"unknown scheme id {scheme_id}")
 
 
-def _rsa_private(secret: bytes):
-    from cryptography.hazmat.primitives.serialization import load_der_private_key
+def public_key(key) -> PublicKey:
+    """The PublicKey of a cryptography public-key object of either scheme."""
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import ed25519, rsa
 
-    try:
-        return load_der_private_key(secret, password=None)
-    except (ValueError, TypeError) as exc:
-        raise KeyFormatError(f"bad RSA secret key: {exc}") from exc
+    if isinstance(key, ed25519.Ed25519PublicKey):
+        raw = key.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+        return PublicKey(SCHEME_ED25519, raw)
+    if isinstance(key, rsa.RSAPublicKey):
+        der = key.public_bytes(
+            serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+        )
+        return PublicKey(SCHEME_RSA_SHA256, der)
+    raise KeyFormatError("unsupported certificate key type")
 
 
 def generate_sig_keypair(
     scheme_id: int = SCHEME_ED25519, rng: RandomSource = DEFAULT
 ) -> SigKeyPair:
-    from cryptography.hazmat.primitives import serialization
-
     if scheme_id == SCHEME_ED25519:
         secret = rng.bytes(32)
-        priv = _ed25519_private(secret)
-        pub = priv.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        return SigKeyPair(PublicKey(SCHEME_ED25519, pub), secret)
-    if scheme_id == SCHEME_RSA_SHA256:
+    elif scheme_id == SCHEME_RSA_SHA256:
         # RSA key generation draws from OS entropy; not seed-reproducible.
+        from cryptography.hazmat.primitives import serialization
         from cryptography.hazmat.primitives.asymmetric import rsa
 
-        priv = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        secret = priv.private_bytes(
+        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+        secret = key.private_bytes(
             serialization.Encoding.DER,
             serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption(),
         )
-        pub = priv.public_key().public_bytes(
-            serialization.Encoding.DER,
-            serialization.PublicFormat.SubjectPublicKeyInfo,
-        )
-        return SigKeyPair(PublicKey(SCHEME_RSA_SHA256, pub), secret)
-    raise KeyFormatError(f"unknown scheme id {scheme_id}")
+    else:
+        raise KeyFormatError(f"unknown scheme id {scheme_id}")
+    return SigKeyPair(public_key(private_key(scheme_id, secret).public_key()), secret)
 
 
 def sign(keypair: SigKeyPair, message: bytes) -> bytes:
     """Sign message under the pair's scheme; both schemes are deterministic."""
-    if keypair.scheme_id == SCHEME_ED25519:
-        return _ed25519_private(keypair.secret).sign(message)
+    key = private_key(keypair.scheme_id, keypair.secret)
     if keypair.scheme_id == SCHEME_RSA_SHA256:
         from cryptography.hazmat.primitives import hashes
         from cryptography.hazmat.primitives.asymmetric import padding
 
-        return _rsa_private(keypair.secret).sign(
-            message, padding.PKCS1v15(), hashes.SHA256()
-        )
-    raise KeyFormatError(f"unknown scheme id {keypair.scheme_id}")
+        return key.sign(message, padding.PKCS1v15(), hashes.SHA256())
+    return key.sign(message)
 
 
 def verify(public: PublicKey, message: bytes, signature: bytes) -> bool:
@@ -296,12 +295,6 @@ class GroupParams:
     p: int
     q: int
     g: int
-
-    def validate(self) -> None:
-        if (self.p - 1) % self.q != 0:
-            raise ParameterError("q does not divide p-1")
-        if self.g in (0, 1) or modexp(self.g, self.q, self.p) != 1:
-            raise ParameterError("g does not generate the order-q subgroup")
 
     @property
     def element_len(self) -> int:

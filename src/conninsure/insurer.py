@@ -38,8 +38,8 @@ from .errors import (
 from .model import (
     CertList,
     Contract,
+    application_problem,
     chameleon_context,
-    registration_context,
     valid_positions,
 )
 from .rand import DEFAULT, RandomSource
@@ -238,8 +238,8 @@ class Insurer:
         self,
         keypair: crypto.SigKeyPair,
         certs: list[bytes],
-        policy_days: int = DEFAULT_POLICY_DAYS,
-        recency_window: int = RECENCY_WINDOW,
+        policy_days: int,
+        recency_window: int,
         rng: RandomSource = DEFAULT,
     ):
         self.keypair = keypair
@@ -278,17 +278,14 @@ class Insurer:
         cls,
         initial_certs: list[bytes],
         rng: RandomSource = DEFAULT,
-        scheme_id: int = crypto.SCHEME_ED25519,
-        policy_days: int = DEFAULT_POLICY_DAYS,
-        recency_window: int = RECENCY_WINDOW,
         log_path: str | None = None,
     ) -> "Insurer":
         if not initial_certs:
             raise ParameterError("an insurer must vouch for at least one certificate")
         if log_path and os.path.exists(log_path):
             raise ParameterError(f"{log_path} already exists; refusing to overwrite it")
-        keypair = crypto.generate_sig_keypair(scheme_id, rng)
-        insurer = cls(keypair, initial_certs, policy_days, recency_window, rng)
+        keypair = crypto.generate_sig_keypair(crypto.SCHEME_ED25519, rng)
+        insurer = cls(keypair, initial_certs, DEFAULT_POLICY_DAYS, RECENCY_WINDOW, rng)
         if log_path:
             setup = _EVENTS[wire.LOG_SETUP].encode(insurer._snapshot_values())
             wire.replace_frames(log_path, [setup])
@@ -490,18 +487,12 @@ class Insurer:
     def register(self, request: RegistrationRequest, now: int) -> Contract:
         # The checks read only the request, so a proof check's modexp
         # stalls no other customer's operation.
-        if request.requested_delta_t <= 0:
-            raise RegistrationRejected("update-interval bound must be positive")
-        if request.chameleon.params not in crypto.GROUPS:
-            raise RegistrationRejected("chameleon key names an unknown group")
-        ok = crypto.verify_trapdoor(
-            request.chameleon.y,
-            request.chameleon.params,
-            registration_context(request.pk_a),
-            request.trapdoor_proof,
+        problem = application_problem(
+            request.pk_a, request.chameleon, request.trapdoor_proof,
+            request.requested_delta_t,
         )
-        if not ok:
-            raise RegistrationRejected("trapdoor proof does not verify")
+        if problem:
+            raise RegistrationRejected(problem)
         with self._lock:
             contract = Contract(
                 customer=self._next_customer,
@@ -594,7 +585,7 @@ class Insurer:
             if not crypto.verify(contract.pk_a, payload, sig_a):
                 raise SignatureInvalid("customer signature does not verify")
             self._check_recent(t_prime, now)
-            covered = t_prime - cycle.t <= contract.delta_t
+            covered = contract.covers(cycle.t, t_prime)
             sig, record = self._countersign(
                 contract, payload, chameleon_context(customer, "Vouchers")
             )

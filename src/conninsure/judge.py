@@ -104,7 +104,7 @@ def verify_claim(claim: Claim, pk_in: crypto.PublicKey, rogue_asserted: bool) ->
     if not ok:
         return Verdict.BAD_VOUCHER_SIG
 
-    if not (claim.t <= claim.t_prime and claim.t_prime - claim.t <= contract.delta_t):
+    if not contract.covers(claim.t, claim.t_prime):
         return Verdict.UPDATE_LATE
 
     voucher = claim.evidence.voucher
@@ -117,7 +117,7 @@ def verify_claim(claim: Claim, pk_in: crypto.PublicKey, rogue_asserted: bool) ->
         voucher.customer != customer
         or voucher.cycleid != claim.cycleid
         or voucher.domain == PAD_DOMAIN
-        or transcript.client_random[4:] != crypto.hash_h28(voucher.to_bytes())
+        or not tlssim.embeds_voucher(transcript, voucher)
     ):
         return Verdict.VOUCHER_MISMATCH
 

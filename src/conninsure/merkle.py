@@ -15,7 +15,7 @@ gives the same tree.
 
 from dataclasses import dataclass, field
 
-from .crypto import hash_h, hash_h_each, prf, prf_each
+from .crypto import hash_h, hash_h_each, prf
 from .errors import CapacityError, NotFoundError, ParameterError
 from .model import PAD_DOMAIN, VOUCHER_R_LEN, InclusionProof, Voucher
 from .wire import u32
@@ -64,7 +64,8 @@ def _pad_leaves(customer: int, cycleid: bytes, seed: bytes, count: int) -> list[
     tree's encoded prefix plus its PRF bytes."""
     blank = Voucher(customer, PAD_DOMAIN, cycleid, bytes(VOUCHER_R_LEN)).to_bytes()
     prefix = _LEAF_PREFIX + blank[:-VOUCHER_R_LEN]
-    rs = prf_each(seed, [b"pad" + u32(i) for i in range(count)])
+    # prf(seed, m) is hash_h(seed + m), so one shared-prefix pass gives all.
+    rs = hash_h_each(seed, [b"pad" + u32(i) for i in range(count)])
     return hash_h_each(prefix, rs)
 
 

@@ -32,6 +32,25 @@ def registration_context(pk_a: crypto.PublicKey) -> bytes:
     return b"ci-register:" + wire.u64(pk_a.scheme_id) + pk_a.data
 
 
+def application_problem(
+    pk_a: crypto.PublicKey,
+    chameleon: crypto.ChameleonPublicKey,
+    proof: crypto.TrapdoorProof,
+    delta_t: int,
+) -> str | None:
+    """Why an application with these terms fails, or None if it holds: the
+    insurer refuses to register it and a judge refuses a contract with it."""
+    if delta_t <= 0:
+        return "update-interval bound must be positive"
+    if chameleon.params not in crypto.GROUPS:
+        return "chameleon key names an unknown group"
+    if not crypto.verify_trapdoor(
+        chameleon.y, chameleon.params, registration_context(pk_a), proof
+    ):
+        return "trapdoor proof does not verify"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Contract
 # ---------------------------------------------------------------------------
@@ -62,18 +81,15 @@ class Contract:
     def validate(self) -> None:
         if not self.t0 < self.t_end:
             raise ClaimFormatError("contract validity term is empty")
-        if self.delta_t <= 0:
-            raise ClaimFormatError("update-interval bound must be positive")
-        if self.chameleon.params not in crypto.GROUPS:
-            raise ClaimFormatError("chameleon key names an unknown group")
-        ok = crypto.verify_trapdoor(
-            self.chameleon.y,
-            self.chameleon.params,
-            registration_context(self.pk_a),
-            self.trapdoor_proof,
+        problem = application_problem(
+            self.pk_a, self.chameleon, self.trapdoor_proof, self.delta_t
         )
-        if not ok:
-            raise ClaimFormatError("trapdoor proof does not verify")
+        if problem:
+            raise ClaimFormatError(problem)
+
+    def covers(self, t: int, t_prime: int) -> bool:
+        """Whether a submission at t_prime for a list downloaded at t is in time."""
+        return t <= t_prime and t_prime - t <= self.delta_t
 
 
 # ---------------------------------------------------------------------------

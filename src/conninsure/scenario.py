@@ -79,9 +79,6 @@ def run_scenario(
     seed: int = 0,
     rogue_cycle: int = 3,
     late_cycle: int | None = None,
-    delta_t: int = CYCLE_PERIOD,
-    scheme_id: int = crypto.SCHEME_ED25519,
-    chameleon_group: crypto.GroupParams = crypto.GROUP_2048_256,
 ) -> ScenarioReport:
     """Run a full multi-cycle simulation and, in mitm mode, drive one claim
     through the judge."""
@@ -97,16 +94,14 @@ def run_scenario(
 
     domain_names = [f"d{i:03d}.example.org" for i in range(domains)]
     servers = {
-        name: tlssim.SimServer.create(name, scheme_id, rng, now=clock.now)
+        name: tlssim.SimServer.create(name, rng=rng, now=clock.now)
         for name in domain_names
     }
     insurer = Insurer.setup(
         [servers[name].presented_cert for name in domain_names], rng=rng
     )
     channel = InProcessChannel(insurer, now_fn=clock)
-    client = ClientState.register(
-        channel, requested_delta_t=delta_t, rng=rng, group=chameleon_group
-    )
+    client = ClientState.register(channel, requested_delta_t=CYCLE_PERIOD, rng=rng)
 
     report = ScenarioReport(
         scenario=scenario,
@@ -128,10 +123,10 @@ def run_scenario(
             # The attacker's twin certificate slipped through vetting and
             # joins the list before this cycle's download.
             rogue_cert, rogue_secret = tlssim.make_self_signed_cert(
-                rogue_domain, scheme_id, rng, now=clock.now
+                rogue_domain, rng=rng, now=clock.now
             )
             insurer.update_cert_list(adds=[rogue_cert], removes=[])
-            servers[rogue_domain].substitute(rogue_cert, rogue_secret, scheme_id)
+            servers[rogue_domain].substitute(rogue_cert, rogue_secret, crypto.SCHEME_ED25519)
 
         record = client.do_update_cycle(channel, now=clock.now)
         if scenario == "mitm" and index == rogue_cycle:
@@ -141,10 +136,8 @@ def run_scenario(
             clock.advance(10)
             client.browse(name, servers[name], now=clock.now, rng=rng)
 
-        submit_at = record.t + (
-            delta_t + 1 if late_cycle == index else CYCLE_PERIOD
-        )
-        clock.now = submit_at
+        # The update bound is one period: a late cycle misses it by a second.
+        clock.now = record.t + CYCLE_PERIOD + (1 if late_cycle == index else 0)
         closed = client.submit_cycle(channel, now=clock.now, rng=rng)
         report.cycle_reports.append(
             CycleReport(

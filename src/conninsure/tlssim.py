@@ -63,32 +63,16 @@ def make_self_signed_cert(
     scheme_id: int = crypto.SCHEME_ED25519,
     rng: RandomSource = DEFAULT,
     now: int = 0,
-    validity_days: int = 365,
 ) -> tuple[bytes, bytes]:
-    """Generate (certificate DER, secret key bytes) for one domain."""
+    """Generate (certificate DER, secret key bytes) for one domain, valid a year."""
     from cryptography import x509
     from cryptography.hazmat.primitives import hashes, serialization
     from cryptography.x509.oid import NameOID
 
-    if scheme_id == crypto.SCHEME_ED25519:
-        from cryptography.hazmat.primitives.asymmetric import ed25519
-
-        secret = rng.bytes(32)
-        key = ed25519.Ed25519PrivateKey.from_private_bytes(secret)
-        sign_alg = None
-    elif scheme_id == crypto.SCHEME_RSA_SHA256:
-        from cryptography.hazmat.primitives.asymmetric import rsa
-
-        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        secret = key.private_bytes(
-            serialization.Encoding.DER,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        )
-        sign_alg = hashes.SHA256()
-    else:
-        raise KeyFormatError(f"unknown scheme id {scheme_id}")
-
+    secret = crypto.generate_sig_keypair(scheme_id, rng).secret
+    key = crypto.private_key(scheme_id, secret)
+    # Ed25519 takes no separate hash; RSA certificates are signed over SHA-256.
+    cert_hash = hashes.SHA256() if scheme_id == crypto.SCHEME_RSA_SHA256 else None
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, domain)])
     not_before = datetime.fromtimestamp(now, tz=timezone.utc)
     cert = (
@@ -98,9 +82,9 @@ def make_self_signed_cert(
         .public_key(key.public_key())
         .serial_number(int.from_bytes(rng.bytes(16), "big") | 1)
         .not_valid_before(not_before)
-        .not_valid_after(not_before + timedelta(days=validity_days))
+        .not_valid_after(not_before + timedelta(days=365))
         .add_extension(x509.SubjectAlternativeName([x509.DNSName(domain)]), False)
-        .sign(key, sign_alg)
+        .sign(key, cert_hash)
     )
     return cert.public_bytes(serialization.Encoding.DER), secret
 
@@ -108,22 +92,8 @@ def make_self_signed_cert(
 def cert_public_key(cert_der: bytes) -> crypto.PublicKey:
     """Extract the subject public key of a DER certificate as a PublicKey."""
     from cryptography import x509
-    from cryptography.hazmat.primitives import serialization
-    from cryptography.hazmat.primitives.asymmetric import ed25519, rsa
 
-    cert = x509.load_der_x509_certificate(cert_der)
-    key = cert.public_key()
-    if isinstance(key, ed25519.Ed25519PublicKey):
-        raw = key.public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        return crypto.PublicKey(crypto.SCHEME_ED25519, raw)
-    if isinstance(key, rsa.RSAPublicKey):
-        der = key.public_bytes(
-            serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
-        )
-        return crypto.PublicKey(crypto.SCHEME_RSA_SHA256, der)
-    raise KeyFormatError("unsupported certificate key type")
+    return crypto.public_key(x509.load_der_x509_certificate(cert_der).public_key())
 
 
 def verify_transcript_signature(cert_der: bytes, transcript: HandshakeTranscript) -> bool:
@@ -241,11 +211,15 @@ class SimServer:
 # ---------------------------------------------------------------------------
 
 
+def embeds_voucher(transcript: HandshakeTranscript, voucher: Voucher) -> bool:
+    """Whether the ClientHello random carries the voucher hash, as client_hello puts it."""
+    return transcript.client_random[4:] == crypto.hash_h28(voucher.to_bytes())
+
+
 def validate_evidence(evidence) -> None:
     """Raise EvidenceError unless the evidence invariants hold."""
     transcript = evidence.transcript
-    expected = crypto.hash_h28(evidence.voucher.to_bytes())
-    if transcript.client_random[4:] != expected:
+    if not embeds_voucher(transcript, evidence.voucher):
         raise EvidenceError("client_random does not embed the voucher hash")
     if not verify_transcript_signature(evidence.cert_bob, transcript):
         raise EvidenceError("server signature does not verify")

@@ -482,15 +482,6 @@ TRAPDOOR_PROOF = Record(
     TAG_TRAPDOOR_PROOF, crypto.TrapdoorProof, ("u", VARINT), ("c", VARINT), ("z", VARINT)
 )
 
-encode_public_key, decode_public_key = PUBLIC_KEY.encode, PUBLIC_KEY.decode
-encode_group_params, decode_group_params = GROUP_PARAMS.encode, GROUP_PARAMS.decode
-encode_chameleon_public = CHAMELEON_PUBLIC.encode
-decode_chameleon_public = CHAMELEON_PUBLIC.decode
-encode_chameleon_signature = CHAMELEON_SIGNATURE.encode
-decode_chameleon_signature = CHAMELEON_SIGNATURE.decode
-encode_trapdoor_proof = TRAPDOOR_PROOF.encode
-decode_trapdoor_proof = TRAPDOOR_PROOF.decode
-
 
 # ---------------------------------------------------------------------------
 # Framing: 4-byte big-endian length prefix over a reliable byte stream
@@ -498,9 +489,7 @@ decode_trapdoor_proof = TRAPDOOR_PROOF.decode
 
 
 def frame(payload: bytes) -> bytes:
-    if len(payload) > _MAX_LEN:
-        raise EncodingError("frame payload too large")
-    return _LENGTH.pack(len(payload)) + payload
+    return _frames([payload])
 
 
 def _frames(payloads: list) -> bytes:

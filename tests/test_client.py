@@ -97,11 +97,11 @@ class TestUpdateCycle:
                 response = channel.request(payload)
                 tag, _, _ = wire.unpack(payload)
                 if tag == wire.REQ_ACK_CERTS:
-                    sig = wire.decode_chameleon_signature(response)
+                    sig = wire.CHAMELEON_SIGNATURE.decode(response)
                     bad = crypto.ChameleonSignature(
                         sig.r, sig.inner_sig[:-1] + b"\x00", sig.context
                     )
-                    return wire.encode_chameleon_signature(bad)
+                    return wire.CHAMELEON_SIGNATURE.encode(bad)
                 return response
 
         with pytest.raises(InsurerMisbehavior):

@@ -68,16 +68,16 @@ registrations = st.builds(
 
 # (strategy, encode, decode) per record type.
 CODECS = {
-    "public_key": (public_keys, wire.encode_public_key, wire.decode_public_key),
-    "group_params": (group_params, wire.encode_group_params, wire.decode_group_params),
+    "public_key": (public_keys, wire.PUBLIC_KEY.encode, wire.PUBLIC_KEY.decode),
+    "group_params": (group_params, wire.GROUP_PARAMS.encode, wire.GROUP_PARAMS.decode),
     "chameleon_public": (
-        chameleon_publics, wire.encode_chameleon_public, wire.decode_chameleon_public
+        chameleon_publics, wire.CHAMELEON_PUBLIC.encode, wire.CHAMELEON_PUBLIC.decode
     ),
     "chameleon_signature": (
-        chameleon_sigs, wire.encode_chameleon_signature, wire.decode_chameleon_signature
+        chameleon_sigs, wire.CHAMELEON_SIGNATURE.encode, wire.CHAMELEON_SIGNATURE.decode
     ),
     "trapdoor_proof": (
-        trapdoor_proofs, wire.encode_trapdoor_proof, wire.decode_trapdoor_proof
+        trapdoor_proofs, wire.TRAPDOOR_PROOF.encode, wire.TRAPDOOR_PROOF.decode
     ),
 }
 for _name, _strategy, _cls in [

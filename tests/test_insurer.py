@@ -650,7 +650,7 @@ class TestEndpointSurfaces:
         )
         tag, body, _ = wire.unpack(handle_request(insurer, ack, NOW))
         assert tag == wire.RESP_OK
-        chsig = wire.decode_chameleon_signature(body)
+        chsig = wire.CHAMELEON_SIGNATURE.decode(body)
         assert crypto.chameleon_verify(
             insurer.keypair.public, chameleon.public, payload, chsig
         )

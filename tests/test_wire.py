@@ -142,22 +142,22 @@ class TestListCodec:
 
 class TestCryptoCodecs:
     def test_public_key_roundtrip(self, insurer_keypair):
-        blob = wire.encode_public_key(insurer_keypair.public)
-        assert wire.decode_public_key(blob) == insurer_keypair.public
+        blob = wire.PUBLIC_KEY.encode(insurer_keypair.public)
+        assert wire.PUBLIC_KEY.decode(blob) == insurer_keypair.public
 
     def test_group_params_roundtrip(self):
-        blob = wire.encode_group_params(crypto.GROUP_2048_256)
-        assert wire.decode_group_params(blob) == crypto.GROUP_2048_256
+        blob = wire.GROUP_PARAMS.encode(crypto.GROUP_2048_256)
+        assert wire.GROUP_PARAMS.decode(blob) == crypto.GROUP_2048_256
 
     def test_chameleon_signature_roundtrip(self):
         sig = crypto.ChameleonSignature(12345, b"inner", b"ctx")
-        blob = wire.encode_chameleon_signature(sig)
-        assert wire.decode_chameleon_signature(blob) == sig
+        blob = wire.CHAMELEON_SIGNATURE.encode(sig)
+        assert wire.CHAMELEON_SIGNATURE.decode(blob) == sig
 
     def test_trapdoor_proof_roundtrip(self):
         proof = crypto.TrapdoorProof(3, 2, 10)
-        blob = wire.encode_trapdoor_proof(proof)
-        assert wire.decode_trapdoor_proof(blob) == proof
+        blob = wire.TRAPDOOR_PROOF.encode(proof)
+        assert wire.TRAPDOOR_PROOF.decode(blob) == proof
 
     @given(st.integers(min_value=0, max_value=2**512))
     @settings(max_examples=200, deadline=None)
