@@ -88,13 +88,12 @@ def _emit(data: dict, as_json: bool) -> None:
 
 
 @contextmanager
-def _client_channel(connect: str | None, insurer_dir: str | None):
+def _client_channel(connect: tuple[str, int] | None, insurer_dir: str | None):
     """Either a TCP channel or an in-process channel over on-disk state;
     both the channel and an in-process insurer are closed on exit."""
     insurer = None
     if connect:
-        host, _, port = connect.rpartition(":")
-        channel = SocketChannel(host or "127.0.0.1", int(port))
+        channel = SocketChannel(*connect)
     elif insurer_dir:
         insurer = Insurer.load(os.path.join(insurer_dir, "insurer.log"))
         channel = InProcessChannel(insurer)
@@ -269,7 +268,7 @@ def insurer_export_key(state_dir, out):
 @insurer.command("serve")
 @click.option("--state-dir", type=click.Path(exists=True), required=True)
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", default=7465, show_default=True)
+@click.option("--port", default=7465, show_default=True, type=click.IntRange(0, 65535))
 def insurer_serve(state_dir, host, port):
     """Serve the insurer over the framed TCP channel (Ctrl-C to stop)."""
     ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
@@ -281,6 +280,7 @@ def insurer_serve(state_dir, host, port):
         pass
     finally:
         server.shutdown()
+        server.server_close()
         ins.close()
 
 
@@ -289,8 +289,19 @@ def insurer_serve(state_dir, host, port):
 # ---------------------------------------------------------------------------
 
 
+def _endpoint(ctx, param, value: str | None) -> tuple[str, int] | None:
+    """HOST:PORT as (host, port); an empty host is 127.0.0.1."""
+    if value is None:
+        return None
+    host, _, port = value.rpartition(":")
+    if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+        raise click.BadParameter(f"{value!r} is not HOST:PORT with a port from 1 to 65535")
+    return host or "127.0.0.1", int(port)
+
+
 _channel_options = [
-    click.option("--connect", default=None, help="Insurer endpoint HOST:PORT."),
+    click.option("--connect", default=None, callback=_endpoint,
+                 help="Insurer endpoint HOST:PORT."),
     click.option("--insurer-dir", default=None, type=click.Path(),
                  help="Run against on-disk insurer state in-process."),
 ]

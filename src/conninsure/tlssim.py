@@ -69,6 +69,10 @@ def make_self_signed_cert(
     from cryptography.hazmat.primitives import hashes, serialization
     from cryptography.x509.oid import NameOID
 
+    # A voucher carries its domain as ASCII text.  The check comes before
+    # any draw from rng, so that seeded runs keep their bytes.
+    if not domain.isascii():
+        raise ParameterError(f"domain {domain!r} is not ASCII")
     secret = crypto.generate_sig_keypair(scheme_id, rng).secret
     key = crypto.private_key(scheme_id, secret)
     # Ed25519 takes no separate hash; RSA certificates are signed over SHA-256.

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from support import count_powers, count_written, unchecked_proof
-from conninsure import crypto
+from conninsure import cli, crypto
 from conninsure.cli import main
 from conninsure.insurer import Insurer
 from conninsure.model import Claim, registration_context
@@ -376,6 +376,35 @@ class TestUsageErrors:
         assert "--cycleid" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:abc", "127.0.0.1:73001"], ids=["not-a-number", "too-big"]
+    )
+    def test_bad_connect_port_exits_2(self, runner, tmp_path, endpoint):
+        """Refused before any connection: 73001 is not wrapped to 7465."""
+        client_dir = tmp_path / "client"
+        result = _invoke(runner, "client", "register", "--state-dir", str(client_dir),
+                         "--connect", endpoint)
+        assert result.exit_code == 2
+        assert "--connect" in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+        assert not client_dir.exists()
+
+    def test_bad_serve_port_exits_2(self, runner, deployed):
+        result = _invoke(runner, "insurer", "serve", "--state-dir", deployed["insurer"],
+                         "--port", "99999")
+        assert result.exit_code == 2
+        assert "--port" in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+
+    def test_non_ascii_domain_exits_9(self, runner, tmp_path):
+        """A voucher carries its domain as ASCII, so no such server is made."""
+        out, cert = tmp_path / "s", tmp_path / "s.der"
+        result = _invoke(runner, "simserver", "init", "--domain", "\u00e9.example.org",
+                         "--out", str(out), "--cert-out", str(cert), "--seed", "1")
+        assert result.exit_code == 9
+        assert result.stderr.startswith("error: ")
+        assert not out.exists() and not cert.exists()
+
 
 class TestServedChannel:
     """client register against a live insurer over the framed TCP channel."""
@@ -405,3 +434,22 @@ class TestServedChannel:
             server.shutdown()
             server.server_close()
             insurer.close()
+
+    def test_serve_closes_its_socket(self, runner, deployed, monkeypatch):
+        """serve_forever calls service_actions on every pass, so an interrupt
+        raised there ends the command as Ctrl-C would."""
+        servers = []
+
+        class Interrupted(InsurerServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
+
+            def service_actions(self):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "InsurerServer", Interrupted)
+        result = _invoke(runner, "insurer", "serve", "--state-dir", deployed["insurer"],
+                         "--port", "0")
+        assert result.exit_code == 0
+        assert servers[0].socket.fileno() == -1

@@ -89,6 +89,18 @@ class TestContractCodec:
         contract.validate()
 
 
+class TestContractCovers:
+    @pytest.mark.parametrize(
+        "t_prime, covered",
+        [(1000, True), (1000 + 3600, True), (1000 + 3601, False), (999, False)],
+        ids=["same-time", "at-bound", "past-bound", "before-download"],
+    )
+    def test_update_bound(self, t_prime, covered):
+        """covers reads only delta_t, so the keys and proof are left out."""
+        contract = Contract(7, None, None, None, None, t0=0, t_end=10**6, delta_t=3600)
+        assert contract.covers(1000, t_prime) is covered
+
+
 class TestRollback:
     def test_empty_delta_no_change(self):
         certs = [b"a", b"b"]

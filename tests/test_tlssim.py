@@ -2,11 +2,12 @@
 evidence extraction, and the mitm path."""
 
 import struct
+from datetime import datetime, timezone
 
 import pytest
 
 from conninsure import crypto, tlssim
-from conninsure.errors import EvidenceError
+from conninsure.errors import EvidenceError, KeyFormatError
 from conninsure.model import Voucher
 from conninsure.rand import RandomSource
 from support import load_hex_fixture
@@ -106,6 +107,39 @@ class TestServerKeyExchange:
         server = tlssim.SimServer.create("bob.example.org", rng=rng, now=1000)
         transcript = server.handshake(tlssim.client_hello(_voucher(), 1000), 1000, rng)
         assert (transcript.hash_alg, transcript.sig_alg) == (8, 7)
+
+
+def _ec_cert() -> bytes:
+    """A self-signed certificate on an EC P-256 key, which no scheme uses."""
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "bob.example.org")])
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(1)
+        .not_valid_before(datetime(2020, 1, 1, tzinfo=timezone.utc))
+        .not_valid_after(datetime(2030, 1, 1, tzinfo=timezone.utc))
+        .sign(key, hashes.SHA256())
+    )
+    return cert.public_bytes(serialization.Encoding.DER)
+
+
+class TestUnsupportedCertificateKey:
+    def test_cert_public_key_refuses_it(self):
+        with pytest.raises(KeyFormatError):
+            tlssim.cert_public_key(_ec_cert())
+
+    def test_transcript_signature_does_not_verify(self, rng):
+        server = tlssim.SimServer.create("bob.example.org", rng=rng, now=1000)
+        transcript = server.handshake(tlssim.client_hello(_voucher(), 1000), 1000, rng)
+        assert not tlssim.verify_transcript_signature(_ec_cert(), transcript)
 
 
 class TestExtractEvidence:
