@@ -45,7 +45,7 @@ def bench_chameleon(iterations: int = 1000, rng: RandomSource = DEFAULT) -> Benc
     t1 = time.perf_counter()
     all_ok = True
     for message, sig in zip(messages, sigs):
-        all_ok &= crypto.chameleon_verify(signer.public, recipient, message, sig)
+        all_ok &= crypto.chameleon_verify(signer.public, recipient, message, sig, context)
     t2 = time.perf_counter()
 
     cold = [

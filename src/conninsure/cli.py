@@ -31,7 +31,7 @@ from .errors import (
     SequencingError,
     SignatureInvalid,
 )
-from .estimator import PRESETS, EstimatorParams, storage_report
+from .estimator import REFERENCE, EstimatorParams, storage_report
 from .insurer import Insurer
 from .judge import Verdict, verify_claim_bytes
 from .rand import RandomSource
@@ -186,28 +186,19 @@ def estimate():
 
 
 @estimate.command("storage")
-@click.option("--n", "n_domains", default=500_000, show_default=True)
-@click.option("--s-cert", "cert_bytes", default=1_900, show_default=True)
-@click.option("--k", "cert_validity_days", default=90, show_default=True)
-@click.option("--v-day", "vouchers_per_day", default=2_500, show_default=True)
-@click.option("--cycles", "cycles_per_day", default=24, show_default=True)
-@click.option("--customers", default=44_000_000, show_default=True)
-@click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None)
+@click.option("--n", "n_domains", default=REFERENCE.n_domains, show_default=True)
+@click.option("--s-cert", "cert_bytes", default=REFERENCE.cert_bytes, show_default=True)
+@click.option("--k", "cert_validity_days", default=REFERENCE.cert_validity_days,
+              show_default=True)
+@click.option("--v-day", "vouchers_per_day", default=REFERENCE.vouchers_per_day,
+              show_default=True)
+@click.option("--cycles", "cycles_per_day", default=REFERENCE.cycles_per_day,
+              show_default=True)
+@click.option("--customers", default=REFERENCE.customers, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def estimate_storage(n_domains, cert_bytes, cert_validity_days, vouchers_per_day,
-                     cycles_per_day, customers, preset, as_json):
+def estimate_storage(as_json, **fields):
     """Yearly storage for certificates and vouchers, both unit systems."""
-    if preset:
-        cycles_per_day = PRESETS[preset]["cycles_per_day"]
-    params = EstimatorParams(
-        n_domains=n_domains,
-        cert_bytes=cert_bytes,
-        cert_validity_days=cert_validity_days,
-        vouchers_per_day=vouchers_per_day,
-        cycles_per_day=cycles_per_day,
-        customers=customers,
-    )
-    report = storage_report(params)
+    report = storage_report(EstimatorParams(**fields))
     if as_json:
         click.echo(json.dumps(report, indent=2, sort_keys=True))
         return
@@ -299,18 +290,11 @@ def _endpoint(ctx, param, value: str | None) -> tuple[str, int] | None:
     return host or "127.0.0.1", int(port)
 
 
-_channel_options = [
-    click.option("--connect", default=None, callback=_endpoint,
-                 help="Insurer endpoint HOST:PORT."),
-    click.option("--insurer-dir", default=None, type=click.Path(),
-                 help="Run against on-disk insurer state in-process."),
-]
-
-
 def _with_channel_options(fn):
-    for option in reversed(_channel_options):
-        fn = option(fn)
-    return fn
+    fn = click.option("--insurer-dir", default=None, type=click.Path(),
+                      help="Run against on-disk insurer state in-process.")(fn)
+    return click.option("--connect", default=None, callback=_endpoint,
+                        help="Insurer endpoint HOST:PORT.")(fn)
 
 
 @main.group()

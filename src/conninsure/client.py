@@ -35,6 +35,7 @@ from .insurer import (
     RegistrationRequest,
 )
 from .model import (
+    DEFAULT_RETENTION_DAYS,
     PAD_DOMAIN,
     CertList,
     Claim,
@@ -380,7 +381,7 @@ class ClientState:
         self._list_on_disk = self.current_index
 
     def prune_rollbacks(self, now: int,
-                        retention_seconds: int = 365 * 86400) -> int:
+                        retention_seconds: int = DEFAULT_RETENTION_DAYS * 86400) -> int:
         """Drop deltas no live claim can need; returns how many were removed."""
         kept = expire_rollbacks(
             self.rollback_entries, now, retention_seconds,

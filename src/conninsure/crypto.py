@@ -477,21 +477,35 @@ def chameleon_sign(
     return ChameleonSignature(r, inner, context), ch
 
 
+def signed_chameleon_hash(
+    signer_pub: PublicKey,
+    recipient: ChameleonPublicKey,
+    message: bytes,
+    sig: ChameleonSignature,
+) -> int | None:
+    """CH(m, r) if r is in range and the inner signature covers
+    h(CH(m, r) || sig.context), else None."""
+    params = recipient.params
+    if 0 <= sig.r < params.q:
+        ch = chameleon_hash(params, recipient.y, message, sig.r)
+        if verify(signer_pub, _chameleon_digest(params, ch, sig.context), sig.inner_sig):
+            return ch
+    return None
+
+
 def chameleon_verify(
     signer_pub: PublicKey,
     recipient: ChameleonPublicKey,
     message: bytes,
     sig: ChameleonSignature,
-    context: bytes | None = None,
+    context: bytes,
 ) -> bool:
-    """Accept iff the inner signature covers h(CH(m, r) || context)."""
-    if context is not None and sig.context != context:
-        return False
-    params = recipient.params
-    if not 0 <= sig.r < params.q:
-        return False
-    ch = chameleon_hash(params, recipient.y, message, sig.r)
-    return verify(signer_pub, _chameleon_digest(params, ch, sig.context), sig.inner_sig)
+    """Accept iff the signature carries context and its inner signature
+    covers h(CH(m, r) || context)."""
+    return (
+        sig.context == context
+        and signed_chameleon_hash(signer_pub, recipient, message, sig) is not None
+    )
 
 
 def recipient_verify(
@@ -499,13 +513,13 @@ def recipient_verify(
     kp: ChameleonKeyPair,
     message: bytes,
     sig: ChameleonSignature,
-    context: bytes | None = None,
+    context: bytes,
 ) -> bool:
     """chameleon_verify for the recipient, who holds the trapdoor: CH comes
     from trapdoor_hash.  That is CH only if y = g^x, so a signature it
     rejects is checked again by chameleon_verify; a key pair whose y is not
     g^x never makes a good signature look forged."""
-    if (context is None or sig.context == context) and 0 <= sig.r < kp.params.q:
+    if sig.context == context and 0 <= sig.r < kp.params.q:
         ch = trapdoor_hash(kp, message, sig.r)
         if verify(signer_pub, _chameleon_digest(kp.params, ch, sig.context), sig.inner_sig):
             return True

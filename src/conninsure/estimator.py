@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-RETENTION_DAYS = 365
-
 
 @dataclass(frozen=True)
 class EstimatorParams:
@@ -24,7 +22,7 @@ class EstimatorParams:
     cycle_overhead_bytes: int = 128
     cycles_per_day: int = 24
     customers: int = 44_000_000
-    retention_days: int = RETENTION_DAYS
+    retention_days: int = 365
 
     def validate(self) -> None:
         if min(
@@ -42,15 +40,12 @@ class EstimatorParams:
             raise ParameterError("certificate validity exceeds the retention window")
 
 
-# Presets mirror the two cycle cadences discussed for deployment.
-PRESETS = {
-    "daily": {"cycles_per_day": 1},
-    "hourly": {"cycles_per_day": 24},
-}
+# The paper's figures: the defaults of the functions below and of the CLI.
+REFERENCE = EstimatorParams()
 
 
 def cert_storage_bytes(n_domains: int, cert_bytes: int, validity_days: int,
-                       retention_days: int = RETENTION_DAYS) -> int:
+                       retention_days: int = REFERENCE.retention_days) -> int:
     """Customer-side certificate storage per year: n * s * (365/k - 1)."""
     if validity_days <= 0:
         raise ParameterError("certificate validity must be positive")
@@ -59,10 +54,10 @@ def cert_storage_bytes(n_domains: int, cert_bytes: int, validity_days: int,
 
 def customer_voucher_storage_bytes(
     vouchers_per_day: int,
-    voucher_bytes: int = 1_700,
-    cycles_per_day: int = 24,
-    cycle_overhead_bytes: int = 128,
-    retention_days: int = RETENTION_DAYS,
+    voucher_bytes: int = REFERENCE.voucher_bytes_customer,
+    cycles_per_day: int = REFERENCE.cycles_per_day,
+    cycle_overhead_bytes: int = REFERENCE.cycle_overhead_bytes,
+    retention_days: int = REFERENCE.retention_days,
 ) -> int:
     """Customer-side voucher storage per year."""
     per_day = vouchers_per_day * voucher_bytes + cycle_overhead_bytes * cycles_per_day
@@ -70,10 +65,10 @@ def customer_voucher_storage_bytes(
 
 
 def insurer_voucher_storage_bytes(
-    voucher_bytes: int = 512,
-    cycles_per_day: int = 24,
-    customers: int = 44_000_000,
-    retention_days: int = RETENTION_DAYS,
+    voucher_bytes: int = REFERENCE.voucher_bytes_insurer,
+    cycles_per_day: int = REFERENCE.cycles_per_day,
+    customers: int = REFERENCE.customers,
+    retention_days: int = REFERENCE.retention_days,
 ) -> int:
     """Insurer-side voucher storage per year across all customers."""
     return voucher_bytes * cycles_per_day * retention_days * customers

@@ -158,12 +158,8 @@ def resolve_denial(
     the same chameleon hash but different content: such a collision can
     only come from the trapdoor holder, so the customer forged it.
     """
-    params = recipient.params
-    if not 0 <= sig.r < params.q:
-        raise ParameterError("disputed signature does not verify at all")
-    disputed_ch = crypto.chameleon_hash(params, recipient.y, message, sig.r)
-    digest = crypto._chameleon_digest(params, disputed_ch, sig.context)
-    if not crypto.verify(pk_in, digest, sig.inner_sig):
+    disputed_ch = crypto.signed_chameleon_hash(pk_in, recipient, message, sig)
+    if disputed_ch is None:
         raise ParameterError("disputed signature does not verify at all")
     if record is None:
         return Ruling.INSURER_BOUND
@@ -173,7 +169,9 @@ def resolve_denial(
     if recorded_message == message and recorded_r == sig.r:
         return Ruling.INSURER_BOUND
     try:
-        recorded_ch = crypto.chameleon_hash(params, recipient.y, recorded_message, recorded_r)
+        recorded_ch = crypto.chameleon_hash(
+            recipient.params, recipient.y, recorded_message, recorded_r
+        )
     except ParameterError:
         return Ruling.INSURER_BOUND
     return Ruling.CUSTOMER_FORGED if recorded_ch == disputed_ch else Ruling.INSURER_BOUND

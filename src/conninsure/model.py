@@ -332,27 +332,15 @@ class CertList:
         this list.  Updates only remove entries and append new ones, so any
         list this one was derived from is its surviving entries in order
         plus a tail; one walk matches the longest prefix of this list
-        against base's entries in order.  The walk gallops over runs of
-        matching entries by comparing slices, doubling the run while it
-        matches and then halving it, so it takes a few steps per change."""
-        ours, theirs = self.hashes, base.hashes
-        size = len(theirs)
+        against base's entries in order."""
+        ours = self.hashes
         removed = []
-        pos = matched = 0
-        while pos < size:
-            run = 1
-            while pos + run <= size and theirs[pos:pos + run] == ours[matched:matched + run]:
-                pos += run
-                matched += run
-                run *= 2
-            while run > 1:
-                run //= 2
-                if pos + run <= size and theirs[pos:pos + run] == ours[matched:matched + run]:
-                    pos += run
-                    matched += run
-            if pos < size:  # base's entry at pos is not next in this list
+        matched = 0
+        for pos, digest in enumerate(base.hashes):
+            if matched < len(ours) and digest == ours[matched]:
+                matched += 1
+            else:
                 removed.append(pos)
-                pos += 1
         return removed, self.certs[matched:]
 
 

@@ -103,19 +103,17 @@ def run_scenario(
     channel = InProcessChannel(insurer, now_fn=clock)
     client = ClientState.register(channel, requested_delta_t=CYCLE_PERIOD, rng=rng)
 
+    rogue_domain = domain_names[0] if scenario == "mitm" else None
     report = ScenarioReport(
         scenario=scenario,
         cycles=cycles,
         domains=domains,
         seed=seed,
+        rogue_domain=rogue_domain,
+        rogue_cycle=rogue_cycle if scenario == "mitm" else None,
+        late_cycle=late_cycle,
         insurer_public=insurer.keypair.public,
     )
-    rogue_domain = domain_names[0] if scenario == "mitm" else None
-    rogue_secret = None
-    rogue_cert = None
-    report.rogue_domain = rogue_domain
-    report.rogue_cycle = rogue_cycle if scenario == "mitm" else None
-    report.late_cycle = late_cycle
     rogue_cycleid = None
 
     for index in range(1, cycles + 1):

@@ -69,10 +69,13 @@ def make_self_signed_cert(
     from cryptography.hazmat.primitives import hashes, serialization
     from cryptography.x509.oid import NameOID
 
-    # A voucher carries its domain as ASCII text.  The check comes before
-    # any draw from rng, so that seeded runs keep their bytes.
+    # A voucher carries its domain as ASCII text, and a common name holds 1
+    # to 64 characters.  The checks come before any draw from rng, so that
+    # seeded runs keep their bytes.
     if not domain.isascii():
         raise ParameterError(f"domain {domain!r} is not ASCII")
+    if not 1 <= len(domain) <= 64:
+        raise ParameterError(f"domain {domain!r} is not 1 to 64 characters long")
     secret = crypto.generate_sig_keypair(scheme_id, rng).secret
     key = crypto.private_key(scheme_id, secret)
     # Ed25519 takes no separate hash; RSA certificates are signed over SHA-256.

@@ -73,7 +73,6 @@ LOG_UPDATE_CERTS = 0x39
 _MAX_LEN = 0xFFFFFFFF
 _HEADER = struct.Struct(">BI")
 _LENGTH = struct.Struct(">I")
-_U64_ITEM = struct.Struct(">BIQ")
 _DIGEST_ENTRY = struct.Struct(">II32s")
 
 SIGNED_PAYLOAD_LABELS = ("Certificates", "Vouchers")
@@ -241,13 +240,6 @@ class Kind(NamedTuple):
     parse: Callable | None
 
 
-def _u64_item(value: int) -> bytes:
-    try:
-        return _U64_ITEM.pack(TAG_UINT, 8, value)
-    except struct.error:
-        raise EncodingError("value out of u64 range") from None
-
-
 def _parse_bool(data: bytes) -> bool:
     value = decode_u64(data)
     if value > 1:
@@ -273,16 +265,16 @@ def _parse_digest(data: bytes) -> bytes:
     return data
 
 
-U64 = Kind(TAG_UINT, _u64_item, decode_u64)
+U64 = Kind(TAG_UINT, lambda v: pack(TAG_UINT, u64(v)), decode_u64)
 BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v), None)
 DIGEST = Kind(TAG_BYTES, BYTES.item, _parse_digest)
 TEXT = Kind(TAG_TEXT, lambda v: pack(TAG_TEXT, text(v)), decode_text)
 VARINT = Kind(TAG_INT, lambda v: pack(TAG_INT, varint(v)), decode_varint)
-BOOL = Kind(TAG_UINT, lambda v: _u64_item(1 if v else 0), _parse_bool)
+BOOL = Kind(TAG_UINT, lambda v: U64.item(1 if v else 0), _parse_bool)
 # Optional scalars: None is 0 (or empty), a value v is v + 1 (False 1, True 2).
-OPT_U64 = Kind(TAG_UINT, lambda v: _u64_item(0 if v is None else v + 1), _parse_opt_u64)
+OPT_U64 = Kind(TAG_UINT, lambda v: U64.item(0 if v is None else v + 1), _parse_opt_u64)
 OPT_BOOL = Kind(
-    TAG_UINT, lambda v: _u64_item(0 if v is None else 1 + bool(v)), _parse_opt_bool
+    TAG_UINT, lambda v: U64.item(0 if v is None else 1 + bool(v)), _parse_opt_bool
 )
 OPT_BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v or b""), lambda b: b or None)
 # Lists of byte strings go through encode_list/decode_list, looked up at call
@@ -359,7 +351,11 @@ class Record:
         return b"".join(self.encode_parts(value))
 
     def decode_body(self, body: bytes):
-        return self._make(*_split(body, self._parsers))
+        values = _split(body, self._parsers)
+        try:
+            return self._make(*values)
+        except ParameterError as exc:  # a value the record type refuses
+            raise EncodingError(str(exc)) from exc
 
     def decode(self, data: bytes):
         return self.decode_body(unpack_exact(data, self.tag))

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: fixture files and fault injection."""
 
+import dataclasses
 import errno
 import os
 from collections import Counter
@@ -16,6 +17,14 @@ def fixture_path(name: str) -> str:
 def load_hex_fixture(name: str) -> bytes:
     with open(fixture_path(name)) as fh:
         return bytes.fromhex(fh.read().strip())
+
+
+def short_r_voucher(voucher):
+    """A copy of voucher with a 31-byte r, which Voucher refuses to build;
+    it still encodes, as a corrupt file or a hostile claim would carry it."""
+    bad = dataclasses.replace(voucher)
+    object.__setattr__(bad, "r", voucher.r[:31])
+    return bad
 
 
 def count_powers(monkeypatch) -> list[str]:

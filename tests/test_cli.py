@@ -190,7 +190,7 @@ class TestEstimateCli:
         assert report["insurer_vouchers"]["bytes"] == 197_345_280_000_000
 
     def test_preset_daily(self, runner):
-        result = _invoke(runner, "estimate", "storage", "--preset", "daily", "--json")
+        result = _invoke(runner, "estimate", "storage", "--cycles", "1", "--json")
         assert json.loads(result.output)["params"]["cycles_per_day"] == 1
 
 
@@ -403,6 +403,17 @@ class TestUsageErrors:
                          "--out", str(out), "--cert-out", str(cert), "--seed", "1")
         assert result.exit_code == 9
         assert result.stderr.startswith("error: ")
+        assert not out.exists() and not cert.exists()
+
+    @pytest.mark.parametrize("domain", ["", "a" * 60 + ".example.org"], ids=["empty", "72"])
+    def test_domain_length_outside_common_name_exits_9(self, runner, tmp_path, domain):
+        """A certificate's common name holds 1 to 64 characters."""
+        out, cert = tmp_path / "s", tmp_path / "s.der"
+        result = _invoke(runner, "simserver", "init", "--domain", domain,
+                         "--out", str(out), "--cert-out", str(cert), "--seed", "1")
+        assert result.exit_code == 9
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output + result.stderr
         assert not out.exists() and not cert.exists()
 
 

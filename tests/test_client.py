@@ -6,7 +6,15 @@ import os
 
 import pytest
 
-from support import FailAt, count_written, fail_once, fail_write, io_error, torn_write
+from support import (
+    FailAt,
+    count_written,
+    fail_once,
+    fail_write,
+    io_error,
+    short_r_voucher,
+    torn_write,
+)
 from conninsure import crypto, merkle, tlssim, wire
 from conninsure.client import ARCHIVE_FILE, LIST_FILE, ROLLBACK_FILE, ClientState
 from conninsure.errors import (
@@ -445,6 +453,30 @@ class TestPersistence:
         assert len(reloaded.rollback_entries) == 2
         # the unpruned tail still reconstructs its cycles
         assert reloaded.reconstruct_list(3) == client.reconstruct_list(3)
+
+    def test_archived_voucher_its_type_refuses_names_the_frame(self, tmp_path, world):
+        """A decoded value that Voucher refuses is corruption of the frame
+        that holds it, not a bare ParameterError."""
+        _, servers, channel, client, clock, rng = world
+        client.do_update_cycle(channel, now=clock.now)
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        record = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        client.save(str(tmp_path))
+        evidence = record.evidences[DOMAINS[0]]
+        bad = dataclasses.replace(
+            record,
+            evidences={
+                DOMAINS[0]: dataclasses.replace(
+                    evidence, voucher=short_r_voucher(evidence.voucher)
+                )
+            },
+        )
+        wire.replace_frames(str(tmp_path / ARCHIVE_FILE), [bad.to_bytes()])
+        with pytest.raises(
+            CorruptionError,
+            match=r"archive\.tlv: frame at byte offset 0: voucher randomness must be 32 bytes",
+        ):
+            ClientState.load(str(tmp_path))
 
     @pytest.mark.parametrize("name", ["archive.tlv", "rollback.tlv"])
     def test_torn_log_frame_is_cut_off(self, tmp_path, world, name):

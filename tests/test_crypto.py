@@ -168,7 +168,7 @@ class TestChameleonSignatures:
             insurer_keypair, prod_chameleon.public, b"payload", b"ctx", rng
         )
         assert crypto.chameleon_verify(
-            insurer_keypair.public, prod_chameleon.public, b"payload", sig
+            insurer_keypair.public, prod_chameleon.public, b"payload", sig, b"ctx"
         )
 
     def test_recipient_forges_new_message(self, insurer_keypair, prod_chameleon, rng):
@@ -180,7 +180,7 @@ class TestChameleonSignatures:
         forged_r = crypto.find_collision(prod_chameleon, b"honest", sig.r, b"forged")
         forged = crypto.ChameleonSignature(forged_r, sig.inner_sig, sig.context)
         assert crypto.chameleon_verify(
-            insurer_keypair.public, prod_chameleon.public, b"forged", forged
+            insurer_keypair.public, prod_chameleon.public, b"forged", forged, b"ctx"
         )
 
     def test_wrong_context_rejected(self, insurer_keypair, prod_chameleon, rng):
@@ -200,7 +200,7 @@ class TestChameleonSignatures:
             (sig.r + 1) % prod_chameleon.params.q, sig.inner_sig, sig.context
         )
         assert not crypto.chameleon_verify(
-            insurer_keypair.public, prod_chameleon.public, b"m", bad
+            insurer_keypair.public, prod_chameleon.public, b"m", bad, b"ctx"
         )
 
     def test_transplant_to_other_recipient_rejected(self, insurer_keypair, rng):
@@ -210,8 +210,26 @@ class TestChameleonSignatures:
             insurer_keypair, alice.public, b"m", b"ctx", rng
         )
         assert not crypto.chameleon_verify(
-            insurer_keypair.public, carol.public, b"m", sig
+            insurer_keypair.public, carol.public, b"m", sig, b"ctx"
         )
+
+    def test_signed_chameleon_hash(self, insurer_keypair, prod_chameleon, rng):
+        recipient = prod_chameleon.public
+        sig, ch = crypto.chameleon_sign(insurer_keypair, recipient, b"m", b"ctx", rng)
+        signed = crypto.signed_chameleon_hash(insurer_keypair.public, recipient, b"m", sig)
+        assert signed == ch == crypto.chameleon_hash(recipient.params, recipient.y, b"m", sig.r)
+        flipped = dataclasses.replace(
+            sig, inner_sig=bytes([sig.inner_sig[0] ^ 1]) + sig.inner_sig[1:]
+        )
+        other = crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng).public
+        for key, candidate in [
+            (recipient, flipped),
+            (recipient, dataclasses.replace(sig, r=recipient.params.q)),
+            (other, sig),
+        ]:
+            assert crypto.signed_chameleon_hash(
+                insurer_keypair.public, key, b"m", candidate
+            ) is None
 
 
 _GROUPS = [crypto.GROUP_2048_256, crypto.TOY_GROUP]
@@ -244,14 +262,13 @@ class TestTrapdoorHash:
         forged = crypto.ChameleonSignature(forged_r, sig.inner_sig, sig.context)
         q = prod_chameleon.params.q
         cases = [
-            (b"m", sig, None, True),
             (b"m", sig, b"ctx", True),
             (b"forged", forged, b"ctx", True),
             (b"m", sig, b"other", False),
-            (b"other", sig, None, False),
-            (b"m", dataclasses.replace(sig, r=(sig.r + 1) % q), None, False),
-            (b"m", dataclasses.replace(sig, r=q), None, False),
-            (b"m", dataclasses.replace(sig, inner_sig=sig.inner_sig[:-1] + b"\0"), None, False),
+            (b"other", sig, b"ctx", False),
+            (b"m", dataclasses.replace(sig, r=(sig.r + 1) % q), b"ctx", False),
+            (b"m", dataclasses.replace(sig, r=q), b"ctx", False),
+            (b"m", dataclasses.replace(sig, inner_sig=sig.inner_sig[:-1] + b"\0"), b"ctx", False),
         ]
         for message, candidate, context, expected in cases:
             args = (insurer_keypair.public, message, candidate, context)
@@ -374,8 +391,10 @@ class TestFixedBaseComb:
                 insurer_keypair, recipient, b"m", b"ctx", RandomSource(3)
             )
             runs.append((sig, ch))
-            assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig)
-            assert not crypto.chameleon_verify(insurer_keypair.public, recipient, b"m2", sig)
+            assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig, b"ctx")
+            assert not crypto.chameleon_verify(
+                insurer_keypair.public, recipient, b"m2", sig, b"ctx"
+            )
         assert runs[0] == runs[1] == runs[2]
         sig, ch = runs[0]
         e = crypto.message_exponent(params, b"m")
@@ -447,7 +466,7 @@ class TestRecipientCombs:
         assert built == [recipient.y]
         crypto.verify_trapdoor.cache_clear()
         assert crypto.verify_trapdoor(recipient.y, recipient.params, b"contract", proof)
-        assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig)
+        assert crypto.chameleon_verify(insurer_keypair.public, recipient, b"m", sig, b"ctx")
         assert built == [recipient.y] and len(modexps) == 3
 
     def test_bounded_by_capacity(self, monkeypatch):

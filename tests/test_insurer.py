@@ -652,7 +652,7 @@ class TestEndpointSurfaces:
         assert tag == wire.RESP_OK
         chsig = wire.CHAMELEON_SIGNATURE.decode(body)
         assert crypto.chameleon_verify(
-            insurer.keypair.public, chameleon.public, payload, chsig
+            insurer.keypair.public, chameleon.public, payload, chsig, chsig.context
         )
 
         root = b"\x07" * 32

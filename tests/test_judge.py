@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from support import short_r_voucher
 from conninsure import crypto, judge, tlssim
 from conninsure.errors import ClaimFormatError, ParameterError
 from conninsure.judge import Ruling, Verdict
@@ -173,6 +174,16 @@ class TestVerifyClaim:
             judge.verify_claim_bytes(
                 report.claim_bytes[:40], report.insurer_public, True
             )
+
+    def test_voucher_its_type_refuses_is_parse_error(self, mitm_world):
+        report, claim = mitm_world
+        evidence = claim.evidence
+        bad = dataclasses.replace(
+            claim,
+            evidence=dataclasses.replace(evidence, voucher=short_r_voucher(evidence.voucher)),
+        )
+        with pytest.raises(ClaimFormatError, match="voucher randomness must be 32 bytes"):
+            judge.verify_claim_bytes(bad.to_bytes(), report.insurer_public, True)
 
     def test_empty_certs_is_format_error(self, mitm_world):
         report, claim = mitm_world

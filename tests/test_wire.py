@@ -140,6 +140,19 @@ class TestListCodec:
             wire.decode_list(payload)
 
 
+class TestU64Item:
+    @pytest.mark.parametrize("value, payload", [
+        (0, b"\x00" * 8), ((1 << 64) - 1, b"\xff" * 8),
+    ])
+    def test_bounds_encode_as_tag_length_value(self, value, payload):
+        assert wire.U64.item(value) == bytes([wire.TAG_UINT]) + b"\x00\x00\x00\x08" + payload
+
+    @pytest.mark.parametrize("value", [-1, 1 << 64])
+    def test_out_of_range_refused(self, value):
+        with pytest.raises(EncodingError, match="value out of u64 range"):
+            wire.U64.item(value)
+
+
 class TestCryptoCodecs:
     def test_public_key_roundtrip(self, insurer_keypair):
         blob = wire.PUBLIC_KEY.encode(insurer_keypair.public)
