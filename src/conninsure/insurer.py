@@ -10,8 +10,12 @@ held is bounded by the number of customers.
 Every state change is one log event.  An operation runs its checks,
 builds the event, and commits it: the event is appended to the log and
 fsync'd, and only then applied to memory by `_apply`, the same code that
-`load` replays the log with.  So memory never runs ahead of the log.  The
-request dispatcher maps every failure to an error response.  A single
+`load` replays the log with.  So memory never runs ahead of the log.  A
+log is its SETUP frame, which holds the whole initial state, and then one
+frame per event; a restart replays every event, so it restores the held
+lists too.  Older logs may also hold SNAPSHOT frames of the whole state,
+which are no longer written; `load` starts at the last SETUP or SNAPSHOT.
+The request dispatcher maps every failure to an error response.  A single
 re-entrant lock serializes all state-changing operations, which gives
 record-log appends a total order and per-contract serialization for free.
 """
@@ -48,12 +52,6 @@ _log = logging.getLogger(__name__)
 
 RECENCY_WINDOW = 300
 DEFAULT_POLICY_DAYS = 365
-# A snapshot follows an event once at least this many events have been
-# appended since the last SETUP or SNAPSHOT frame (a SETUP counts itself)
-# and their payload bytes are at least that frame's.  The events pay for
-# every snapshot but the latest, so the log stays under about twice its
-# event bytes plus one snapshot, however long it runs.
-SNAPSHOT_INTERVAL = 256
 
 _PENDING = "pending"
 _ACKED = "certs-acked"
@@ -91,6 +89,9 @@ class _OpenCycle:
 
 
 def _open_cycle(customer, cycleid, certs, state=_PENDING, t=None) -> _OpenCycle:
+    # A pending cycle has no t yet, and an acknowledged one has its t.
+    if state != (_PENDING if t is None else _ACKED):
+        raise ParameterError(f"open cycle in state {state!r} with t {t}")
     return _OpenCycle(customer, cycleid, CertList(certs), state, t)
 
 
@@ -128,7 +129,8 @@ LIST_DELTA = wire.Record(
     ("version", wire.U64),
 )
 
-# Log events, by tag.  SETUP and SNAPSHOT carry the full state.
+# Log events, by tag.  SETUP and SNAPSHOT carry the full state; SNAPSHOT is
+# only read.
 _SNAPSHOT = wire.Record(wire.LOG_SNAPSHOT, None, *_SNAPSHOT_FIELDS)
 _EVENTS = {
     wire.LOG_SETUP: wire.Record(wire.LOG_SETUP, None, *_SNAPSHOT_FIELDS),
@@ -260,11 +262,6 @@ class Insurer:
         self._lock = threading.RLock()
         self._log_path: str | None = None
         self._log_broken = False
-        # Frames and payload bytes appended since the last SETUP or
-        # SNAPSHOT frame, and that frame's payload bytes.
-        self._events_since_snapshot = 0
-        self._bytes_since_snapshot = 0
-        self._snapshot_size = 0
 
     @property
     def certs(self) -> list[bytes]:
@@ -290,16 +287,13 @@ class Insurer:
             setup = _EVENTS[wire.LOG_SETUP].encode(insurer._snapshot_values())
             wire.replace_frames(log_path, [setup])
             insurer._log_path = log_path
-            insurer._events_since_snapshot = 1  # SETUP counts, as every frame does
-            insurer._snapshot_size = len(setup)
         return insurer
 
     @classmethod
     def load(cls, log_path: str, rng: RandomSource = DEFAULT) -> "Insurer":
-        """Rebuild state from the last snapshot plus the event tail.  The
-        tail counts toward the next snapshot as it did when it was written,
-        so a log driven through reloads takes its snapshots where one
-        driven by a single process does."""
+        """Rebuild state from the last SETUP or SNAPSHOT frame plus the
+        events after it: a log written now is its SETUP frame and every
+        event since."""
         frames = wire.read_log(log_path)
         start = 0
         for i, (offset, payload) in enumerate(frames):
@@ -323,10 +317,6 @@ class Insurer:
         if insurer is None:
             raise EncodingError("log contains no snapshot")
         insurer._log_path = log_path
-        checkpoint, tail = frames[start][1], frames[start + 1 :]
-        insurer._events_since_snapshot = len(tail) + (checkpoint[0] == wire.LOG_SETUP)
-        insurer._bytes_since_snapshot = sum(len(payload) for _, payload in tail)
-        insurer._snapshot_size = len(checkpoint)
         return insurer
 
     def close(self) -> None:
@@ -335,43 +325,17 @@ class Insurer:
 
     def _commit(self, tag: int, value) -> None:
         """Append one event, encoded by its table in _EVENTS, and then apply
-        it; append a snapshot after it when one is due.  If the event's
-        append fails, memory is left as it was; if the snapshot's fails, the
-        event stands, the counters keep counting, and the next event
-        retries it."""
+        it.  If the append fails, memory is left as it was; if a failed
+        append could not be cut off, later events are refused."""
         if self._log_path:
             if self._log_broken:
                 raise CorruptionError("log append could not be undone; restart")
-            self._write_frame(_EVENTS[tag].encode(value))
-        self._apply(tag, value)
-        if self._log_path and self._snapshot_due():
-            snapshot = _SNAPSHOT.encode(self._snapshot_values())
             try:
-                self._write_frame(snapshot)
-            except (OSError, CorruptionError):
-                _log.exception("snapshot append failed")
-            else:
-                self._events_since_snapshot = self._bytes_since_snapshot = 0
-                self._snapshot_size = len(snapshot)
-
-    def _snapshot_due(self) -> bool:
-        """Whether the frames since the last snapshot (or SETUP) are both
-        SNAPSHOT_INTERVAL events and as many bytes as that snapshot."""
-        return (
-            self._events_since_snapshot >= SNAPSHOT_INTERVAL
-            and self._bytes_since_snapshot >= self._snapshot_size
-        )
-
-    def _write_frame(self, payload: bytes) -> None:
-        """Append one frame and count it toward the next snapshot; if a
-        failed append could not be cut off, refuse later events."""
-        try:
-            wire.append_frames(self._log_path, [payload])
-        except CorruptionError:
-            self._log_broken = True
-            raise
-        self._events_since_snapshot += 1
-        self._bytes_since_snapshot += len(payload)
+                wire.append_frames(self._log_path, [_EVENTS[tag].encode(value)])
+            except CorruptionError:
+                self._log_broken = True
+                raise
+        self._apply(tag, value)
 
     def _snapshot_values(self) -> tuple:
         return (
@@ -411,9 +375,12 @@ class Insurer:
         return insurer
 
     def _apply(self, tag: int, value) -> None:
-        """The state change of one logged event, live or replayed."""
+        """The state change of one logged event, live or replayed.  An event
+        that the live operations refuse to log is CorruptionError."""
         if tag == wire.LOG_REGISTER:
             (contract,) = value
+            if contract.customer in self.contracts:
+                raise CorruptionError(f"customer {contract.customer} registered twice")
             self.contracts[contract.customer] = contract
             self._next_customer = max(self._next_customer, contract.customer + 1)
         elif tag == wire.LOG_UPDATE_CERTS:
@@ -439,15 +406,29 @@ class Insurer:
             self._open(customer, cycleid, CertList(certs))
         elif tag == wire.LOG_ACK_CERTS:
             customer, t, message, r, ch = value
-            cycle = self.open_cycles[customer]
+            cycle = self._cycle_in(customer, _PENDING)
             cycle.state = _ACKED
             cycle.t = t
             self._store_record(ChameleonRecord(customer, message, r, ch))
         else:
-            self.open_cycles.pop(value.customer, None)
+            self._cycle_in(value.customer, _ACKED)
+            del self.open_cycles[value.customer]
             self._store_record(value)
 
+    def _cycle_in(self, customer: int, state: str) -> _OpenCycle:
+        """The customer's open cycle, which a logged event needs in state."""
+        cycle = self.open_cycles.get(customer)
+        if cycle is None or cycle.state != state:
+            raise CorruptionError(f"customer {customer} has no {state} cycle")
+        return cycle
+
     def _open(self, customer: int, cycleid: bytes, listing: CertList) -> None:
+        if customer not in self.contracts:
+            raise CorruptionError(f"cycle begins for unknown customer {customer}")
+        if customer in self.open_cycles:
+            raise CorruptionError(f"customer {customer} begins a cycle with one open")
+        if cycleid in self._used_cycleids:
+            raise CorruptionError(f"cycleid {cycleid.hex()} begins a second cycle")
         self.open_cycles[customer] = _OpenCycle(customer, cycleid, listing)
         self.held[customer] = listing
         self._used_cycleids.add(cycleid)

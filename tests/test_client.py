@@ -216,18 +216,14 @@ class TestDeltaDownload:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == on_disk
 
     @pytest.mark.parametrize("snapshots", [False, True], ids=["held-list-replayed", "snapshot"])
-    def test_cycle_after_insurer_restart_and_client_load(
-        self, tmp_path, monkeypatch, snapshots
-    ):
+    def test_cycle_after_insurer_restart_and_client_load(self, tmp_path, snapshots):
         """After a restart the insurer answers with a delta from the held
-        list it replayed, or, if a snapshot dropped it, with the whole list;
-        either way the client ends on the current list and both cycles'
-        claims are accepted."""
+        list it replayed, or, if an old log's snapshot dropped it, with the
+        whole list; either way the client ends on the current list and both
+        cycles' claims are accepted."""
         import conninsure.insurer as insurer_module
         from conninsure import judge
 
-        if snapshots:  # a snapshot after every event
-            monkeypatch.setattr(insurer_module.Insurer, "_snapshot_due", lambda self: True)
         rng = RandomSource(56)
         clock = SimClock()
         servers = {d: tlssim.SimServer.create(d, rng=rng, now=clock.now) for d in DOMAINS}
@@ -243,6 +239,9 @@ class TestDeltaDownload:
         client.save(str(tmp_path / "client"))
         insurer.update_cert_list([b"appended-cert"], [servers[DOMAINS[2]].presented_cert])
         insurer.close()
+        if snapshots:  # as a log written when the insurer appended snapshots
+            snapshot = insurer_module._SNAPSHOT.encode(insurer._snapshot_values())
+            wire.append_frames(log, [snapshot])
 
         insurer = Insurer.load(log)
         assert bool(insurer.held) is not snapshots

@@ -7,9 +7,10 @@ gets an explicit RandomSource and every call that reads a clock gets `now`,
 so the bytes are a function of the code alone.  The test compares each
 artifact with tests/fixtures/golden_codec.json and decodes each fixture back.
 
-tests/fixtures/insurer_log_v1.hex is the same deployment's log as written
-when BEGIN_CYCLE and UPDATE_CERTS events carried the whole list; it is not
-regenerated, and must still load to the same state.
+tests/fixtures/insurer_log_v*.hex are the same deployment's log in formats
+no longer written: v1 when BEGIN_CYCLE and UPDATE_CERTS events carried the
+whole list, v2 when the insurer appended SNAPSHOT frames.  They are not
+regenerated, and each must still load to the same state.
 tests/fixtures/client_dir_v1.json holds the same deployment's client files
 as written when state.tlv held the whole list and there was no list.tlv;
 it is not regenerated either, and must still load to the same state.
@@ -19,6 +20,7 @@ Regenerate the fixture file (only when a layout change is intended):
     PYTHONPATH=src python tests/test_golden_codec.py --write
 """
 
+import glob
 import json
 import os
 import shutil
@@ -27,7 +29,7 @@ import tempfile
 
 import pytest
 
-from conninsure import crypto, insurer as insurer_mod, tlssim, wire
+from conninsure import crypto, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import CorruptionError
 from conninsure.insurer import (
@@ -111,9 +113,8 @@ def _lookup(kind, key):
     )
 
 
-def build_artifacts(workdir, monkeypatch_interval):
+def build_artifacts(workdir):
     """Run the seeded deployment in workdir; return (artifacts, insurer, client)."""
-    monkeypatch_interval(7)
     out = {}
     server_rng = RandomSource(101)
     servers = [
@@ -206,14 +207,7 @@ def load_fixture():
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
-    mp = pytest.MonkeyPatch()
-    try:
-        yield build_artifacts(
-            str(tmp_path_factory.mktemp("golden")),
-            lambda n: mp.setattr(insurer_mod, "SNAPSHOT_INTERVAL", n),
-        )
-    finally:
-        mp.undo()
+    return build_artifacts(str(tmp_path_factory.mktemp("golden")))
 
 
 @pytest.fixture(scope="module")
@@ -221,9 +215,10 @@ def golden():
     return load_fixture()
 
 
-@pytest.fixture(scope="module")
-def full_list_log():
-    return load_hex_fixture("insurer_log_v1.hex")
+# Logs in formats no longer written, oldest first.
+OLD_LOGS = sorted(
+    os.path.basename(path) for path in glob.glob(fixture_path("insurer_log_v*.hex"))
+)
 
 
 @pytest.fixture(scope="module")
@@ -248,19 +243,27 @@ def _event_tags(log: bytes) -> set[int]:
     return set(tags)
 
 
-def test_log_has_every_event_kind_and_a_snapshot(golden):
-    assert _event_tags(golden["insurer_log"]) == {
-        wire.LOG_SETUP, wire.LOG_REGISTER, wire.LOG_UPDATE_CERTS,
-        wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
+_EVENT_KINDS = {
+    wire.LOG_SETUP, wire.LOG_REGISTER, wire.LOG_UPDATE_CERTS,
+    wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
+}
+
+
+def test_log_has_every_event_kind_and_no_snapshot(golden):
+    assert _event_tags(golden["insurer_log"]) == _EVENT_KINDS
+
+
+def test_full_list_log_has_the_full_list_events():
+    assert _event_tags(load_hex_fixture("insurer_log_v1.hex")) == {
+        wire.LOG_SETUP, wire.LOG_REGISTER, wire.LOG_UPDATE_CERTS_LIST,
+        wire.LOG_BEGIN_CYCLE_LIST, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
         wire.LOG_SNAPSHOT,
     }
 
 
-def test_full_list_log_has_the_full_list_events(full_list_log):
-    assert _event_tags(full_list_log) == {
-        wire.LOG_SETUP, wire.LOG_REGISTER, wire.LOG_UPDATE_CERTS_LIST,
-        wire.LOG_BEGIN_CYCLE_LIST, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
-        wire.LOG_SNAPSHOT,
+def test_snapshot_log_has_every_event_kind_and_a_snapshot():
+    assert _event_tags(load_hex_fixture("insurer_log_v2.hex")) == {
+        *_EVENT_KINDS, wire.LOG_SNAPSHOT
     }
 
 
@@ -278,26 +281,28 @@ def test_record_fixture_decodes_and_reencodes(golden, name):
     assert RECORD_TYPES[name].from_bytes(blob).to_bytes() == blob
 
 
-def _loads_to_snapshot(log: bytes, path, snapshot: bytes) -> None:
+def _assert_loads_to_golden(log: bytes, path, golden) -> None:
+    """The log loads to the golden state and answers the golden lookups."""
     path.write_bytes(log)
     loaded = Insurer.load(str(path))
-    try:
-        assert loaded.snapshot_bytes() == snapshot
-    finally:
-        loaded.close()
+    loaded.close()
+    assert loaded.snapshot_bytes() == golden["insurer_snapshot"]
+    for name in ("lookup_hit", "lookup_miss"):
+        response = handle_request(loaded, golden[f"{name}_request"], START)
+        assert response == golden[f"{name}_response"]
 
 
 def test_insurer_log_fixture_replays(built, golden, tmp_path):
     _, live, _ = built
     assert golden["insurer_snapshot"] == live.snapshot_bytes()
-    _loads_to_snapshot(golden["insurer_log"], tmp_path / "insurer.log", live.snapshot_bytes())
+    _assert_loads_to_golden(golden["insurer_log"], tmp_path / "insurer.log", golden)
 
 
-def test_full_list_log_fixture_replays(golden, full_list_log, tmp_path):
-    """A log written when cycles and updates carried whole lists loads to
-    the state the current log does."""
-    path = tmp_path / "insurer.log"
-    _loads_to_snapshot(full_list_log, path, golden["insurer_snapshot"])
+@pytest.mark.parametrize("name", OLD_LOGS)
+def test_old_insurer_log_fixture_replays(golden, tmp_path, name):
+    """A log in a format no longer written loads to the state the current
+    log does."""
+    _assert_loads_to_golden(load_hex_fixture(name), tmp_path / "insurer.log", golden)
 
 
 def _split_last_frame(log: bytes) -> tuple[bytes, bytes]:
@@ -407,9 +412,7 @@ def test_client_files_before_the_list_log_migrate(built, golden, client_dir_v1, 
 def _write_fixture():
     workdir = tempfile.mkdtemp()
     try:
-        artifacts, _, _ = build_artifacts(
-            workdir, lambda n: setattr(insurer_mod, "SNAPSHOT_INTERVAL", n)
-        )
+        artifacts, _, _ = build_artifacts(workdir)
     finally:
         shutil.rmtree(workdir)
     with open(FIXTURE, "w") as fh:

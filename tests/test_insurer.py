@@ -101,6 +101,29 @@ def _run_cycle(insurer, keypair, contract, t, root=b"\x00" * 32, t_prime=None):
     )
 
 
+def _fresh_log(tmp_path) -> tuple[str, Insurer, bytes]:
+    """A log of two registrations and a begun cycle for customer 1; the
+    insurer that wrote it, closed, and that cycle's cycleid."""
+    log = str(tmp_path / "insurer.log")
+    insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+    rng = RandomSource(12)
+    for _ in range(2):
+        insurer.register(_registration(rng)[2], NOW)
+    cycleid = insurer.begin_cycle(1, b"", NOW)[0]
+    insurer.close()
+    return log, insurer, cycleid
+
+
+def _assert_appended_event_is_corruption(log: str, tag: int, value, match: str) -> None:
+    """Once the event is appended to the log, load raises CorruptionError
+    naming its frame."""
+    with open(log, "ab") as fh:
+        offset = fh.tell()
+        fh.write(wire.frame(insurer_module._EVENTS[tag].encode(value)))
+    with pytest.raises(CorruptionError, match=f"byte offset {offset}: .*{match}"):
+        Insurer.load(log)
+
+
 class TestSetup:
     def test_initial_list_returned(self, insurer):
         assert insurer.certs == CERTS
@@ -132,10 +155,6 @@ class TestSetup:
         reloaded.close()
 
     def test_every_log_frame_is_fsynced(self, tmp_path, monkeypatch):
-        """Periodic snapshots are made durable like the events they follow."""
-        import conninsure.insurer as insurer_module
-
-        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 2)
         synced = []
         real_fsync = insurer_module.os.fsync
         monkeypatch.setattr(
@@ -144,15 +163,12 @@ class TestSetup:
         log = tmp_path / "insurer.log"
         persisted = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
         persisted.register(_registration(RandomSource(12))[2], NOW)
-        # Certificates large enough that two events outweigh the snapshot.
-        persisted.update_cert_list([b"cert-delta" * 25], [])
-        persisted.update_cert_list([b"cert-epsilon" * 25], [])
+        persisted.update_cert_list([b"cert-delta"], [])
+        persisted.update_cert_list([b"cert-epsilon"], [])
         persisted.close()
         frames = list(wire.iter_frames(log.read_bytes()))
-        tags = [frame[0] for frame in frames]
-        assert tags.count(wire.LOG_SNAPSHOT) == 2
         # and set-up fsyncs the directory it created the log in
-        assert len(synced) == len(frames) + 1 == 7
+        assert len(synced) == len(frames) + 1 == 5
 
     def test_refuses_an_existing_log(self, tmp_path):
         log = tmp_path / "insurer.log"
@@ -441,6 +457,28 @@ class TestDeltaDownload:
         _, base, removed, appended = insurer.begin_cycle(contract.customer, held, NOW)
         assert (base, removed, appended) == (held, [1], [b"cert-epsilon"])
 
+    def test_restart_keeps_every_held_list(self, tmp_path):
+        """After a restart from a log of over 300 events, a customer with no
+        open cycle still gets a delta from the list it last downloaded."""
+        log = str(tmp_path / "insurer.log")
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+        rng = RandomSource(12)
+        customers = []
+        for _ in range(2):
+            keypair, _, request = _registration(rng)
+            customers.append((keypair, insurer.register(request, NOW)))
+        (quiet_keypair, quiet), (busy_keypair, busy) = customers
+        _run_cycle(insurer, quiet_keypair, quiet, NOW)
+        for i in range(100):
+            _run_cycle(insurer, busy_keypair, busy, NOW + i)
+        insurer.update_cert_list([b"cert-delta"], [b"cert-beta"])
+        insurer.close()
+        restarted = Insurer.load(log)
+        restarted.close()
+        held = wire.cert_list_digest(CERTS)
+        _, base, removed, appended = restarted.begin_cycle(quiet.customer, held, NOW)
+        assert (base, removed, appended) == (held, [1], [b"cert-delta"])
+
     def test_unknown_base_gets_the_whole_list(self, enrolled):
         insurer, keypair, _, contract, _ = enrolled
         cycleid, _, _, certs = insurer.begin_cycle(contract.customer, b"", NOW)
@@ -519,15 +557,8 @@ class TestDeltaDownload:
     def test_event_inconsistent_with_the_list_is_corruption(
         self, tmp_path, tag, value, match
     ):
-        log = tmp_path / "insurer.log"
-        persisted = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
-        persisted.register(_registration(RandomSource(12))[2], NOW)
-        persisted.close()
-        offset = log.stat().st_size
-        with open(log, "ab") as fh:
-            fh.write(wire.frame(insurer_module._EVENTS[tag].encode(value)))
-        with pytest.raises(CorruptionError, match=f"byte offset {offset}: .*{match}"):
-            Insurer.load(str(log))
+        log, _, _ = _fresh_log(tmp_path)
+        _assert_appended_event_is_corruption(log, tag, value, match)
 
 
 class TestRecordLog:
@@ -752,52 +783,6 @@ def _reloaded_snapshot(log: str) -> bytes:
     return reloaded.snapshot_bytes()
 
 
-def _fail_second_fsync(monkeypatch) -> None:
-    """Make the second os.fsync from now on raise an injected I/O error."""
-    synced = []
-    real_fsync = insurer_module.os.fsync
-
-    def fsync(fd):
-        synced.append(fd)
-        if len(synced) == 2:
-            io_error(real_fsync, fd)
-        real_fsync(fd)
-
-    monkeypatch.setattr(insurer_module.os, "fsync", fsync)
-
-
-def _single_and_reloaded_logs(tmp_path, certs, updates) -> tuple[bytes, bytes]:
-    """The log of one insurer making the list updates, and that of one
-    reloaded from its log before each update."""
-    single, reloaded = tmp_path / "single.log", tmp_path / "reloaded.log"
-    insurer = Insurer.setup(certs, rng=RandomSource(11), log_path=str(single))
-    for adds, removes in updates:
-        insurer.update_cert_list(adds, removes)
-    insurer.close()
-    Insurer.setup(certs, rng=RandomSource(11), log_path=str(reloaded)).close()
-    for adds, removes in updates:
-        insurer = Insurer.load(str(reloaded))
-        insurer.update_cert_list(adds, removes)
-        insurer.close()
-    return single.read_bytes(), reloaded.read_bytes()
-
-
-def _assert_snapshots_follow_the_rule(frames: list[bytes]) -> None:
-    """A snapshot follows exactly the events after which the frames since
-    the last SETUP or SNAPSHOT are SNAPSHOT_INTERVAL events (a SETUP
-    counting itself) and at least as many payload bytes as it."""
-    due = False
-    for payload in frames:
-        if payload[0] in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-            assert due is (payload[0] == wire.LOG_SNAPSHOT)
-            events, size, since = int(payload[0] == wire.LOG_SETUP), len(payload), 0
-        else:
-            assert not due
-            events, since = events + 1, since + len(payload)
-        due = events >= insurer_module.SNAPSHOT_INTERVAL and since >= size
-    assert not due
-
-
 class TestLogFaults:
     """A failed log append leaves memory equal to what the log replays to."""
 
@@ -851,96 +836,84 @@ class TestLogFaults:
         assert reloaded.update_cert_list([b"cert-delta"], []) == 1
         reloaded.close()
 
-    def test_reload_counts_the_tail_toward_the_next_snapshot(self, tmp_path, monkeypatch):
-        """A log driven with a reload before every event, as the CLI drives
-        it, takes its snapshots where a log driven by one process does: a
-        reloaded insurer snapshots after SNAPSHOT_INTERVAL - tail events."""
-        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 3)
-        # Each update swaps one large certificate for the next, so the
-        # snapshot stays the same size, any two events outweigh it, and the
-        # event count alone decides.
-        big = [bytes([i]) * 300 for i in range(9)]
-        updates = [([big[i + 1]], [big[i]]) for i in range(8)]
-        certs = CERTS + big[:1]
-        single, reloaded = _single_and_reloaded_logs(tmp_path, certs, updates)
-        tags = [payload[0] for payload in wire.iter_frames(single)]
-        assert tags.count(wire.LOG_SNAPSHOT) == 3
-        assert reloaded == single
 
-    def test_reload_keeps_the_byte_count_toward_the_next_snapshot(
-        self, tmp_path, monkeypatch
-    ):
-        """Where the bytes decide, a log driven through reloads still takes
-        its snapshots where one driven by a single process does."""
-        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 1)
-        updates = [([b"cert-%d" % i], []) for i in range(30)]
-        single, reloaded = _single_and_reloaded_logs(tmp_path, CERTS, updates)
-        frames = list(wire.iter_frames(single))
-        snapshots = [payload for payload in frames if payload[0] == wire.LOG_SNAPSHOT]
-        assert 2 <= len(snapshots) < len(updates) // 4
-        _assert_snapshots_follow_the_rule(frames)
-        assert reloaded == single
+# Events the live operations refuse to log, given the insurer of _fresh_log
+# and its open cycleid, and what load names when one follows that log.
+IMPOSSIBLE_EVENTS = {
+    "ack-without-cycle": (
+        lambda live, cycleid: (wire.LOG_ACK_CERTS, (5, NOW, b"m", 1, b"c")),
+        "customer 5 has no pending cycle",
+    ),
+    "submit-before-ack": (
+        lambda live, cycleid: (
+            wire.LOG_SUBMIT_VOUCHERS, insurer_module.ChameleonRecord(1, b"m", 1, b"c")
+        ),
+        "customer 1 has no certs-acked cycle",
+    ),
+    "begin-over-open-cycle": (
+        lambda live, cycleid: (wire.LOG_BEGIN_CYCLE, (1, b"\x21" * 32, 0)),
+        "customer 1 begins a cycle with one open",
+    ),
+    "begin-reusing-cycleid": (
+        lambda live, cycleid: (wire.LOG_BEGIN_CYCLE, (2, cycleid, 0)),
+        "begins a second cycle",
+    ),
+    "begin-for-unknown-customer": (
+        lambda live, cycleid: (wire.LOG_BEGIN_CYCLE, (3, b"\x21" * 32, 0)),
+        "unknown customer 3",
+    ),
+    "register-twice": (
+        lambda live, cycleid: (wire.LOG_REGISTER, (live.contracts[2],)),
+        "customer 2 registered twice",
+    ),
+}
 
-    def test_snapshots_cost_no_more_than_the_events(self, tmp_path, monkeypatch):
-        """The events since a snapshot pay for it: over a log of 1 000
-        events, SETUP and snapshots together are at most the event bytes
-        plus the latest of them, so the log grows linearly."""
-        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 8)
-        log = tmp_path / "insurer.log"
-        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
-        rng = RandomSource(12)
-        customers = []
-        for _ in range(4):
-            keypair, _, request = _registration(rng)
-            customers.append((keypair, insurer.register(request, NOW)))
-        for i in range(332):
-            keypair, contract = customers[i % len(customers)]
-            _run_cycle(insurer, keypair, contract, NOW + i)
+
+class TestReplay:
+    """A restart replays every event since SETUP, and refuses one the live
+    operations could not have logged."""
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["one-process", "reloaded"])
+    def test_long_log_is_its_setup_and_events(self, tmp_path, reload):
+        """Past 300 events, made by one process or each after a reload as
+        the CLI makes them, the log holds SETUP and one frame per event,
+        and it reloads to the live state."""
+        log = str(tmp_path / "insurer.log")
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+        keypair, _, request = _registration(RandomSource(12))
+        customer = {"keypair": keypair, "request": request}
+        for name in OPERATIONS[:1] + OPERATIONS[1:] * 75:
+            if reload:
+                insurer.close()
+                insurer = Insurer.load(log, rng=insurer.rng)
+            assert _operate(insurer, customer, name) is None
         insurer.close()
-        frames = list(wire.iter_frames(log.read_bytes()))
-        checkpoints = [p for p in frames if p[0] in (wire.LOG_SETUP, wire.LOG_SNAPSHOT)]
-        events = [p for p in frames if p[0] not in (wire.LOG_SETUP, wire.LOG_SNAPSHOT)]
-        assert len(events) >= 1000 and len(checkpoints) >= 4
-        _assert_snapshots_follow_the_rule(frames)
-        assert sum(map(len, checkpoints)) <= sum(map(len, events)) + len(checkpoints[-1])
-        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
-
-    def test_failed_snapshot_keeps_its_event(self, tmp_path, monkeypatch):
-        """The periodic snapshot is appended after its event is applied; if
-        it fails, the operation still succeeds and the next event appends
-        the snapshot."""
-        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 2)
-        log = tmp_path / "insurer.log"
-        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
-        _fail_second_fsync(monkeypatch)  # the first is the event's
-        # A certificate large enough that its event outweighs the SETUP.
-        assert insurer.update_cert_list([b"cert-delta" * 25], []) == 1
-        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
-        insurer.update_cert_list([b"cert-epsilon"], [])
-        insurer.close()
-        tags = [payload[0] for payload in wire.iter_frames(log.read_bytes())]
-        assert tags == [
-            wire.LOG_SETUP, wire.LOG_UPDATE_CERTS, wire.LOG_UPDATE_CERTS, wire.LOG_SNAPSHOT
+        with open(log, "rb") as fh:
+            tags = [payload[0] for payload in wire.iter_frames(fh.read())]
+        cycle = [
+            wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
+            wire.LOG_UPDATE_CERTS,
         ]
-        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
+        assert tags == [wire.LOG_SETUP, wire.LOG_REGISTER] + cycle * 75
+        assert _reloaded_snapshot(log) == insurer.snapshot_bytes()
 
-    @pytest.mark.parametrize("reload", [False, True], ids=["live", "reloaded"])
-    def test_failed_snapshot_keeps_its_byte_count(self, tmp_path, monkeypatch, reload):
-        """After a failed snapshot append the bytes since the SETUP still
-        count, in memory and as a reload restores them: the next event,
-        however small, retries the snapshot."""
-        monkeypatch.setattr(insurer_module, "SNAPSHOT_INTERVAL", 1)
-        log = tmp_path / "insurer.log"
-        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=str(log))
-        _fail_second_fsync(monkeypatch)
-        insurer.update_cert_list([b"cert-delta" * 25], [])
-        if reload:
-            insurer.close()
-            insurer = Insurer.load(str(log))
-        insurer.update_cert_list([b"cert-epsilon"], [])
-        insurer.close()
-        tags = [payload[0] for payload in wire.iter_frames(log.read_bytes())]
-        assert tags == [
-            wire.LOG_SETUP, wire.LOG_UPDATE_CERTS, wire.LOG_UPDATE_CERTS, wire.LOG_SNAPSHOT
-        ]
-        assert _reloaded_snapshot(str(log)) == insurer.snapshot_bytes()
+    @pytest.mark.parametrize("kind", sorted(IMPOSSIBLE_EVENTS))
+    def test_event_the_live_path_refuses_is_corruption(self, tmp_path, kind):
+        log, live, cycleid = _fresh_log(tmp_path)
+        make, match = IMPOSSIBLE_EVENTS[kind]
+        _assert_appended_event_is_corruption(log, *make(live, cycleid), match)
+
+    @pytest.mark.parametrize(
+        "tag", [wire.LOG_SETUP, wire.LOG_SNAPSHOT], ids=["setup", "snapshot"]
+    )
+    @pytest.mark.parametrize("state, t", [
+        ("bogus", None), ("certs-acked", None), ("pending", NOW),
+    ])
+    def test_open_cycle_state_must_match_its_t(self, tmp_path, tag, state, t):
+        """A SETUP or SNAPSHOT frame whose open cycle's state text disagrees
+        with its t is corruption of that frame."""
+        log, live, _ = _fresh_log(tmp_path)
+        live.open_cycles[1].state, live.open_cycles[1].t = state, t
+        _assert_appended_event_is_corruption(
+            log, tag, live._snapshot_values(), "open cycle in state"
+        )
