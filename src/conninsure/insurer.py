@@ -11,10 +11,11 @@ Every state change is one log event.  An operation runs its checks,
 builds the event, and commits it: the event is appended to the log and
 fsync'd, and only then applied to memory by `_apply`, the same code that
 `load` replays the log with.  So memory never runs ahead of the log.  A
-log is its SETUP frame, which holds the whole initial state, and then one
-frame per event; a restart replays every event, so it restores the held
-lists too.  Older logs may also hold SNAPSHOT frames of the whole state,
-which are no longer written; `load` starts at the last SETUP or SNAPSHOT.
+log is its SETUP frame, which holds the initial state, and then one frame
+per event; a restart replays every event, so it restores the held lists
+too.  Older logs may also hold SNAPSHOT frames of the whole state, which
+are no longer written; `load` checks each against the state replayed up
+to it and restores nothing from it.
 The request dispatcher maps every failure to an error response.  A single
 re-entrant lock serializes all state-changing operations, which gives
 record-log appends a total order and per-contract serialization for free.
@@ -129,8 +130,8 @@ LIST_DELTA = wire.Record(
     ("version", wire.U64),
 )
 
-# Log events, by tag.  SETUP and SNAPSHOT carry the full state; SNAPSHOT is
-# only read.
+# Log events, by tag.  SETUP carries the initial state in the layout of a
+# full-state SNAPSHOT, which older logs hold and which is only checked.
 _SNAPSHOT = wire.Record(wire.LOG_SNAPSHOT, None, *_SNAPSHOT_FIELDS)
 _EVENTS = {
     wire.LOG_SETUP: wire.Record(wire.LOG_SETUP, None, *_SNAPSHOT_FIELDS),
@@ -160,19 +161,14 @@ _EVENTS = {
 }
 
 
-def _event_tag(payload: bytes) -> int:
-    """The event tag of one log frame, which must be known."""
-    if not payload or payload[0] not in _EVENTS:
-        raise EncodingError(f"unknown log event tag {payload[:1].hex() or 'none'}")
-    return payload[0]
-
-
 def _decode_event(payload: bytes) -> tuple:
     """(tag, value) of the event in one log frame."""
     tag, body, end = wire.unpack(payload)
+    if tag not in _EVENTS:
+        raise EncodingError(f"unknown log event tag 0x{tag:02x}")
     if end != len(payload):
         raise EncodingError(f"trailing bytes after log event 0x{tag:02x}")
-    return tag, _EVENTS[_event_tag(payload)].decode_body(body)
+    return tag, _EVENTS[tag].decode_body(body)
 
 
 @wire.codec(
@@ -291,31 +287,30 @@ class Insurer:
 
     @classmethod
     def load(cls, log_path: str, rng: RandomSource = DEFAULT) -> "Insurer":
-        """Rebuild state from the last SETUP or SNAPSHOT frame plus the
-        events after it: a log written now is its SETUP frame and every
-        event since."""
-        frames = wire.read_log(log_path)
-        start = 0
-        for i, (offset, payload) in enumerate(frames):
-            tag = wire.decode_frame(_event_tag, log_path, offset, payload)
-            if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-                start = i
+        """Replay the log: its SETUP frame, then every event after it."""
         insurer = None
-        for offset, payload in frames[start:]:
+        for offset, payload in wire.read_log(log_path):
             tag, value = wire.decode_frame(_decode_event, log_path, offset, payload)
-            if tag in (wire.LOG_SETUP, wire.LOG_SNAPSHOT):
-                insurer = cls._from_snapshot(value, rng)
-                continue
-            if insurer is None:
-                raise EncodingError("log does not start with a snapshot")
             try:
-                insurer._apply(tag, value)
+                if insurer is None:
+                    if tag != wire.LOG_SETUP:
+                        raise CorruptionError("log does not start with SETUP")
+                    insurer = cls._from_setup(value, rng)
+                elif tag == wire.LOG_SETUP:
+                    raise CorruptionError("a second SETUP")
+                elif tag == wire.LOG_SNAPSHOT:
+                    # Old logs hold copies of the state; each must be the
+                    # state its events replay to.
+                    if payload != _SNAPSHOT.encode(insurer._snapshot_values()):
+                        raise CorruptionError("SNAPSHOT disagrees with the events before it")
+                else:
+                    insurer._apply(tag, value)
             except CorruptionError as exc:
                 raise CorruptionError(
                     f"{log_path}: frame at byte offset {offset}: {exc}"
                 ) from None
         if insurer is None:
-            raise EncodingError("log contains no snapshot")
+            raise EncodingError(f"{log_path}: log holds no frame")
         insurer._log_path = log_path
         return insurer
 
@@ -358,21 +353,14 @@ class Insurer:
             return _SNAPSHOT.encode_body(self._snapshot_values())
 
     @classmethod
-    def _from_snapshot(cls, values: tuple, rng: RandomSource) -> "Insurer":
+    def _from_setup(cls, values: tuple, rng: RandomSource) -> "Insurer":
         (public, secret, certs, cert_version, policy_days, recency_window,
          next_customer, contracts, open_cycles, records, used) = values
-        insurer = cls(
+        if cert_version or next_customer != 1 or contracts or open_cycles or records or used:
+            raise CorruptionError("SETUP holds more than the initial state")
+        return cls(
             crypto.SigKeyPair(public, secret), certs, policy_days, recency_window, rng
         )
-        insurer.cert_version = cert_version
-        insurer._next_customer = next_customer
-        insurer.contracts = contracts
-        insurer.open_cycles = open_cycles
-        insurer.held = {c: cycle.listing for c, cycle in open_cycles.items()}
-        for record in records:
-            insurer._store_record(record)
-        insurer._used_cycleids = set(used)
-        return insurer
 
     def _apply(self, tag: int, value) -> None:
         """The state change of one logged event, live or replayed.  An event

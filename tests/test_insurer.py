@@ -114,6 +114,10 @@ def _fresh_log(tmp_path) -> tuple[str, Insurer, bytes]:
     return log, insurer, cycleid
 
 
+def _snapshot_frame(values) -> bytes:
+    return insurer_module._SNAPSHOT.encode(values)
+
+
 def _assert_appended_event_is_corruption(log: str, tag: int, value, match: str) -> None:
     """Once the event is appended to the log, load raises CorruptionError
     naming its frame."""
@@ -457,9 +461,12 @@ class TestDeltaDownload:
         _, base, removed, appended = insurer.begin_cycle(contract.customer, held, NOW)
         assert (base, removed, appended) == (held, [1], [b"cert-epsilon"])
 
-    def test_restart_keeps_every_held_list(self, tmp_path):
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["events", "old-snapshot"])
+    def test_restart_keeps_every_held_list(self, tmp_path, snapshot):
         """After a restart from a log of over 300 events, a customer with no
-        open cycle still gets a delta from the list it last downloaded."""
+        open cycle still gets a delta from the list it last downloaded, also
+        when an old SNAPSHOT frame, which holds no held lists, follows its
+        cycle."""
         log = str(tmp_path / "insurer.log")
         insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
         rng = RandomSource(12)
@@ -469,6 +476,8 @@ class TestDeltaDownload:
             customers.append((keypair, insurer.register(request, NOW)))
         (quiet_keypair, quiet), (busy_keypair, busy) = customers
         _run_cycle(insurer, quiet_keypair, quiet, NOW)
+        if snapshot:  # as the insurer appended them before it wrote none
+            wire.append_frames(log, [_snapshot_frame(insurer._snapshot_values())])
         for i in range(100):
             _run_cycle(insurer, busy_keypair, busy, NOW + i)
         insurer.update_cert_list([b"cert-delta"], [b"cert-beta"])
@@ -869,6 +878,9 @@ IMPOSSIBLE_EVENTS = {
 }
 
 
+SNAPSHOT_FIELDS = [name for name, _ in insurer_module._SNAPSHOT_FIELDS]
+
+
 class TestReplay:
     """A restart replays every event since SETUP, and refuses one the live
     operations could not have logged."""
@@ -917,3 +929,49 @@ class TestReplay:
         _assert_appended_event_is_corruption(
             log, tag, live._snapshot_values(), "open cycle in state"
         )
+
+    @pytest.mark.parametrize("field, value", [
+        ("next_customer", 9), ("open_cycles", {}), ("used_cycleids", []),
+    ])
+    def test_snapshot_must_be_the_replayed_state(self, tmp_path, field, value):
+        """An old SNAPSHOT frame that decodes but disagrees with the events
+        before it is corruption of that frame."""
+        log, live, _ = _fresh_log(tmp_path)
+        values = dict(zip(SNAPSHOT_FIELDS, live._snapshot_values()))
+        values[field] = value
+        _assert_appended_event_is_corruption(
+            log, wire.LOG_SNAPSHOT, tuple(values.values()), "SNAPSHOT disagrees"
+        )
+
+    def test_second_setup_is_corruption(self, tmp_path):
+        log, _, _ = _fresh_log(tmp_path)
+        initial = Insurer.setup(CERTS, rng=RandomSource(11))._snapshot_values()
+        _assert_appended_event_is_corruption(log, wire.LOG_SETUP, initial, "a second SETUP")
+
+    def test_event_before_setup_is_corruption(self, tmp_path):
+        log, _, _ = _fresh_log(tmp_path)
+        with open(log, "rb") as fh:
+            setup, register, *rest = map(wire.frame, wire.iter_frames(fh.read()))
+        with open(log, "wb") as fh:
+            fh.write(b"".join([register, setup, *rest]))
+        with pytest.raises(CorruptionError, match="byte offset 0: log does not start"):
+            Insurer.load(log)
+
+    @pytest.mark.parametrize("field", [
+        "cert_version", "next_customer", "contracts", "open_cycles", "records",
+        "used_cycleids",
+    ])
+    def test_setup_holds_only_the_initial_state(self, tmp_path, enrolled, field):
+        """A SETUP frame that holds any part of a later state is corruption."""
+        insurer, keypair, _, contract, _ = enrolled
+        _run_cycle(insurer, keypair, contract, NOW)
+        insurer.update_cert_list([b"cert-delta"], [])
+        insurer.begin_cycle(contract.customer, b"", NOW)
+        later = dict(zip(SNAPSHOT_FIELDS, insurer._snapshot_values()))
+        initial = Insurer.setup(CERTS, rng=RandomSource(11))._snapshot_values()
+        values = {**dict(zip(SNAPSHOT_FIELDS, initial)), field: later[field]}
+        log = str(tmp_path / "insurer.log")
+        setup = insurer_module._EVENTS[wire.LOG_SETUP].encode(tuple(values.values()))
+        wire.replace_frames(log, [setup])
+        with pytest.raises(CorruptionError, match="byte offset 0: SETUP holds more"):
+            Insurer.load(log)
