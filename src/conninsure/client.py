@@ -227,6 +227,7 @@ class ClientState:
         """Visit a domain; voucher the connection if its certificate is vetted."""
         if self.open_cycle is None:
             raise SequencingError("no open update cycle")
+        wire.text(domain)  # refuse a domain that no save could encode
         existing = self.open_cycle.evidences.get(domain)
         if existing is not None:
             return BrowseResult("reused", existing, existing.cert_bob)

@@ -371,7 +371,10 @@ class Insurer:
                 raise CorruptionError(f"customer {contract.customer} registered twice")
             self.contracts[contract.customer] = contract
             self._next_customer = max(self._next_customer, contract.customer + 1)
-        elif tag == wire.LOG_UPDATE_CERTS:
+        elif tag in (wire.LOG_UPDATE_CERTS, wire.LOG_UPDATE_CERTS_LIST):
+            if tag == wire.LOG_UPDATE_CERTS_LIST:  # remove all, append the new list
+                certs, version = value
+                value = range(len(self.certs)), certs, version
             removed, appended, version = value
             if version != self.cert_version + 1:
                 raise CorruptionError(f"list version {version} after {self.cert_version}")
@@ -386,12 +389,11 @@ class Insurer:
                     f"cycle begins on list version {version}, current is {self.cert_version}"
                 )
             self._open(customer, cycleid, self.listing)
-        elif tag == wire.LOG_UPDATE_CERTS_LIST:
-            certs, self.cert_version = value
-            self.listing = CertList(certs)
         elif tag == wire.LOG_BEGIN_CYCLE_LIST:
             customer, cycleid, certs = value
-            self._open(customer, cycleid, CertList(certs))
+            if certs != self.certs:
+                raise CorruptionError("cycle begins on a list other than the current one")
+            self._open(customer, cycleid, self.listing)
         elif tag == wire.LOG_ACK_CERTS:
             customer, t, message, r, ch = value
             cycle = self._cycle_in(customer, _PENDING)

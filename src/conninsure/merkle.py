@@ -71,13 +71,14 @@ def _pad_leaves(customer: int, cycleid: bytes, seed: bytes, count: int) -> list[
 
 @dataclass
 class PaddedMerkleTree:
-    n: int
-    seed: bytes
     root: bytes
-    leaves: list[bytes]
-    _positions: dict = field(repr=False, default_factory=dict)
+    _positions: dict = field(repr=False)
     # Every level of the tree, leaves first, the root's level last.
-    _levels: list = field(repr=False, default_factory=list)
+    _levels: list = field(repr=False)
+
+    @property
+    def leaves(self) -> list[bytes]:
+        return self._levels[0]
 
 
 def build_tree(
@@ -118,7 +119,7 @@ def build_tree(
     positions = {
         vouchers[i].to_bytes(): order[i] for i in range(len(vouchers))
     }
-    return PaddedMerkleTree(n, seed, level[0], leaves, positions, levels)
+    return PaddedMerkleTree(level[0], positions, levels)
 
 
 def prove_inclusion(tree: PaddedMerkleTree, voucher: Voucher) -> InclusionProof:

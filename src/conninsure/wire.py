@@ -58,8 +58,8 @@ REQ_BEGIN_CYCLE_DELTA = 0x26
 RESP_OK = 0x2E
 RESP_ERR = 0x2F
 
-# Persistence record tags.  The two *_LIST events carry a whole list; they
-# are replayed from older logs and never written.
+# Persistence record tags.  The two *_LIST events carry a whole list and
+# SNAPSHOT the whole state; they are read from older logs and never written.
 LOG_SETUP = 0x31
 LOG_REGISTER = 0x32
 LOG_UPDATE_CERTS_LIST = 0x33

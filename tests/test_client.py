@@ -19,6 +19,7 @@ from conninsure import crypto, merkle, tlssim, wire
 from conninsure.client import ARCHIVE_FILE, LIST_FILE, ROLLBACK_FILE, ClientState
 from conninsure.errors import (
     CorruptionError,
+    EncodingError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
@@ -281,6 +282,16 @@ class TestBrowse:
         assert result.evidence is None
         assert "stranger.example.org" not in client.open_cycle.evidences
         assert client.warnings[-1][1] == "stranger.example.org"
+
+    def test_non_ascii_domain_refused_before_it_is_recorded(self, world, tmp_path):
+        """A domain no save could encode is refused, so later saves work."""
+        _, _, channel, client, clock, rng = world
+        client.do_update_cycle(channel, now=clock.now)
+        stranger = tlssim.SimServer.create("stranger.example.org", rng=rng, now=clock.now)
+        with pytest.raises(EncodingError, match="non-ASCII"):
+            client.browse("\u00e9.example", stranger, clock.now, rng)
+        assert client.warnings == []
+        client.save(str(tmp_path))
 
     def test_second_visit_reuses_voucher(self, world):
         _, servers, channel, client, clock, rng = world

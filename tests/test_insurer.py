@@ -562,12 +562,33 @@ class TestDeltaDownload:
         (wire.LOG_UPDATE_CERTS, ((), [b"x"], 3), "version 3"),
         (wire.LOG_UPDATE_CERTS, ((2, 1), [], 1), "positions"),
         (wire.LOG_UPDATE_CERTS, ((3,), [], 1), "positions"),
+        (wire.LOG_UPDATE_CERTS_LIST, ([b"x"], 0), "version 0 after 0"),
+        (wire.LOG_UPDATE_CERTS_LIST, ([b"x"], 2), "version 2 after 0"),
+        (wire.LOG_BEGIN_CYCLE_LIST, (2, b"\x21" * 32, [b"x"]), "other than the current"),
+        (wire.LOG_BEGIN_CYCLE_LIST, (2, b"\x21" * 32, CERTS[:2]), "other than the current"),
     ])
     def test_event_inconsistent_with_the_list_is_corruption(
         self, tmp_path, tag, value, match
     ):
         log, _, _ = _fresh_log(tmp_path)
         _assert_appended_event_is_corruption(log, tag, value, match)
+
+
+    def test_whole_list_events_replay_on_the_shared_list(self, tmp_path):
+        """The whole-list events of older logs, when they agree with the
+        log, update the list and open a cycle on the current list itself."""
+        log, _, _ = _fresh_log(tmp_path)
+        events = [
+            (wire.LOG_UPDATE_CERTS_LIST, (CERTS + [b"cert-delta"], 1)),
+            (wire.LOG_BEGIN_CYCLE_LIST, (2, b"\x21" * 32, CERTS + [b"cert-delta"])),
+        ]
+        wire.append_frames(
+            log, [insurer_module._EVENTS[tag].encode(value) for tag, value in events]
+        )
+        restarted = Insurer.load(log)
+        restarted.close()
+        assert (restarted.certs, restarted.cert_version) == (CERTS + [b"cert-delta"], 1)
+        assert restarted.open_cycles[2].listing is restarted.listing
 
 
 class TestRecordLog:
