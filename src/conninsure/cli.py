@@ -32,7 +32,7 @@ from .errors import (
     SignatureInvalid,
 )
 from .estimator import REFERENCE, EstimatorParams, storage_report
-from .insurer import Insurer
+from .insurer import Insurer, setup_public_key
 from .judge import Verdict, verify_claim_bytes
 from .rand import RandomSource
 from .scenario import run_scenario
@@ -249,10 +249,9 @@ def insurer_init(state_dir, cert_files, seed, as_json):
 @click.option("--out", type=click.Path(), required=True)
 def insurer_export_key(state_dir, out):
     """Write the insurer's public key for use by the judge."""
-    ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
+    public = setup_public_key(os.path.join(state_dir, "insurer.log"))
     with open(out, "wb") as fh:
-        fh.write(wire.PUBLIC_KEY.encode(ins.keypair.public))
-    ins.close()
+        fh.write(wire.PUBLIC_KEY.encode(public))
     click.echo(out)
 
 

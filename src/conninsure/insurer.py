@@ -26,6 +26,7 @@ import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crypto, wire
 from .errors import (
@@ -58,21 +59,25 @@ _PENDING = "pending"
 _ACKED = "certs-acked"
 
 
-@dataclass
-class ChameleonRecord:
-    """One logged chameleon signing event: enough to uncover forgeries."""
+class ChameleonRecord(NamedTuple):
+    """One logged chameleon signing event: the signed message and its r,
+    enough to uncover a forgery, since under the customer's key CH(m, r) is
+    a function of (m, r).  ch_digest is hash_h of CH in the customer's group
+    encoding; it only indexes the record, so lookup_record hashes a CH key
+    before it looks."""
 
     customer: int
     message: bytes
     r: int
-    ch: bytes
+    ch_digest: bytes
 
 
+# In the SNAPSHOT frames of older logs the last field holds CH itself.
 _RECORD_FIELDS = (
     ("customer", wire.U64),
     ("message", wire.BYTES),
     ("r", wire.VARINT),
-    ("ch", wire.BYTES),
+    ("ch_digest", wire.BYTES),
 )
 
 
@@ -130,6 +135,8 @@ LIST_DELTA = wire.Record(
     ("version", wire.U64),
 )
 
+_ACK_FIELDS = (_RECORD_FIELDS[0], ("t", wire.U64), *_RECORD_FIELDS[1:3])
+
 # Log events, by tag.  SETUP carries the initial state in the layout of a
 # full-state SNAPSHOT, which older logs hold and which is only checked.
 _SNAPSHOT = wire.Record(wire.LOG_SNAPSHOT, None, *_SNAPSHOT_FIELDS)
@@ -151,13 +158,25 @@ _EVENTS = {
     wire.LOG_BEGIN_CYCLE_LIST: wire.Record(
         wire.LOG_BEGIN_CYCLE_LIST, None, *_BEGIN_LIST_FIELDS
     ),
-    # ACK_CERTS: the record's fields with the cycle's t after the customer.
-    wire.LOG_ACK_CERTS: wire.Record(
-        wire.LOG_ACK_CERTS, None, _RECORD_FIELDS[0], ("t", wire.U64), *_RECORD_FIELDS[1:]
+    # ACK_CERTS_HCH: the record's fields with the cycle's t after the
+    # customer; SUBMIT_VOUCHERS_HCH: the record's fields.  The older
+    # ACK_CERTS and SUBMIT_VOUCHERS log CH itself in place of its hash.
+    wire.LOG_ACK_CERTS_HCH: wire.Record(
+        wire.LOG_ACK_CERTS_HCH, None, *_ACK_FIELDS, ("ch_digest", wire.DIGEST)
     ),
+    wire.LOG_SUBMIT_VOUCHERS_HCH: wire.Record(
+        wire.LOG_SUBMIT_VOUCHERS_HCH, None, *_RECORD_FIELDS[:3], ("ch_digest", wire.DIGEST)
+    ),
+    wire.LOG_ACK_CERTS: wire.Record(wire.LOG_ACK_CERTS, None, *_ACK_FIELDS, ("ch", wire.BYTES)),
     wire.LOG_SUBMIT_VOUCHERS: wire.Record(
-        wire.LOG_SUBMIT_VOUCHERS, ChameleonRecord, *_RECORD_FIELDS
+        wire.LOG_SUBMIT_VOUCHERS, None, *_RECORD_FIELDS[:3], ("ch", wire.BYTES)
     ),
+}
+
+# The older events that log CH itself, and the events that replace them.
+_FULL_CH_EVENTS = {
+    wire.LOG_ACK_CERTS: wire.LOG_ACK_CERTS_HCH,
+    wire.LOG_SUBMIT_VOUCHERS: wire.LOG_SUBMIT_VOUCHERS_HCH,
 }
 
 
@@ -169,6 +188,18 @@ def _decode_event(payload: bytes) -> tuple:
     if end != len(payload):
         raise EncodingError(f"trailing bytes after log event 0x{tag:02x}")
     return tag, _EVENTS[tag].decode_body(body)
+
+
+def setup_public_key(log_path: str) -> crypto.PublicKey:
+    """The insurer's public key, from the log's first frame, which must be
+    SETUP.  Nothing after that frame is read, and the log is not changed."""
+    payload = wire.read_first_frame(log_path)
+    tag, value = wire.decode_frame(_decode_event, log_path, 0, payload)
+    if tag != wire.LOG_SETUP:
+        raise CorruptionError(
+            f"{log_path}: frame at byte offset 0: log does not start with SETUP"
+        )
+    return value[0]
 
 
 @wire.codec(
@@ -301,7 +332,7 @@ class Insurer:
                 elif tag == wire.LOG_SNAPSHOT:
                     # Old logs hold copies of the state; each must be the
                     # state its events replay to.
-                    if payload != _SNAPSHOT.encode(insurer._snapshot_values()):
+                    if not insurer._is_state(value):
                         raise CorruptionError("SNAPSHOT disagrees with the events before it")
                 else:
                     insurer._apply(tag, value)
@@ -347,6 +378,20 @@ class Insurer:
             sorted(self._used_cycleids),
         )
 
+    def _is_state(self, values: tuple) -> bool:
+        """Whether the values of an old SNAPSHOT frame encode as this state
+        does.  Such a frame holds each record's CH itself, which is hashed
+        first; a 32-byte field is taken as the hash already, as a SNAPSHOT
+        of this state holds it (no accepted group has 32-byte elements)."""
+        *state, records, used = values
+        records = tuple(
+            rec if len(rec.ch_digest) == wire.DIGEST_LEN
+            else rec._replace(ch_digest=crypto.hash_h(rec.ch_digest))
+            for rec in records
+        )
+        ours = _SNAPSHOT.encode(self._snapshot_values())
+        return _SNAPSHOT.encode((*state, records, used)) == ours
+
     def snapshot_bytes(self) -> bytes:
         """Canonical serialization of the full state (also used by tests)."""
         with self._lock:
@@ -358,6 +403,8 @@ class Insurer:
          next_customer, contracts, open_cycles, records, used) = values
         if cert_version or next_customer != 1 or contracts or open_cycles or records or used:
             raise CorruptionError("SETUP holds more than the initial state")
+        if not certs:
+            raise CorruptionError("SETUP holds an empty certificate list")
         return cls(
             crypto.SigKeyPair(public, secret), certs, policy_days, recency_window, rng
         )
@@ -365,6 +412,8 @@ class Insurer:
     def _apply(self, tag: int, value) -> None:
         """The state change of one logged event, live or replayed.  An event
         that the live operations refuse to log is CorruptionError."""
+        if tag in _FULL_CH_EVENTS:  # an older event: hash its CH
+            tag, value = _FULL_CH_EVENTS[tag], (*value[:-1], crypto.hash_h(value[-1]))
         if tag == wire.LOG_REGISTER:
             (contract,) = value
             if contract.customer in self.contracts:
@@ -380,6 +429,8 @@ class Insurer:
                 raise CorruptionError(f"list version {version} after {self.cert_version}")
             if not valid_positions(removed, len(self.certs)):
                 raise CorruptionError("removed positions not ascending within the list")
+            if len(removed) == len(self.certs) and not appended:
+                raise CorruptionError("certificate list must not become empty")
             self.listing = self.listing.updated(removed, appended)
             self.cert_version = version
         elif tag == wire.LOG_BEGIN_CYCLE:
@@ -394,16 +445,17 @@ class Insurer:
             if certs != self.certs:
                 raise CorruptionError("cycle begins on a list other than the current one")
             self._open(customer, cycleid, self.listing)
-        elif tag == wire.LOG_ACK_CERTS:
-            customer, t, message, r, ch = value
+        elif tag == wire.LOG_ACK_CERTS_HCH:
+            customer, t, message, r, ch_digest = value
             cycle = self._cycle_in(customer, _PENDING)
             cycle.state = _ACKED
             cycle.t = t
-            self._store_record(ChameleonRecord(customer, message, r, ch))
+            self._store_record(ChameleonRecord(customer, message, r, ch_digest))
         else:
-            self._cycle_in(value.customer, _ACKED)
-            del self.open_cycles[value.customer]
-            self._store_record(value)
+            record = ChameleonRecord(*value)
+            self._cycle_in(record.customer, _ACKED)
+            del self.open_cycles[record.customer]
+            self._store_record(record)
 
     def _cycle_in(self, customer: int, state: str) -> _OpenCycle:
         """The customer's open cycle, which a logged event needs in state."""
@@ -427,7 +479,7 @@ class Insurer:
 
     def _store_record(self, record: ChameleonRecord) -> None:
         self.records.append(record)
-        self._records_by_ch[record.ch] = record
+        self._records_by_ch[record.ch_digest] = record
         self._records_by_digest[crypto.hash_h(record.message)] = record
 
     def _countersign(
@@ -437,16 +489,17 @@ class Insurer:
         sig, ch = crypto.chameleon_sign(
             self.keypair, contract.chameleon, message, context, self.rng
         )
-        ch_bytes = contract.chameleon.params.element_bytes(ch)
-        return sig, ChameleonRecord(contract.customer, message, sig.r, ch_bytes)
+        ch_digest = crypto.hash_h(contract.chameleon.params.element_bytes(ch))
+        return sig, ChameleonRecord(contract.customer, message, sig.r, ch_digest)
 
     def lookup_record(
         self, ch: bytes | None = None, message_digest: bytes | None = None
     ) -> tuple[bytes, int] | None:
-        """Exact-match retrieval from the append-only log."""
+        """Exact-match retrieval from the append-only log, by CH in the
+        customer's group encoding or by the hash_h of the message."""
         record = None
         if ch is not None:
-            record = self._records_by_ch.get(ch)
+            record = self._records_by_ch.get(crypto.hash_h(ch))
         elif message_digest is not None:
             record = self._records_by_digest.get(message_digest)
         if record is None:
@@ -533,7 +586,8 @@ class Insurer:
                 contract, payload, chameleon_context(customer, "Certificates")
             )
             self._commit(
-                wire.LOG_ACK_CERTS, (customer, t, record.message, record.r, record.ch)
+                wire.LOG_ACK_CERTS_HCH,
+                (customer, t, record.message, record.r, record.ch_digest),
             )
             return sig
 
@@ -560,7 +614,7 @@ class Insurer:
             sig, record = self._countersign(
                 contract, payload, chameleon_context(customer, "Vouchers")
             )
-            self._commit(wire.LOG_SUBMIT_VOUCHERS, record)
+            self._commit(wire.LOG_SUBMIT_VOUCHERS_HCH, record)
             return sig, covered
 
     def update_cert_list(self, adds: list[bytes], removes: list[bytes]) -> int:

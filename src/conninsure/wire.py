@@ -58,8 +58,10 @@ REQ_BEGIN_CYCLE_DELTA = 0x26
 RESP_OK = 0x2E
 RESP_ERR = 0x2F
 
-# Persistence record tags.  The two *_LIST events carry a whole list and
-# SNAPSHOT the whole state; they are read from older logs and never written.
+# Persistence record tags.  The two *_LIST events carry a whole list,
+# SNAPSHOT the whole state, and ACK_CERTS and SUBMIT_VOUCHERS a chameleon
+# hash in full where their *_HCH successors carry its hash_h; those five
+# are read from older logs and never written.
 LOG_SETUP = 0x31
 LOG_REGISTER = 0x32
 LOG_UPDATE_CERTS_LIST = 0x33
@@ -69,6 +71,8 @@ LOG_SUBMIT_VOUCHERS = 0x36
 LOG_SNAPSHOT = 0x37
 LOG_BEGIN_CYCLE = 0x38
 LOG_UPDATE_CERTS = 0x39
+LOG_ACK_CERTS_HCH = 0x3A
+LOG_SUBMIT_VOUCHERS_HCH = 0x3B
 
 _MAX_LEN = 0xFFFFFFFF
 _HEADER = struct.Struct(">BI")
@@ -554,6 +558,22 @@ def read_log(path: str) -> list[tuple[int, bytes]]:
     return frames
 
 
+def read_first_frame(path: str) -> bytes:
+    """The payload of the first frame of the file at path.  Nothing after
+    that frame is read, and the file is never changed, so this is safe on a
+    log that another process appends to.  A file with no whole first frame
+    is EncodingError."""
+    with open(path, "rb") as fh:
+
+        def read_exact(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise EncodingError(f"{path}: no whole first frame")
+            return data
+
+        return read_frame(read_exact)
+
+
 def append_frames(path: str, payloads: list) -> None:
     """Append frames to the file at path, which must exist, in one write,
     and fsync it; no frames, no write.  A failed append is cut back off the
@@ -579,12 +599,15 @@ def append_frames(path: str, payloads: list) -> None:
 def replace_frames(path: str, payloads: list) -> None:
     """Write frames to path + ".tmp", fsync it, rename it over path and
     fsync the directory.  This is how a file is created: whole, with its
-    first frames.  If any step fails, a file that did not exist before is
-    not left behind."""
+    first frames, and readable and writable by its owner only (mode 0600,
+    whatever the umask, also over a leftover .tmp), since these files hold
+    signing keys and trapdoors.  If any step fails, a file that did not
+    exist before is not left behind."""
     tmp = path + ".tmp"
     existed = os.path.exists(path)
     try:
-        with open(tmp, "wb", buffering=0) as fh:
+        with open(tmp, "wb", buffering=0, opener=_private) as fh:
+            os.fchmod(fh.fileno(), 0o600)
             _write_durably(fh, _frames(payloads), path)
         os.replace(tmp, path)
         fd = os.open(os.path.dirname(path) or os.curdir, os.O_RDONLY)
@@ -597,6 +620,10 @@ def replace_frames(path: str, payloads: list) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(leftover)
         raise
+
+
+def _private(path: str, flags: int) -> int:
+    return os.open(path, flags, 0o600)
 
 
 def _write_durably(fh, data: bytes, path: str) -> None:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,14 @@ def toy_vectors():
 def clear_trapdoor_memo():
     """Each test starts with no proof result remembered, whatever ran before."""
     crypto.verify_trapdoor.cache_clear()
+
+
+@pytest.fixture
+def permissive_umask():
+    """The process umask is 022, as on many systems, until the test ends."""
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
 
 
 @pytest.fixture

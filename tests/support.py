@@ -19,6 +19,16 @@ def load_hex_fixture(name: str) -> bytes:
         return bytes.fromhex(fh.read().strip())
 
 
+def record_ch(insurer, record) -> bytes:
+    """The chameleon hash of a logged record, in its customer's group
+    encoding: the key a LOOKUP_RECORD by CH carries."""
+    chameleon = insurer.contracts[record.customer].chameleon
+    params = chameleon.params
+    return params.element_bytes(
+        crypto.chameleon_hash(params, chameleon.y, record.message, record.r)
+    )
+
+
 def short_r_voucher(voucher):
     """A copy of voucher with a 31-byte r, which Voucher refuses to build;
     it still encodes, as a corrupt file or a hostile claim would carry it."""

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import os
+import stat
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from support import count_powers, count_written, unchecked_proof
-from conninsure import cli, crypto
+from conninsure import cli, crypto, wire
 from conninsure.cli import main
 from conninsure.insurer import Insurer
 from conninsure.model import Claim, registration_context
@@ -313,6 +314,44 @@ class TestRefusals:
         assert result.exit_code == 9
         assert "already holds" in result.stderr
         assert (_snapshot(deployed["insurer"]), _snapshot(deployed["client"])) == before
+
+
+class TestFileModes:
+    def test_key_files_only_their_owner_reads(self, runner, tmp_path, permissive_umask):
+        """The insurer log, whose SETUP frame holds the signing secret, and
+        state.tlv, which holds the customer's trapdoor, are mode 0600."""
+        insurer_dir, client_dir = str(tmp_path / "insurer"), str(tmp_path / "client")
+        cert = tmp_path / "bob.der"
+        _invoke(runner, "simserver", "init", "--domain", "bob.example.org",
+                "--out", str(tmp_path / "bob.simserver"), "--cert-out", str(cert),
+                "--seed", "1")
+        _invoke(runner, "insurer", "init", "--state-dir", insurer_dir,
+                "--cert", str(cert), "--seed", "2")
+        assert _invoke(runner, "client", "register", "--state-dir", client_dir,
+                       "--insurer-dir", insurer_dir, "--seed", "3").exit_code == 0
+        for path in (Path(insurer_dir, "insurer.log"), Path(client_dir, "state.tlv")):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+class TestExportKey:
+    def test_torn_tail_is_neither_read_nor_cut(self, runner, deployed, tmp_path):
+        """export-key reads only the SETUP frame: with a partial frame at the
+        end, as a crash or an append in progress leaves, it exports the key
+        and leaves the log byte for byte as it was."""
+        log = Path(deployed["insurer"], "insurer.log")
+        whole = log.read_bytes()
+        with open(log, "ab") as fh:
+            fh.write(wire.frame(b"\x32" + b"\x00" * 40)[:20])
+        torn = log.read_bytes()
+        out = tmp_path / "insurer.pk"
+        result = _invoke(runner, "insurer", "export-key", "--state-dir", deployed["insurer"],
+                         "--out", str(out))
+        assert result.exit_code == 0
+        assert log.read_bytes() == torn
+        intact = tmp_path / "intact.log"
+        intact.write_bytes(whole)
+        expected = Insurer.load(str(intact)).keypair.public
+        assert wire.PUBLIC_KEY.decode(out.read_bytes()) == expected
 
 
 class TestClientSaves:

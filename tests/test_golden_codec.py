@@ -9,7 +9,8 @@ artifact with tests/fixtures/golden_codec.json and decodes each fixture back.
 
 tests/fixtures/insurer_log_v*.hex are the same deployment's log in formats
 no longer written: v1 when BEGIN_CYCLE and UPDATE_CERTS events carried the
-whole list, v2 when the insurer appended SNAPSHOT frames.  They are not
+whole list, v2 when the insurer appended SNAPSHOT frames, v3 when ACK_CERTS
+and SUBMIT_VOUCHERS events logged the chameleon hash itself.  They are not
 regenerated, and each must still load to the same state.
 tests/fixtures/client_dir_v1.json holds the same deployment's client files
 as written when state.tlv held the whole list and there was no list.tlv;
@@ -51,7 +52,7 @@ from conninsure.model import (
 )
 from conninsure.rand import RandomSource
 from conninsure.transport import unwrap_response
-from support import fixture_path, load_hex_fixture
+from support import fixture_path, load_hex_fixture, record_ch
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_codec.json")
 START = 1_700_000_000
@@ -174,9 +175,8 @@ def build_artifacts(workdir):
     out["rollback_delta"] = client.rollback_entries[0].delta.to_bytes()
     out["registration_request"] = out["register_request"]
 
-    record = insurer.records[0]
     for name, kind, key in (
-        ("lookup_hit", 0, record.ch),
+        ("lookup_hit", 0, record_ch(insurer, insurer.records[0])),
         ("lookup_miss", 1, b"\x00" * 32),
     ):
         request = _lookup(kind, key)
@@ -243,14 +243,22 @@ def _event_tags(log: bytes) -> set[int]:
     return set(tags)
 
 
-_EVENT_KINDS = {
+# The event kinds of a log whose ACK and SUBMIT events log CH itself.
+_FULL_CH_EVENT_KINDS = {
     wire.LOG_SETUP, wire.LOG_REGISTER, wire.LOG_UPDATE_CERTS,
     wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
 }
+_EVENT_KINDS = _FULL_CH_EVENT_KINDS - {
+    wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS
+} | {wire.LOG_ACK_CERTS_HCH, wire.LOG_SUBMIT_VOUCHERS_HCH}
 
 
 def test_log_has_every_event_kind_and_no_snapshot(golden):
     assert _event_tags(golden["insurer_log"]) == _EVENT_KINDS
+
+
+def test_full_ch_log_has_the_full_ch_events():
+    assert _event_tags(load_hex_fixture("insurer_log_v3.hex")) == _FULL_CH_EVENT_KINDS
 
 
 def test_full_list_log_has_the_full_list_events():
@@ -263,7 +271,7 @@ def test_full_list_log_has_the_full_list_events():
 
 def test_snapshot_log_has_every_event_kind_and_a_snapshot():
     assert _event_tags(load_hex_fixture("insurer_log_v2.hex")) == {
-        *_EVENT_KINDS, wire.LOG_SNAPSHOT
+        *_FULL_CH_EVENT_KINDS, wire.LOG_SNAPSHOT
     }
 
 

@@ -18,6 +18,7 @@ from support import (
     fail_once,
     fail_write,
     io_error,
+    record_ch,
     short_write,
     torn_write,
     unchecked_proof,
@@ -568,6 +569,8 @@ class TestDeltaDownload:
         (wire.LOG_UPDATE_CERTS_LIST, ([b"x"], 2), "version 2 after 0"),
         (wire.LOG_BEGIN_CYCLE_LIST, (2, b"\x21" * 32, [b"x"]), "other than the current"),
         (wire.LOG_BEGIN_CYCLE_LIST, (2, b"\x21" * 32, CERTS[:2]), "other than the current"),
+        (wire.LOG_UPDATE_CERTS, ((0, 1, 2), [], 1), "must not become empty"),
+        (wire.LOG_UPDATE_CERTS_LIST, ([], 1), "must not become empty"),
     ])
     def test_event_inconsistent_with_the_list_is_corruption(
         self, tmp_path, tag, value, match
@@ -608,7 +611,9 @@ class TestRecordLog:
         insurer, keypair, _, contract, _ = enrolled
         _run_cycle(insurer, keypair, contract, NOW)
         record = insurer.records[-1]
-        assert insurer.lookup_record(ch=record.ch) == (record.message, record.r)
+        assert insurer.lookup_record(ch=record_ch(insurer, record)) == (
+            record.message, record.r
+        )
         assert insurer.lookup_record(
             message_digest=crypto.hash_h(record.message)
         ) == (record.message, record.r)
@@ -736,7 +741,8 @@ class TestEndpointSurfaces:
         record = insurer.records[-1]
         lookup = wire.pack(
             wire.REQ_LOOKUP_RECORD,
-            wire.pack(wire.TAG_UINT, wire.u64(0)) + wire.pack(wire.TAG_BYTES, record.ch),
+            wire.pack(wire.TAG_UINT, wire.u64(0))
+            + wire.pack(wire.TAG_BYTES, record_ch(insurer, record)),
         )
         tag, body, _ = wire.unpack(handle_request(insurer, lookup, NOW))
         assert tag == wire.RESP_OK
@@ -926,7 +932,7 @@ class TestReplay:
         with open(log, "rb") as fh:
             tags = [payload[0] for payload in wire.iter_frames(fh.read())]
         cycle = [
-            wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS, wire.LOG_SUBMIT_VOUCHERS,
+            wire.LOG_BEGIN_CYCLE, wire.LOG_ACK_CERTS_HCH, wire.LOG_SUBMIT_VOUCHERS_HCH,
             wire.LOG_UPDATE_CERTS,
         ]
         assert tags == [wire.LOG_SETUP, wire.LOG_REGISTER] + cycle * 75
@@ -998,3 +1004,25 @@ class TestReplay:
         wire.replace_frames(log, [setup])
         with pytest.raises(CorruptionError, match="byte offset 0: SETUP holds more"):
             Insurer.load(log)
+
+    def test_setup_with_an_empty_list_is_corruption(self, tmp_path):
+        """Insurer.setup refuses an empty list, so a log must not hold one."""
+        initial = Insurer.setup(CERTS, rng=RandomSource(11))._snapshot_values()
+        values = dict(zip(SNAPSHOT_FIELDS, initial))
+        values["certs"] = []
+        log = str(tmp_path / "insurer.log")
+        setup = insurer_module._EVENTS[wire.LOG_SETUP].encode(tuple(values.values()))
+        wire.replace_frames(log, [setup])
+        with pytest.raises(CorruptionError, match="byte offset 0: SETUP holds an empty"):
+            Insurer.load(log)
+
+    def test_public_key_is_read_from_setup_alone(self, tmp_path):
+        """setup_public_key reads the first frame, which must be SETUP."""
+        log, live, _ = _fresh_log(tmp_path)
+        assert insurer_module.setup_public_key(log) == live.keypair.public
+        with open(log, "rb") as fh:
+            setup, register, *rest = map(wire.frame, wire.iter_frames(fh.read()))
+        with open(log, "wb") as fh:
+            fh.write(b"".join([register, setup, *rest]))
+        with pytest.raises(CorruptionError, match="byte offset 0: log does not start"):
+            insurer_module.setup_public_key(log)

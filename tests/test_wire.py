@@ -2,6 +2,8 @@
 and framing."""
 
 import hashlib
+import os
+import stat
 import struct
 
 import pytest
@@ -215,6 +217,29 @@ class TestFraming:
         for buf in (b"", wire.frame(b"x") * 2):
             with pytest.raises(EncodingError):
                 wire.only_frame(buf)
+
+    def test_replace_makes_a_file_only_its_owner_reads(self, tmp_path, permissive_umask):
+        """Whatever the umask, and also over a leftover .tmp that others
+        can read, a replaced file is mode 0600."""
+        path = tmp_path / "log"
+        wire.replace_frames(str(path), [b"x"])
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        leftover = tmp_path / "log.tmp"
+        leftover.write_bytes(b"junk")
+        assert stat.S_IMODE(os.stat(leftover).st_mode) == 0o644
+        wire.replace_frames(str(path), [b"y"])
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        assert path.read_bytes() == wire.frame(b"y")
+        assert not leftover.exists()
+
+    def test_read_first_frame_reads_no_further(self, tmp_path):
+        path = tmp_path / "log"
+        path.write_bytes(wire.frame(b"first") + wire.frame(b"second")[:3])
+        assert wire.read_first_frame(str(path)) == b"first"
+        for torn in (b"", wire.frame(b"first")[:6]):
+            path.write_bytes(torn)
+            with pytest.raises(EncodingError, match="no whole first frame"):
+                wire.read_first_frame(str(path))
 
     def test_a_record_in_parts_writes_its_frame(self, tmp_path):
         """A payload given as Record.encode_parts writes the bytes of the
