@@ -7,15 +7,15 @@ downloaded, and answers a begin-cycle request with the forward delta from
 it to the current list.  Versions share their certificates, so what is
 held is bounded by the number of customers.
 
-Every state change is one log event.  An operation runs its checks,
-builds the event, and commits it: the event is appended to the log and
-fsync'd, and only then applied to memory by `_apply`, the same code that
-`load` replays the log with.  So memory never runs ahead of the log.  A
-log is its SETUP frame, which holds the initial state, and then one frame
-per event; a restart replays every event, so it restores the held lists
-too.  Older logs may also hold SNAPSHOT frames of the whole state, which
-are no longer written; `load` checks each against the state replayed up
-to it and restores nothing from it.
+Every state change is one log event: check, then append, then apply.
+`_check`, one rule set per event kind, reads only the state and the event.
+An operation runs it before its signature and recency checks, appends the
+event and fsyncs it, and only then applies it to memory with `_apply`,
+which raises nothing; `load` replays each event through the same two.  A
+log is its SETUP frame, holding the initial state, then one frame per
+event.  Older logs may hold older event kinds, which `load` turns into
+current ones, and SNAPSHOT frames, each checked against the state replayed
+to it.  A signed message inside a logged ACK or SUBMIT is not checked.
 The request dispatcher maps every failure to an error response.  A single
 re-entrant lock serializes all state-changing operations, which gives
 record-log appends a total order and per-contract serialization for free.
@@ -173,8 +173,10 @@ _EVENTS = {
     ),
 }
 
-# The older events that log CH itself, and the events that replace them.
-_FULL_CH_EVENTS = {
+# The events of older logs, and the current events load turns them into.
+_OLD_EVENTS = {
+    wire.LOG_UPDATE_CERTS_LIST: wire.LOG_UPDATE_CERTS,
+    wire.LOG_BEGIN_CYCLE_LIST: wire.LOG_BEGIN_CYCLE,
     wire.LOG_ACK_CERTS: wire.LOG_ACK_CERTS_HCH,
     wire.LOG_SUBMIT_VOUCHERS: wire.LOG_SUBMIT_VOUCHERS_HCH,
 }
@@ -319,6 +321,9 @@ class Insurer:
     @classmethod
     def load(cls, log_path: str, rng: RandomSource = DEFAULT) -> "Insurer":
         """Replay the log: its SETUP frame, then every event after it."""
+        # Older versions let others read the log, whose SETUP holds the key.
+        if os.stat(log_path).st_mode & 0o077:
+            os.chmod(log_path, 0o600)
         insurer = None
         for offset, payload in wire.read_log(log_path):
             tag, value = wire.decode_frame(_decode_event, log_path, offset, payload)
@@ -335,8 +340,11 @@ class Insurer:
                     if not insurer._is_state(value):
                         raise CorruptionError("SNAPSHOT disagrees with the events before it")
                 else:
+                    if tag in _OLD_EVENTS:
+                        tag, value = insurer._current_event(tag, value)
+                    insurer._check(tag, value)
                     insurer._apply(tag, value)
-            except CorruptionError as exc:
+            except CIError as exc:
                 raise CorruptionError(
                     f"{log_path}: frame at byte offset {offset}: {exc}"
                 ) from None
@@ -409,85 +417,99 @@ class Insurer:
             crypto.SigKeyPair(public, secret), certs, policy_days, recency_window, rng
         )
 
-    def _apply(self, tag: int, value) -> None:
-        """The state change of one logged event, live or replayed.  An event
-        that the live operations refuse to log is CorruptionError."""
-        if tag in _FULL_CH_EVENTS:  # an older event: hash its CH
-            tag, value = _FULL_CH_EVENTS[tag], (*value[:-1], crypto.hash_h(value[-1]))
+    def _current_event(self, tag: int, value) -> tuple:
+        """(tag, value) of the current event that an older one stands for."""
+        if tag == wire.LOG_UPDATE_CERTS_LIST:  # (certs, version): replace the list
+            return _OLD_EVENTS[tag], (range(len(self.certs)), *value)
+        if tag == wire.LOG_BEGIN_CYCLE_LIST:  # (customer, cycleid, certs)
+            if value[2] != self.certs:
+                raise CorruptionError("cycle begins on a list other than the current one")
+            return _OLD_EVENTS[tag], (*value[:2], self.cert_version)
+        # ACK_CERTS and SUBMIT_VOUCHERS end with CH itself, not its hash.
+        return _OLD_EVENTS[tag], (*value[:-1], crypto.hash_h(value[-1]))
+
+    def _check(self, tag: int, value) -> None:
+        """Refuse, with the live operation's error, an event this state does
+        not allow.  Reads only the state and the event; of an ACK or SUBMIT
+        only its customer, so an operation checks before it countersigns."""
         if tag == wire.LOG_REGISTER:
             (contract,) = value
-            if contract.customer in self.contracts:
-                raise CorruptionError(f"customer {contract.customer} registered twice")
-            self.contracts[contract.customer] = contract
-            self._next_customer = max(self._next_customer, contract.customer + 1)
-        elif tag in (wire.LOG_UPDATE_CERTS, wire.LOG_UPDATE_CERTS_LIST):
-            if tag == wire.LOG_UPDATE_CERTS_LIST:  # remove all, append the new list
-                certs, version = value
-                value = range(len(self.certs)), certs, version
+            if contract.customer != self._next_customer:
+                raise ParameterError(f"customer {contract.customer} is not the next customer")
+            if contract.pk_in != self.keypair.public:
+                raise ParameterError("contract names another insurer")
+            if contract.t_end != contract.t0 + self.policy_days * 86400:
+                raise ParameterError("contract term is not the policy term")
+        elif tag == wire.LOG_UPDATE_CERTS:
             removed, appended, version = value
             if version != self.cert_version + 1:
-                raise CorruptionError(f"list version {version} after {self.cert_version}")
+                raise ParameterError(f"list version {version} after {self.cert_version}")
             if not valid_positions(removed, len(self.certs)):
-                raise CorruptionError("removed positions not ascending within the list")
+                raise ParameterError("removed positions not ascending within the list")
             if len(removed) == len(self.certs) and not appended:
-                raise CorruptionError("certificate list must not become empty")
-            self.listing = self.listing.updated(removed, appended)
-            self.cert_version = version
+                raise ParameterError("certificate list must not become empty")
         elif tag == wire.LOG_BEGIN_CYCLE:
             customer, cycleid, version = value
             if version != self.cert_version:
-                raise CorruptionError(
-                    f"cycle begins on list version {version}, current is {self.cert_version}"
-                )
-            self._open(customer, cycleid, self.listing)
-        elif tag == wire.LOG_BEGIN_CYCLE_LIST:
-            customer, cycleid, certs = value
-            if certs != self.certs:
-                raise CorruptionError("cycle begins on a list other than the current one")
-            self._open(customer, cycleid, self.listing)
-        elif tag == wire.LOG_ACK_CERTS_HCH:
-            customer, t, message, r, ch_digest = value
-            cycle = self._cycle_in(customer, _PENDING)
-            cycle.state = _ACKED
-            cycle.t = t
-            self._store_record(ChameleonRecord(customer, message, r, ch_digest))
+                raise ParameterError(f"cycle begins on list version {version}, not current")
+            self._contract(customer)  # NotFoundError for an unknown customer
+            if customer in self.open_cycles:
+                raise SequencingError("previous cycle not submitted yet")
+            if cycleid in self._used_cycleids:
+                raise SequencingError(f"cycleid {cycleid.hex()} begins a second cycle")
         else:
-            record = ChameleonRecord(*value)
-            self._cycle_in(record.customer, _ACKED)
-            del self.open_cycles[record.customer]
-            self._store_record(record)
+            cycle = self.open_cycles.get(value[0])
+            if cycle is None:
+                raise SequencingError(f"customer {value[0]} has no open cycle")
+            if tag == wire.LOG_ACK_CERTS_HCH and cycle.state != _PENDING:
+                raise SequencingError("certificates already acknowledged")
+            if tag == wire.LOG_SUBMIT_VOUCHERS_HCH and cycle.state != _ACKED:
+                raise SequencingError("certificate list not acknowledged yet")
 
-    def _cycle_in(self, customer: int, state: str) -> _OpenCycle:
-        """The customer's open cycle, which a logged event needs in state."""
-        cycle = self.open_cycles.get(customer)
-        if cycle is None or cycle.state != state:
-            raise CorruptionError(f"customer {customer} has no {state} cycle")
-        return cycle
-
-    def _open(self, customer: int, cycleid: bytes, listing: CertList) -> None:
-        if customer not in self.contracts:
-            raise CorruptionError(f"cycle begins for unknown customer {customer}")
-        if customer in self.open_cycles:
-            raise CorruptionError(f"customer {customer} begins a cycle with one open")
-        if cycleid in self._used_cycleids:
-            raise CorruptionError(f"cycleid {cycleid.hex()} begins a second cycle")
-        self.open_cycles[customer] = _OpenCycle(customer, cycleid, listing)
-        self.held[customer] = listing
-        self._used_cycleids.add(cycleid)
+    def _apply(self, tag: int, value) -> None:
+        """The state change of one checked event, live or replayed."""
+        if tag == wire.LOG_REGISTER:
+            (contract,) = value
+            self.contracts[contract.customer] = contract
+            self._next_customer = contract.customer + 1
+        elif tag == wire.LOG_UPDATE_CERTS:
+            removed, appended, version = value
+            self.listing = self.listing.updated(removed, appended)
+            self.cert_version = version
+        elif tag == wire.LOG_BEGIN_CYCLE:
+            customer, cycleid, _ = value
+            self.open_cycles[customer] = _OpenCycle(customer, cycleid, self.listing)
+            self.held[customer] = self.listing
+            self._used_cycleids.add(cycleid)
+        else:  # ACK or SUBMIT: the cycle moves on, and the record is kept
+            if tag == wire.LOG_ACK_CERTS_HCH:
+                customer, t, *fields = value
+                cycle = self.open_cycles[customer]
+                cycle.state, cycle.t = _ACKED, t
+                record = ChameleonRecord(customer, *fields)
+            else:
+                record = ChameleonRecord(*value)
+                del self.open_cycles[record.customer]
+            self.records.append(record)
+            self._records_by_ch[record.ch_digest] = record
+            self._records_by_digest[crypto.hash_h(record.message)] = record
 
     # -- record log ----------------------------------------------------------
 
-    def _store_record(self, record: ChameleonRecord) -> None:
-        self.records.append(record)
-        self._records_by_ch[record.ch_digest] = record
-        self._records_by_digest[crypto.hash_h(record.message)] = record
-
     def _countersign(
-        self, contract: Contract, message: bytes, context: bytes
+        self, contract: Contract, label: str, cycleid: bytes, stamp: int, body: bytes,
+        sig_a: bytes, now: int,
     ) -> tuple[crypto.ChameleonSignature, ChameleonRecord]:
-        """Chameleon-sign a message; the record is what the log must keep."""
+        """Check that the customer signed the payload and that its stamp is
+        recent, then chameleon-sign it; the record is what the log must keep."""
+        message = wire.encode_signed_payload(label, contract.customer, cycleid, stamp, body)
+        if not crypto.verify(contract.pk_a, message, sig_a):
+            raise SignatureInvalid("customer signature does not verify")
+        if abs(now - stamp) > self.recency_window:
+            raise RecencyError(f"timestamp {stamp} outside recency window at {now}")
         sig, ch = crypto.chameleon_sign(
-            self.keypair, contract.chameleon, message, context, self.rng
+            self.keypair, contract.chameleon, message,
+            chameleon_context(contract.customer, label), self.rng,
         )
         ch_digest = crypto.hash_h(contract.chameleon.params.element_bytes(ch))
         return sig, ChameleonRecord(contract.customer, message, sig.r, ch_digest)
@@ -528,6 +550,7 @@ class Insurer:
                 t_end=now + self.policy_days * 86400,
                 delta_t=request.requested_delta_t,
             )
+            self._check(wire.LOG_REGISTER, (contract,))
             self._commit(wire.LOG_REGISTER, (contract,))
             return contract
 
@@ -548,23 +571,19 @@ class Insurer:
             contract = self._contract(customer)
             if not contract.t0 <= now <= contract.t_end:
                 raise ExpiredContractError("contract not valid at this time")
-            if customer in self.open_cycles:
-                raise SequencingError("previous cycle not submitted yet")
             while True:
                 cycleid = self.rng.bytes(wire.CYCLEID_LEN)
                 if cycleid not in self._used_cycleids:
                     break
+            event = (customer, cycleid, self.cert_version)
+            self._check(wire.LOG_BEGIN_CYCLE, event)
             held = self.held.get(customer)
             if base and held is not None and held.digest == base:
                 removed, appended = self.listing.delta_from(held)
             else:
                 base, removed, appended = b"", [], self.certs
-            self._commit(wire.LOG_BEGIN_CYCLE, (customer, cycleid, self.cert_version))
+            self._commit(wire.LOG_BEGIN_CYCLE, event)
             return cycleid, base, removed, appended
-
-    def _check_recent(self, stamp: int, now: int) -> None:
-        if abs(now - stamp) > self.recency_window:
-            raise RecencyError(f"timestamp {stamp} outside recency window at {now}")
 
     def ack_certificates(
         self, customer: int, cycleid: bytes, t: int, sig_a: bytes, now: int
@@ -574,21 +593,11 @@ class Insurer:
             cycle = self.open_cycles.get(customer)
             if cycle is None or cycle.cycleid != cycleid:
                 raise SequencingError("no pending cycle with this cycleid")
-            if cycle.state != _PENDING:
-                raise SequencingError("certificates already acknowledged")
-            payload = wire.encode_signed_payload(
-                "Certificates", customer, cycleid, t, cycle.listing.digest
-            )
-            if not crypto.verify(contract.pk_a, payload, sig_a):
-                raise SignatureInvalid("customer signature does not verify")
-            self._check_recent(t, now)
+            self._check(wire.LOG_ACK_CERTS_HCH, (customer,))
             sig, record = self._countersign(
-                contract, payload, chameleon_context(customer, "Certificates")
+                contract, "Certificates", cycleid, t, cycle.listing.digest, sig_a, now
             )
-            self._commit(
-                wire.LOG_ACK_CERTS_HCH,
-                (customer, t, record.message, record.r, record.ch_digest),
-            )
+            self._commit(wire.LOG_ACK_CERTS_HCH, (customer, t, *record[1:]))
             return sig
 
     def accept_vouchers(
@@ -600,22 +609,14 @@ class Insurer:
             cycle = self.open_cycles.get(customer)
             if cycle is None or cycle.cycleid != cycleid:
                 raise SequencingError("no open cycle with this cycleid")
-            if cycle.state != _ACKED:
-                raise SequencingError("certificate list not acknowledged yet")
+            self._check(wire.LOG_SUBMIT_VOUCHERS_HCH, (customer,))
             if t_prime < cycle.t:
                 raise SequencingError("submission timestamp precedes download")
-            payload = wire.encode_signed_payload(
-                "Vouchers", customer, cycleid, t_prime, root
-            )
-            if not crypto.verify(contract.pk_a, payload, sig_a):
-                raise SignatureInvalid("customer signature does not verify")
-            self._check_recent(t_prime, now)
-            covered = contract.covers(cycle.t, t_prime)
             sig, record = self._countersign(
-                contract, payload, chameleon_context(customer, "Vouchers")
+                contract, "Vouchers", cycleid, t_prime, root, sig_a, now
             )
             self._commit(wire.LOG_SUBMIT_VOUCHERS_HCH, record)
-            return sig, covered
+            return sig, contract.covers(cycle.t, t_prime)
 
     def update_cert_list(self, adds: list[bytes], removes: list[bytes]) -> int:
         """Remove each of removes (its first listed copy not yet removed),
@@ -632,11 +633,9 @@ class Insurer:
                     removed.append(pos)
             if len(removed) < len(removes):
                 raise NotFoundError("cannot remove a certificate that is not listed")
-            if len(removed) == len(self.certs) and not adds:
-                raise ParameterError("certificate list must not become empty")
-            self._commit(
-                wire.LOG_UPDATE_CERTS, (removed, list(adds), self.cert_version + 1)
-            )
+            event = (removed, list(adds), self.cert_version + 1)
+            self._check(wire.LOG_UPDATE_CERTS, event)
+            self._commit(wire.LOG_UPDATE_CERTS, event)
             return self.cert_version
 
 

@@ -4,6 +4,8 @@ through raw request bytes."""
 
 import dataclasses
 import gc
+import os
+import stat
 import threading
 import weakref
 
@@ -38,9 +40,15 @@ from conninsure.insurer import (
     ACK_CERTS_REQUEST,
     BEGIN_CYCLE_REQUEST,
     BEGIN_CYCLE_RESPONSE,
+    DEFAULT_POLICY_DAYS,
+    ERR_EXPIRED,
     ERR_INTERNAL,
+    ERR_NOT_FOUND,
     ERR_REGISTRATION,
+    ERR_SEQUENCING,
+    ERR_SIGNATURE,
     ERROR_RESPONSE,
+    RECENCY_WINDOW,
     SUBMIT_VOUCHERS_REQUEST,
     Insurer,
     RegistrationRequest,
@@ -875,22 +883,133 @@ class TestLogFaults:
         reloaded.close()
 
 
+BAD_SIG = b"\x01" * 64
+OTHER_CYCLEID = b"\xee" * 32
+LATE = NOW + RECENCY_WINDOW + 1
+EXPIRED = NOW + (DEFAULT_POLICY_DAYS + 1) * 86400
+
+
+def _ack_request(c, customer=1, cycleid=None, t=NOW, signed=False) -> bytes:
+    cycleid = c["cycleid"] if cycleid is None else cycleid
+    payload = wire.encode_signed_payload(
+        "Certificates", customer, cycleid, t, wire.cert_list_digest(c["certs"])
+    )
+    sig = crypto.sign(c["keypair"], payload) if signed else BAD_SIG
+    return ACK_CERTS_REQUEST.encode((customer, cycleid, t, sig))
+
+
+def _submit_request(c, customer=1, cycleid=None, t_prime=NOW, signed=False) -> bytes:
+    cycleid = c["cycleid"] if cycleid is None else cycleid
+    root = b"\x07" * 32
+    payload = wire.encode_signed_payload("Vouchers", customer, cycleid, t_prime, root)
+    sig = crypto.sign(c["keypair"], payload) if signed else BAD_SIG
+    return SUBMIT_VOUCHERS_REQUEST.encode((customer, cycleid, t_prime, root, sig))
+
+
+# Requests that break two rules at once: the stage of customer 1's cycle,
+# the time the request arrives, the request, and the (code, message) it
+# gets.  The operations refuse in a fixed order, so each pins that order.
+STAGES = ("pending", "acked", "closed")
+TWO_RULES_BROKEN = {
+    "ack-resent-bad-signature": (
+        "acked", NOW, _ack_request,
+        (ERR_SEQUENCING, "certificates already acknowledged"),
+    ),
+    "ack-other-cycleid-bad-signature": (
+        "pending", NOW, lambda c: _ack_request(c, cycleid=OTHER_CYCLEID),
+        (ERR_SEQUENCING, "no pending cycle with this cycleid"),
+    ),
+    "ack-after-close-stale": (
+        "closed", LATE, lambda c: _ack_request(c, signed=True),
+        (ERR_SEQUENCING, "no pending cycle with this cycleid"),
+    ),
+    "ack-unknown-customer-other-cycleid": (
+        "pending", NOW, lambda c: _ack_request(c, customer=9, cycleid=OTHER_CYCLEID),
+        (ERR_NOT_FOUND, "unknown customer 9"),
+    ),
+    "ack-stale-bad-signature": (
+        "pending", LATE, _ack_request,
+        (ERR_SIGNATURE, "customer signature does not verify"),
+    ),
+    "begin-expired-with-open-cycle": (
+        "pending", EXPIRED, lambda c: BEGIN_CYCLE_REQUEST.encode((1, b"")),
+        (ERR_EXPIRED, "contract not valid at this time"),
+    ),
+    "begin-unknown-customer-expired": (
+        "closed", EXPIRED, lambda c: BEGIN_CYCLE_REQUEST.encode((9, b"")),
+        (ERR_NOT_FOUND, "unknown customer 9"),
+    ),
+    "begin-with-open-cycle-unknown-base": (
+        "acked", NOW, lambda c: BEGIN_CYCLE_REQUEST.encode((1, b"\x05" * 32)),
+        (ERR_SEQUENCING, "previous cycle not submitted yet"),
+    ),
+    "submit-before-ack-bad-signature": (
+        "pending", NOW, _submit_request,
+        (ERR_SEQUENCING, "certificate list not acknowledged yet"),
+    ),
+    "submit-before-ack-stale": (
+        "pending", LATE, lambda c: _submit_request(c, signed=True),
+        (ERR_SEQUENCING, "certificate list not acknowledged yet"),
+    ),
+    "submit-before-download-bad-signature": (
+        "acked", NOW, lambda c: _submit_request(c, t_prime=NOW - 1),
+        (ERR_SEQUENCING, "submission timestamp precedes download"),
+    ),
+    "submit-other-cycleid-stale": (
+        "acked", LATE, lambda c: _submit_request(c, cycleid=OTHER_CYCLEID, signed=True),
+        (ERR_SEQUENCING, "no open cycle with this cycleid"),
+    ),
+    "submit-resent-bad-signature": (
+        "closed", NOW, _submit_request,
+        (ERR_SEQUENCING, "no open cycle with this cycleid"),
+    ),
+    "submit-stale-bad-signature": (
+        "acked", LATE, _submit_request,
+        (ERR_SIGNATURE, "customer signature does not verify"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_RULES_BROKEN))
+def test_request_breaking_two_rules_gets_the_first_rules_answer(case):
+    """Each request is refused for the first rule it breaks, in the
+    operations' order, with the same code and message, and changes nothing."""
+    stage, now, make, expected = TWO_RULES_BROKEN[case]
+    insurer = Insurer.setup(CERTS, rng=RandomSource(11))
+    keypair, _, request = _registration(RandomSource(12))
+    customer = {"keypair": keypair, "request": request}
+    for name in OPERATIONS[: STAGES.index(stage) + 2]:
+        assert _operate(insurer, customer, name) is None
+    before = insurer.snapshot_bytes()
+    tag, body, _ = wire.unpack(handle_request(insurer, make(customer), now))
+    assert tag == wire.RESP_ERR
+    assert ERROR_RESPONSE.decode_body(body) == expected
+    assert insurer.snapshot_bytes() == before
+
+
+def _next_register(live, **changes) -> tuple:
+    """A REGISTER of customer 3, the next one, with customer 2's contract
+    and the changes given."""
+    contract = dataclasses.replace(live.contracts[2], **{"customer": 3, **changes})
+    return wire.LOG_REGISTER, (contract,)
+
+
 # Events the live operations refuse to log, given the insurer of _fresh_log
 # and its open cycleid, and what load names when one follows that log.
 IMPOSSIBLE_EVENTS = {
     "ack-without-cycle": (
         lambda live, cycleid: (wire.LOG_ACK_CERTS, (5, NOW, b"m", 1, b"c")),
-        "customer 5 has no pending cycle",
+        "customer 5 has no open cycle",
     ),
     "submit-before-ack": (
         lambda live, cycleid: (
             wire.LOG_SUBMIT_VOUCHERS, insurer_module.ChameleonRecord(1, b"m", 1, b"c")
         ),
-        "customer 1 has no certs-acked cycle",
+        "certificate list not acknowledged yet",
     ),
     "begin-over-open-cycle": (
         lambda live, cycleid: (wire.LOG_BEGIN_CYCLE, (1, b"\x21" * 32, 0)),
-        "customer 1 begins a cycle with one open",
+        "previous cycle not submitted yet",
     ),
     "begin-reusing-cycleid": (
         lambda live, cycleid: (wire.LOG_BEGIN_CYCLE, (2, cycleid, 0)),
@@ -902,7 +1021,19 @@ IMPOSSIBLE_EVENTS = {
     ),
     "register-twice": (
         lambda live, cycleid: (wire.LOG_REGISTER, (live.contracts[2],)),
-        "customer 2 registered twice",
+        "customer 2 is not the next customer",
+    ),
+    "register-skipping-a-number": (
+        lambda live, cycleid: _next_register(live, customer=4),
+        "customer 4 is not the next customer",
+    ),
+    "register-with-another-insurer": (
+        lambda live, cycleid: _next_register(live, pk_in=live.contracts[2].pk_a),
+        "contract names another insurer",
+    ),
+    "register-with-another-term": (
+        lambda live, cycleid: _next_register(live, t_end=live.contracts[2].t_end + 1),
+        "contract term is not the policy term",
     ),
 }
 
@@ -1015,6 +1146,24 @@ class TestReplay:
         wire.replace_frames(log, [setup])
         with pytest.raises(CorruptionError, match="byte offset 0: SETUP holds an empty"):
             Insurer.load(log)
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o604], ids=oct)
+    def test_load_narrows_a_log_others_may_read(self, tmp_path, permissive_umask, mode):
+        """A log that an older version created under umask 022 is 0644, or
+        has other group or other bits; load makes it 0600, since its SETUP
+        holds the signing key.  Reading the public key changes nothing."""
+        log, live, _ = _fresh_log(tmp_path)
+        old = str(tmp_path / "old.log")
+        with open(old, "wb") as fh, open(log, "rb") as src:
+            fh.write(src.read())
+        assert stat.S_IMODE(os.stat(old).st_mode) == 0o644
+        os.chmod(old, mode)
+        assert insurer_module.setup_public_key(old) == live.keypair.public
+        assert stat.S_IMODE(os.stat(old).st_mode) == mode
+        loaded = Insurer.load(old)
+        loaded.update_cert_list([b"cert-delta"], [])
+        loaded.close()
+        assert stat.S_IMODE(os.stat(old).st_mode) == 0o600
 
     def test_public_key_is_read_from_setup_alone(self, tmp_path):
         """setup_public_key reads the first frame, which must be SETUP."""
