@@ -35,7 +35,6 @@ from .insurer import (
     RegistrationRequest,
 )
 from .model import (
-    DEFAULT_RETENTION_DAYS,
     PAD_DOMAIN,
     CertList,
     Claim,
@@ -46,7 +45,6 @@ from .model import (
     apply_rollback,
     chameleon_context,
     compute_rollback,
-    expire_rollbacks,
     registration_context,
     valid_positions,
 )
@@ -103,8 +101,8 @@ class ClientState:
         self.open_cycle: CycleRecord | None = None
         self.archive: list[CycleRecord] = []
         self.warnings: list[tuple[int, str]] = []
-        # Records on disk in archive.tlv and rollback.tlv; None (after
-        # pruning or a failed write) rewrites the log whole.
+        # Records on disk in archive.tlv and rollback.tlv; None (after a
+        # failed write) rewrites the log whole.
         self._archived_on_disk: int | None = 0
         self._rollback_on_disk: int | None = 0
         # The cycle index list.tlv reaches (None: rewrite it whole), the
@@ -381,19 +379,6 @@ class ClientState:
         self._list_deltas = []
         self._list_on_disk = self.current_index
 
-    def prune_rollbacks(self, now: int,
-                        retention_seconds: int = DEFAULT_RETENTION_DAYS * 86400) -> int:
-        """Drop deltas no live claim can need; returns how many were removed."""
-        kept = expire_rollbacks(
-            self.rollback_entries, now, retention_seconds,
-            validity=(self.contract.t0, self.contract.t_end),
-        )
-        removed = len(self.rollback_entries) - len(kept)
-        if removed:
-            self.rollback_entries = kept
-            self._rollback_on_disk = None
-        return removed
-
     @classmethod
     def load(cls, directory: str) -> "ClientState":
         """The state that save wrote to directory.  A state.tlv whose certs
@@ -495,8 +480,8 @@ def _read_log(directory: str, name: str, record_type) -> list:
 
 def _save_log(directory: str, name: str, records: list, on_disk: int | None) -> int:
     """Append the records after the first on_disk to a client log.  A log
-    that does not exist yet, or that must be rewritten (on_disk None, after
-    pruning), is replaced whole.  Returns how many records are on disk."""
+    that does not exist yet, or that must be rewritten (on_disk None after
+    a failed write), is replaced whole.  Returns how many are on disk."""
     path = os.path.join(directory, name)
     if on_disk is not None and os.path.exists(path):
         wire.append_frames(path, [record.to_bytes() for record in records[on_disk:]])

@@ -12,7 +12,6 @@ from . import crypto, wire
 from .errors import ClaimFormatError, CorruptionError, ParameterError
 
 VOUCHER_R_LEN = 32
-DEFAULT_RETENTION_DAYS = 365
 PAD_DOMAIN = "pad.invalid"
 
 
@@ -393,32 +392,4 @@ class RollbackEntry:
     """One line of the client's rollback log."""
 
     delta: RollbackDelta
-    cycle_time: int
-
-
-def expire_rollbacks(
-    entries: list[RollbackEntry],
-    now: int,
-    retention_seconds: int = DEFAULT_RETENTION_DAYS * 86400,
-    validity: tuple[int, int] | None = None,
-) -> list[RollbackEntry]:
-    """Drop the leading deltas that no live claim can ever need.
-
-    A delta stays claimable while its cycle is inside the retention window
-    and (when a validity term is given) inside the contract term.  Deltas
-    form a chain, so only a prefix may be removed.
-    """
-
-    def claimable(entry: RollbackEntry) -> bool:
-        if entry.cycle_time + retention_seconds <= now:
-            return False
-        if validity is not None:
-            t0, t_end = validity
-            if not t0 <= entry.cycle_time <= t_end:
-                return False
-        return True
-
-    for i, entry in enumerate(entries):
-        if claimable(entry):
-            return list(entries[i:])
-    return []
+    cycle_time: int  # kept in the format; nothing reads it now

@@ -447,24 +447,6 @@ class TestPersistence:
         assert len(reloaded.rollback_entries) == 3
         assert reloaded.reconstruct_list(1) == client.reconstruct_list(1)
 
-    def test_prune_rollbacks_compacts_log(self, tmp_path, world):
-        insurer, _, channel, client, clock, rng = world
-        for i in range(4):
-            client.do_update_cycle(channel, now=clock.now)
-            client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
-            insurer.update_cert_list([b"new-%d" % i], [])
-        client.save(str(tmp_path))
-
-        # deltas sit at +3600, +7200, +10800 relative to the run start;
-        # now - retention lands between the first and second
-        removed = client.prune_rollbacks(now=clock.now, retention_seconds=10_000)
-        assert removed == 1
-        client.save(str(tmp_path))
-        reloaded = ClientState.load(str(tmp_path))
-        assert len(reloaded.rollback_entries) == 2
-        # the unpruned tail still reconstructs its cycles
-        assert reloaded.reconstruct_list(3) == client.reconstruct_list(3)
-
     def test_archived_voucher_its_type_refuses_names_the_frame(self, tmp_path, world):
         """A decoded value that Voucher refuses is corruption of the frame
         that holds it, not a bare ParameterError."""

@@ -1,4 +1,4 @@
-"""Domain types: codec round trips, rollback deltas, and pruning."""
+"""Domain types: codec round trips and rollback deltas."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +13,11 @@ from conninsure.model import (
     HandshakeTranscript,
     InclusionProof,
     RollbackDelta,
-    RollbackEntry,
     Voucher,
     VoucherEvidence,
     apply_rollback,
     chameleon_context,
     compute_rollback,
-    expire_rollbacks,
     registration_context,
     valid_positions,
 )
@@ -195,36 +193,6 @@ class TestRollback:
     def test_codec_roundtrip(self):
         delta = RollbackDelta(3, ((1, b"\x02" * 32),), ((0, b"cert-bytes"),))
         assert RollbackDelta.from_bytes(delta.to_bytes()) == delta
-
-
-class TestExpireRollbacks:
-    def _entries(self, times):
-        return [
-            RollbackEntry(RollbackDelta(i + 1, (), ()), t)
-            for i, t in enumerate(times)
-        ]
-
-    def test_all_inside_window_unchanged(self):
-        entries = self._entries([100, 200, 300])
-        assert expire_rollbacks(entries, now=400, retention_seconds=1000) == entries
-
-    def test_all_expired_empty(self):
-        entries = self._entries([100, 200, 300])
-        assert expire_rollbacks(entries, now=5000, retention_seconds=1000) == []
-
-    def test_mixed_prunes_exactly_the_expired_prefix(self):
-        entries = self._entries([100, 200, 3000, 3100])
-        pruned = expire_rollbacks(entries, now=3500, retention_seconds=1000)
-        # Oracle: filter by timestamp on the retained metadata.
-        assert pruned == [e for e in entries if e.cycle_time + 1000 > 3500]
-        assert pruned == entries[2:]
-
-    def test_validity_term_bounds(self):
-        entries = self._entries([100, 200, 300])
-        pruned = expire_rollbacks(
-            entries, now=400, retention_seconds=10_000, validity=(150, 5000)
-        )
-        assert pruned == entries[1:]
 
 
 class TestEvidenceCodec:
