@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .errors import ParameterError
+from .model import chameleon_context
 from .rand import DEFAULT, RandomSource
 
 
@@ -34,7 +35,7 @@ def bench_chameleon(iterations: int = 1000, rng: RandomSource = DEFAULT) -> Benc
         raise ParameterError("need at least 100 iterations for a stable mean")
     signer = crypto.generate_sig_keypair(crypto.SCHEME_ED25519, rng)
     recipient = crypto.generate_chameleon_keypair(crypto.GROUP_2048_256, rng).public
-    context = b"\x00" * 8 + b"Certificates"
+    context = chameleon_context(0, "Certificates")
 
     messages = [rng.bytes(64) for _ in range(iterations)]
     sigs = []

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from . import crypto, merkle, tlssim, wire
 from .errors import (
     CorruptionError,
+    EncodingError,
+    EvidenceError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
@@ -384,7 +386,8 @@ class ClientState:
         """The state that save wrote to directory.  A state.tlv whose certs
         is not empty is the layout from before list.tlv: its list is used,
         and the next save writes list.tlv."""
-        with open(os.path.join(directory, STATE_FILE), "rb") as fh:
+        state_path = os.path.join(directory, STATE_FILE)
+        with open(state_path, "rb") as fh:
             body = wire.only_frame(fh.read())
         (public, secret, params, x, y, contract, certs, current_index, warnings,
          open_cycle) = _STATE.decode_body(body)
@@ -396,26 +399,22 @@ class ClientState:
         state.current_index = current_index
         state.warnings = list(warnings)
         state.open_cycle = open_cycle
-        state.rollback_entries = _read_log(directory, ROLLBACK_FILE, RollbackEntry)
+        state.rollback_entries = _read_log(directory, ROLLBACK_FILE, RollbackEntry.from_bytes)
         state._rollback_on_disk = len(state.rollback_entries)
         if certs:
             state.listing = CertList(certs)
         else:
             state._load_list(os.path.join(directory, LIST_FILE))
-        state.archive = _read_log(directory, ARCHIVE_FILE, CycleRecord)
+        state.archive = _read_log(
+            directory, ARCHIVE_FILE, lambda payload: _checked(CycleRecord.from_bytes(payload))
+        )
         state._archived_on_disk = len(state.archive)
         # Archived yet open: a save crashed before it replaced state.tlv.
         archived = {record.cycleid for record in state.archive}
         if state.open_cycle is not None and state.open_cycle.cycleid in archived:
             state.open_cycle = None
-
-        # Evidence completeness: never hold evidence with an invalid signature.
-        for record in state.archive:
-            for evidence in record.evidences.values():
-                tlssim.validate_evidence(evidence)
-        if state.open_cycle is not None:
-            for evidence in state.open_cycle.evidences.values():
-                tlssim.validate_evidence(evidence)
+        if state.open_cycle is not None:  # state.tlv's one frame, at offset 0
+            wire.decode_frame(_checked, state_path, 0, state.open_cycle)
         return state
 
     def _load_list(self, path: str) -> None:
@@ -466,14 +465,27 @@ def _roll_back(certs: list[bytes], start: int, stop: int, entries) -> list[bytes
     return certs
 
 
-def _read_log(directory: str, name: str, record_type) -> list:
-    """The records in an append-only client log (none if the file is
-    missing); a frame that does not decode raises CorruptionError."""
+def _checked(record: CycleRecord) -> CycleRecord:
+    """record, once each of its evidences holds.  Evidence with an invalid
+    signature is never held: like a value its type refuses, it makes the
+    frame that stores it fail to decode (EncodingError)."""
+    for evidence in record.evidences.values():
+        try:
+            tlssim.validate_evidence(evidence)
+        except EvidenceError as exc:
+            raise EncodingError(str(exc)) from exc
+    return record
+
+
+def _read_log(directory: str, name: str, decode) -> list:
+    """The records decode reads from the frames of an append-only client
+    log (none if the file is missing); a frame that does not decode raises
+    CorruptionError."""
     path = os.path.join(directory, name)
     if not os.path.exists(path):
         return []
     return [
-        wire.decode_frame(record_type.from_bytes, path, offset, payload)
+        wire.decode_frame(decode, path, offset, payload)
         for offset, payload in wire.read_log(path)
     ]
 

@@ -87,8 +87,9 @@ class Contract:
             raise ClaimFormatError(problem)
 
     def covers(self, t: int, t_prime: int) -> bool:
-        """Whether a submission at t_prime for a list downloaded at t is in time."""
-        return t <= t_prime and t_prime - t <= self.delta_t
+        """Whether a submission at t_prime for a list downloaded at t is in
+        time, and inside the contract term."""
+        return t <= t_prime <= self.t_end and t_prime - t <= self.delta_t
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ rollback fidelity, and on-disk state determinism."""
 
 import dataclasses
 import os
+import re
 
 import pytest
 
@@ -15,8 +16,8 @@ from support import (
     short_r_voucher,
     torn_write,
 )
-from conninsure import crypto, merkle, tlssim, wire
-from conninsure.client import ARCHIVE_FILE, LIST_FILE, ROLLBACK_FILE, ClientState
+from conninsure import crypto, judge, merkle, tlssim, wire
+from conninsure.client import ARCHIVE_FILE, LIST_FILE, ROLLBACK_FILE, STATE_FILE, ClientState
 from conninsure.errors import (
     CorruptionError,
     EncodingError,
@@ -38,6 +39,18 @@ from conninsure.scenario import SimClock
 from conninsure.transport import InProcessChannel
 
 DOMAINS = [f"d{i:03d}.example.org" for i in range(4)]
+
+
+def _flip_signature_bit(record, domain):
+    """record with one bit of domain's server signature flipped."""
+    evidence = record.evidences[domain]
+    signature = bytearray(evidence.transcript.signature)
+    signature[0] ^= 1
+    transcript = dataclasses.replace(evidence.transcript, signature=bytes(signature))
+    return dataclasses.replace(
+        record,
+        evidences={**record.evidences, domain: dataclasses.replace(evidence, transcript=transcript)},
+    )
 
 
 @pytest.fixture
@@ -223,7 +236,6 @@ class TestDeltaDownload:
         client ends on the current list and both cycles' claims are
         accepted."""
         import conninsure.insurer as insurer_module
-        from conninsure import judge
 
         rng = RandomSource(56)
         clock = SimClock()
@@ -348,6 +360,22 @@ class TestSubmitCycle:
         record = client.submit_cycle(channel, now=clock.advance(86_401))
         assert record.covered is False and record.covered_self is False
 
+    def test_submission_past_the_term_is_not_covered(self, world):
+        """A cycle begun at t_end and submitted 200 s later is inside delta_t
+        but outside the contract term: neither party counts it covered."""
+        record = _cycle_past_the_term(world)
+        assert record.covered is False and record.covered_self is False
+
+
+def _cycle_past_the_term(world):
+    """A cycle begun at the contract's t_end, browsed at t_end + 100 and
+    submitted at t_end + 200."""
+    _, servers, channel, client, clock, rng = world
+    clock.advance(client.contract.t_end - clock.now)
+    client.do_update_cycle(channel, now=clock.now)
+    client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.advance(100), rng)
+    return client.submit_cycle(channel, now=clock.advance(100), rng=rng)
+
 
 class TestRollbackFidelity:
     def test_five_cycles_reconstruct_origin(self, world):
@@ -400,6 +428,13 @@ class TestClaims:
         leaf = merkle.leaf_digest(claim.evidence.voucher)
         assert merkle.verify_inclusion(claim.voucher_root, leaf, claim.proof)
 
+    def test_claim_submitted_past_the_term_is_update_late(self, world):
+        insurer, client = world[0], world[3]
+        record = _cycle_past_the_term(world)
+        claim = client.assemble_claim(record.cycleid, DOMAINS[0])
+        verdict = judge.verify_claim(claim, insurer.keypair.public, rogue_asserted=True)
+        assert verdict is judge.Verdict.UPDATE_LATE
+
 
 class TestPersistence:
     def test_claim_byte_identical_after_reload(self, tmp_path, world):
@@ -446,6 +481,30 @@ class TestPersistence:
         reloaded = ClientState.load(str(tmp_path))
         assert len(reloaded.rollback_entries) == 3
         assert reloaded.reconstruct_list(1) == client.reconstruct_list(1)
+
+    @pytest.mark.parametrize("name", [ARCHIVE_FILE, STATE_FILE])
+    def test_saved_evidence_that_does_not_verify_names_the_frame(self, tmp_path, world, name):
+        """A saved evidence whose server signature fails is corruption of the
+        frame that holds it: the second frame of archive.tlv, or the one
+        frame of state.tlv for the open cycle."""
+        _, servers, channel, client, clock, rng = world
+        client.do_update_cycle(channel, now=clock.now)
+        client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        client.save(str(tmp_path))
+        offset = os.path.getsize(tmp_path / ARCHIVE_FILE) if name == ARCHIVE_FILE else 0
+        client.do_update_cycle(channel, now=clock.now)
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        if name == ARCHIVE_FILE:
+            client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+            client.archive[-1] = _flip_signature_bit(client.archive[-1], DOMAINS[0])
+        else:
+            client.open_cycle = _flip_signature_bit(client.open_cycle, DOMAINS[0])
+        client.save(str(tmp_path))
+        with pytest.raises(
+            CorruptionError,
+            match=rf"{re.escape(name)}: frame at byte offset {offset}: server signature does not verify",
+        ):
+            ClientState.load(str(tmp_path))
 
     def test_archived_voucher_its_type_refuses_names_the_frame(self, tmp_path, world):
         """A decoded value that Voucher refuses is corruption of the frame

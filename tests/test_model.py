@@ -89,14 +89,25 @@ class TestContractCodec:
 
 class TestContractCovers:
     @pytest.mark.parametrize(
-        "t_prime, covered",
-        [(1000, True), (1000 + 3600, True), (1000 + 3601, False), (999, False)],
-        ids=["same-time", "at-bound", "past-bound", "before-download"],
+        "t, t_prime, covered",
+        [
+            (1000, 1000, True),
+            (1000, 1000 + 3600, True),
+            (1000, 1000 + 3601, False),
+            (1000, 999, False),
+            (10**6, 10**6, True),
+            (10**6, 10**6 + 200, False),
+        ],
+        ids=[
+            "same-time", "at-bound", "past-bound", "before-download",
+            "at-term-end", "past-term-end",
+        ],
     )
-    def test_update_bound(self, t_prime, covered):
-        """covers reads only delta_t, so the keys and proof are left out."""
+    def test_update_bound(self, t, t_prime, covered):
+        """covers reads only delta_t and t_end, so the keys and proof are
+        left out."""
         contract = Contract(7, None, None, None, None, t0=0, t_end=10**6, delta_t=3600)
-        assert contract.covers(1000, t_prime) is covered
+        assert contract.covers(t, t_prime) is covered
 
 
 class TestRollback:
