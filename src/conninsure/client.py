@@ -45,9 +45,9 @@ from .model import (
     RollbackEntry,
     Voucher,
     apply_rollback,
-    chameleon_context,
     compute_rollback,
     registration_context,
+    signed_step,
     valid_positions,
 )
 from .rand import DEFAULT, RandomSource
@@ -131,16 +131,12 @@ class ClientState:
         return b""
 
     def _verify_countersignature(
-        self, payload: bytes, chsig: crypto.ChameleonSignature, label: str
+        self, payload: bytes, chsig: crypto.ChameleonSignature, context: bytes
     ) -> None:
         """Check an insurer countersignature under this client's own chameleon
         key, through its trapdoor."""
         ok = crypto.recipient_verify(
-            self.contract.pk_in,
-            self.chameleon_kp,
-            payload,
-            chsig,
-            context=chameleon_context(self.customer, label),
+            self.contract.pk_in, self.chameleon_kp, payload, chsig, context=context
         )
         if not ok:
             raise InsurerMisbehavior("insurer countersignature does not verify")
@@ -195,13 +191,11 @@ class ClientState:
             raise InsurerMisbehavior("certificate list is empty")
 
         digest = new.digest
-        payload = wire.encode_signed_payload(
-            "Certificates", self.customer, cycleid, now, digest
-        )
+        payload, context = signed_step("Certificates", self.customer, cycleid, now, digest)
         sig_a = crypto.sign(self.keypair, payload)
         request = ACK_CERTS_REQUEST.encode((self.customer, cycleid, now, sig_a))
         (chsig,) = ACK_CERTS_RESPONSE.decode_body(channel.request(request))
-        self._verify_countersignature(payload, chsig, "Certificates")
+        self._verify_countersignature(payload, chsig, context)
 
         index = self.current_index + 1
         if self.current_index > 0:
@@ -259,7 +253,7 @@ class ClientState:
             self._cycle_vouchers(cycle), cycle.list_size, seed,
             self.customer, cycle.cycleid,
         )
-        payload = wire.encode_signed_payload(
+        payload, context = signed_step(
             "Vouchers", self.customer, cycle.cycleid, now, tree.root
         )
         sig_a = crypto.sign(self.keypair, payload)
@@ -267,7 +261,7 @@ class ClientState:
             (self.customer, cycle.cycleid, now, tree.root, sig_a)
         )
         chsig, covered = SUBMIT_VOUCHERS_RESPONSE.decode_body(channel.request(request))
-        self._verify_countersignature(payload, chsig, "Vouchers")
+        self._verify_countersignature(payload, chsig, context)
 
         cycle.t_prime = now
         cycle.voucher_root = tree.root

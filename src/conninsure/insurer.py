@@ -45,7 +45,7 @@ from .model import (
     CertList,
     Contract,
     application_problem,
-    chameleon_context,
+    signed_step,
     valid_positions,
 )
 from .rand import DEFAULT, RandomSource
@@ -502,14 +502,13 @@ class Insurer:
     ) -> tuple[crypto.ChameleonSignature, ChameleonRecord]:
         """Check that the customer signed the payload and that its stamp is
         recent, then chameleon-sign it; the record is what the log must keep."""
-        message = wire.encode_signed_payload(label, contract.customer, cycleid, stamp, body)
+        message, context = signed_step(label, contract.customer, cycleid, stamp, body)
         if not crypto.verify(contract.pk_a, message, sig_a):
             raise SignatureInvalid("customer signature does not verify")
         if abs(now - stamp) > self.recency_window:
             raise RecencyError(f"timestamp {stamp} outside recency window at {now}")
         sig, ch = crypto.chameleon_sign(
-            self.keypair, contract.chameleon, message,
-            chameleon_context(contract.customer, label), self.rng,
+            self.keypair, contract.chameleon, message, context, self.rng
         )
         ch_digest = crypto.hash_h(contract.chameleon.params.element_bytes(ch))
         return sig, ChameleonRecord(contract.customer, message, sig.r, ch_digest)

@@ -12,7 +12,7 @@ import enum
 
 from . import crypto, merkle, tlssim, wire
 from .errors import ClaimFormatError, ParameterError
-from .model import PAD_DOMAIN, Claim, chameleon_context
+from .model import PAD_DOMAIN, Claim, Contract, signed_step
 
 
 class Verdict(enum.Enum):
@@ -60,29 +60,27 @@ def cert_matches_domain(cert_der: bytes, domain: str) -> bool:
         return False
 
 
+def _countersigned(
+    pk_in: crypto.PublicKey, contract: Contract, label: str, cycleid: bytes,
+    stamp: int, body: bytes, chsig: crypto.ChameleonSignature,
+) -> bool:
+    """Whether chsig is the insurer's countersignature on the contract's
+    customer's step label, with that stamp and body, in that cycle."""
+    payload, context = signed_step(label, contract.customer, cycleid, stamp, body)
+    return crypto.chameleon_verify(pk_in, contract.chameleon, payload, chsig, context=context)
+
+
 def verify_claim(claim: Claim, pk_in: crypto.PublicKey, rogue_asserted: bool) -> Verdict:
     """Settle one insurance-case claim against the insurer's public key."""
     contract = claim.contract
     contract.validate()
     if not claim.certs:
         raise ClaimFormatError("claim carries an empty certificate list")
-    customer = contract.customer
 
-    certs_payload = wire.encode_signed_payload(
-        "Certificates",
-        customer,
-        claim.cycleid,
-        claim.t,
-        wire.cert_list_digest(list(claim.certs)),
-    )
-    ok = crypto.chameleon_verify(
-        pk_in,
-        contract.chameleon,
-        certs_payload,
-        claim.chsig_certs,
-        context=chameleon_context(customer, "Certificates"),
-    )
-    if not ok:
+    if not _countersigned(
+        pk_in, contract, "Certificates", claim.cycleid, claim.t,
+        wire.cert_list_digest(list(claim.certs)), claim.chsig_certs,
+    ):
         return Verdict.BAD_CERT_SIG
 
     if (
@@ -91,17 +89,10 @@ def verify_claim(claim: Claim, pk_in: crypto.PublicKey, rogue_asserted: bool) ->
     ):
         return Verdict.CERT_NOT_IN_LIST
 
-    vouchers_payload = wire.encode_signed_payload(
-        "Vouchers", customer, claim.cycleid, claim.t_prime, claim.voucher_root
-    )
-    ok = crypto.chameleon_verify(
-        pk_in,
-        contract.chameleon,
-        vouchers_payload,
+    if not _countersigned(
+        pk_in, contract, "Vouchers", claim.cycleid, claim.t_prime, claim.voucher_root,
         claim.chsig_vouchers,
-        context=chameleon_context(customer, "Vouchers"),
-    )
-    if not ok:
+    ):
         return Verdict.BAD_VOUCHER_SIG
 
     if not contract.covers(claim.t, claim.t_prime):
@@ -114,7 +105,7 @@ def verify_claim(claim: Claim, pk_in: crypto.PublicKey, rogue_asserted: bool) ->
 
     transcript = claim.evidence.transcript
     if (
-        voucher.customer != customer
+        voucher.customer != contract.customer
         or voucher.cycleid != claim.cycleid
         or voucher.domain == PAD_DOMAIN
         or not tlssim.embeds_voucher(transcript, voucher)

@@ -22,6 +22,17 @@ def chameleon_context(customer: int, label: str) -> bytes:
     return wire.u64(customer) + label.encode("ascii")
 
 
+def signed_step(
+    label: str, customer: int, cycleid: bytes, stamp: int, body: bytes
+) -> tuple[bytes, bytes]:
+    """One countersigned step of a cycle: the payload the customer signs and
+    the insurer chameleon-signs, and the context of that chameleon signature."""
+    return (
+        wire.encode_signed_payload(label, customer, cycleid, stamp, body),
+        chameleon_context(customer, label),
+    )
+
+
 def registration_context(pk_a: crypto.PublicKey) -> bytes:
     """Context the trapdoor proof is bound to at registration time.
 
