@@ -166,6 +166,8 @@ class ClientState:
         (contract,) = REGISTER_RESPONSE.decode_body(channel.request(request.to_bytes()))
         if contract.pk_a != keypair.public or contract.chameleon != chameleon_kp.public:
             raise InsurerMisbehavior("contract does not embed the applicant's keys")
+        if contract.delta_t != requested_delta_t:
+            raise InsurerMisbehavior("contract does not carry the requested delta_t")
         contract.validate()
         return cls(keypair, chameleon_kp, contract)
 

@@ -667,11 +667,15 @@ EXCEPTION_BY_CODE = {code: exc for exc, code in _ERROR_CODES}
 
 
 def _error_response(exc: Exception) -> bytes:
+    """The error answer to a failed request.  An ERR_INTERNAL answer is
+    logged with its traceback, since it may ask the operator to restart."""
     code = ERR_INTERNAL
     for exc_type, exc_code in _ERROR_CODES:
         if isinstance(exc, exc_type):
             code = exc_code
             break
+    if code == ERR_INTERNAL:
+        _log.error("request failed", exc_info=exc)
     return ERROR_RESPONSE.encode((code, str(exc) or exc.__class__.__name__))
 
 
@@ -704,6 +708,4 @@ def handle_request(insurer: Insurer, request: bytes, now: int) -> bytes:
             return LOOKUP_HIT_RESPONSE.encode((True, *found))
         raise EncodingError(f"unknown endpoint tag 0x{tag:02x}")
     except Exception as exc:
-        if not isinstance(exc, CIError):
-            _log.exception("request failed")  # answered with ERR_INTERNAL
         return _error_response(exc)

@@ -165,10 +165,6 @@ class SimServer:
         return cls(domain, cert, secret, scheme_id, dh_group)
 
     @property
-    def behavior(self) -> str:
-        return "honest" if self._presented is self._honest else "mitm"
-
-    @property
     def presented_cert(self) -> bytes:
         return self._presented.cert_der
 

@@ -4,6 +4,7 @@ produce.  Shared by the judge tests and the acceptance suite."""
 import dataclasses
 
 from conninsure.judge import Verdict
+from conninsure.model import chameleon_context
 
 
 def _flip(blob: bytes, i: int = 0) -> bytes:
@@ -14,6 +15,7 @@ def claim_mutations(claim):
     """Yield (name, expected verdict, mutated claim) triples."""
     e = claim.evidence
     t = e.transcript
+    customer = claim.contract.customer
 
     def with_transcript(**kw):
         return dataclasses.replace(
@@ -39,6 +41,21 @@ def claim_mutations(claim):
     yield "chsig_vouchers.r", Verdict.BAD_VOUCHER_SIG, dataclasses.replace(
         claim, chsig_vouchers=dataclasses.replace(
             claim.chsig_vouchers, r=claim.chsig_vouchers.r ^ 1
+        )
+    )
+    # Each countersignature checked as the other step's: swapped, or
+    # carrying the other step's chameleon context.
+    yield "chsigs_swapped", Verdict.BAD_CERT_SIG, dataclasses.replace(
+        claim, chsig_certs=claim.chsig_vouchers, chsig_vouchers=claim.chsig_certs
+    )
+    yield "chsig_vouchers.context", Verdict.BAD_VOUCHER_SIG, dataclasses.replace(
+        claim, chsig_vouchers=dataclasses.replace(
+            claim.chsig_vouchers, context=chameleon_context(customer, "Certificates")
+        )
+    )
+    yield "chsig_certs.context", Verdict.BAD_CERT_SIG, dataclasses.replace(
+        claim, chsig_certs=dataclasses.replace(
+            claim.chsig_certs, context=chameleon_context(customer, "Vouchers")
         )
     )
     yield "timestamp_t", Verdict.BAD_CERT_SIG, dataclasses.replace(claim, t=claim.t + 1)

@@ -30,6 +30,7 @@ from conninsure.insurer import (
     ACK_CERTS_RESPONSE,
     BEGIN_CYCLE_RESPONSE,
     LIST_DELTA,
+    REGISTER_RESPONSE,
     SUBMIT_VOUCHERS_RESPONSE,
     Insurer,
 )
@@ -154,6 +155,26 @@ class TestUpdateCycle:
             client.do_update_cycle(flipping, now=clock.now)
             client.submit_cycle(flipping, now=clock.advance(60), rng=rng)
         assert client.archive == []
+
+    def test_contract_with_another_delta_t_refused(self, world):
+        """A REGISTER answer whose update bound was rewritten in transit is
+        refused: no signature in the contract binds delta_t."""
+        _, _, channel, _, _, rng = world
+
+        class RewritingChannel:
+            def request(self, payload):
+                response = channel.request(payload)
+                if payload[0] == wire.REQ_REGISTER:
+                    (contract,) = REGISTER_RESPONSE.decode_body(response)
+                    return REGISTER_RESPONSE.encode_body(
+                        (dataclasses.replace(contract, delta_t=1),)
+                    )
+                return response
+
+        with pytest.raises(InsurerMisbehavior, match="requested delta_t"):
+            ClientState.register(
+                RewritingChannel(), 86_400, rng=rng, group=crypto.TOY_GROUP
+            )
 
     def test_client_with_wrong_trapdoor_accepts_good_countersignatures(self, world):
         """A state whose y is not g^x checks the insurer's signatures the

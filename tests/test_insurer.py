@@ -4,6 +4,7 @@ through raw request bytes."""
 
 import dataclasses
 import gc
+import logging
 import os
 import stat
 import threading
@@ -881,6 +882,30 @@ class TestLogFaults:
         assert reloaded.snapshot_bytes() == before
         assert reloaded.update_cert_list([b"cert-delta"], []) == 1
         reloaded.close()
+
+    def test_internal_error_answers_are_logged(self, tmp_path, monkeypatch, caplog):
+        """Every ERR_INTERNAL answer is logged with its traceback, also one
+        caused by a protocol error, such as the answer that asks for a
+        restart after a failed append could not be cut off."""
+        log = str(tmp_path / "insurer.log")
+        insurer = Insurer.setup(CERTS, rng=RandomSource(11), log_path=log)
+        keypair, _, request = _registration(RandomSource(12))
+        assert _operate(insurer, {"keypair": keypair, "request": request}, "register") is None
+        fail_write(monkeypatch, torn_write)
+        fail_once(monkeypatch, wire.os, "ftruncate", io_error)
+        begin = BEGIN_CYCLE_REQUEST.encode((1, b""))
+        for text in ("could not be cut off", "log append could not be undone; restart"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="conninsure"):
+                response = handle_request(insurer, begin, NOW)
+            code, message = ERROR_RESPONSE.decode(response)
+            assert code == ERR_INTERNAL and text in message
+            (logged,) = caplog.records
+            assert logged.name == "conninsure.insurer" and logged.exc_info
+            assert text in str(logged.exc_info[1])
+        insurer.close()
+        with pytest.warns(RuntimeWarning, match="partial frame"):
+            Insurer.load(log).close()
 
 
 BAD_SIG = b"\x01" * 64

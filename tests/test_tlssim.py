@@ -158,7 +158,7 @@ class TestExtractEvidence:
             "bob.example.org", rng=rng, now=1000
         )
         server.substitute(rogue_cert, rogue_key, crypto.SCHEME_ED25519)
-        assert server.behavior == "mitm"
+        assert server.presented_cert == rogue_cert
         v = _voucher()
         transcript = server.handshake(tlssim.client_hello(v, 1000), 1000, rng)
         evidence = tlssim.extract_evidence(transcript, v, server.presented_cert)
