@@ -87,6 +87,12 @@ def _emit(data: dict, as_json: bool) -> None:
             click.echo(f"{key}: {value}")
 
 
+def _read_insurer_key(path: str) -> crypto.PublicKey:
+    """The insurer public key in the file `insurer export-key` wrote."""
+    with open(path, "rb") as fh:
+        return wire.PUBLIC_KEY.decode(fh.read())
+
+
 @contextmanager
 def _client_channel(connect: tuple[str, int] | None, insurer_dir: str | None):
     """Either a TCP channel or an in-process channel over on-disk state;
@@ -306,14 +312,19 @@ def client():
 @_with_channel_options
 @click.option("--delta-t", default=86_400, show_default=True,
               help="Requested update-interval bound in seconds.")
+@click.option("--insurer-key", type=click.Path(exists=True), default=None,
+              help="Refuse a contract that names another insurer key "
+                   "(a file written by insurer export-key).")
 @click.option("--seed", default=None, type=int)
 @click.option("--json", "as_json", is_flag=True)
-def client_register(state_dir, connect, insurer_dir, delta_t, seed, as_json):
+def client_register(state_dir, connect, insurer_dir, delta_t, insurer_key, seed, as_json):
     """Create keys, prove trapdoor knowledge, and store the contract."""
     if os.path.exists(os.path.join(state_dir, STATE_FILE)):
         raise ParameterError(f"{state_dir} already holds a customer's state")
+    pinned = _read_insurer_key(insurer_key) if insurer_key else None
     with _client_channel(connect, insurer_dir) as channel:
-        state = ClientState.register(channel, delta_t, rng=RandomSource(seed))
+        state = ClientState.register(channel, delta_t, rng=RandomSource(seed),
+                                     insurer_key=pinned)
     state.save(state_dir)
     _emit({"customer": state.customer, "t0": state.contract.t0,
            "t_end": state.contract.t_end, "delta_t": state.contract.delta_t}, as_json)
@@ -455,8 +466,7 @@ def judge_group():
 @click.option("--json", "as_json", is_flag=True)
 def judge_verify(claim_file, insurer_key, assert_rogue, as_json):
     """Verify a .ciclaim file; exit 0 on ACCEPT, 10-18 on reject reasons."""
-    with open(insurer_key, "rb") as fh:
-        pk_in = wire.PUBLIC_KEY.decode(fh.read())
+    pk_in = _read_insurer_key(insurer_key)
     with open(claim_file, "rb") as fh:
         data = fh.read()
     try:

@@ -150,8 +150,10 @@ class ClientState:
         requested_delta_t: int,
         rng: RandomSource = DEFAULT,
         group: crypto.GroupParams = crypto.GROUP_2048_256,
+        insurer_key: crypto.PublicKey | None = None,
     ) -> "ClientState":
-        """Create keys, prove trapdoor knowledge, and obtain a contract."""
+        """Create keys, prove trapdoor knowledge, and obtain a contract.
+        With insurer_key, a contract naming another insurer key is refused."""
         keypair = crypto.generate_sig_keypair(crypto.SCHEME_ED25519, rng)
         chameleon_kp = crypto.generate_chameleon_keypair(group, rng)
         proof = crypto.prove_trapdoor(
@@ -168,6 +170,8 @@ class ClientState:
             raise InsurerMisbehavior("contract does not embed the applicant's keys")
         if contract.delta_t != requested_delta_t:
             raise InsurerMisbehavior("contract does not carry the requested delta_t")
+        if insurer_key is not None and contract.pk_in != insurer_key:
+            raise InsurerMisbehavior("contract does not name the pinned insurer key")
         contract.validate()
         return cls(keypair, chameleon_kp, contract)
 
@@ -301,10 +305,12 @@ class ClientState:
         certs = self.reconstruct_list(record.cycle_index)
         if wire.cert_list_digest(certs) != record.cert_digest:
             raise CorruptionError("reconstructed list does not match the cycle digest")
-        tree = merkle.build_tree(
-            self._cycle_vouchers(record), record.list_size, record.tree_seed,
-            self.customer, cycleid,
-        )
+        # A cycle submitted before the sparse tree has the dense tree's root.
+        args = (self._cycle_vouchers(record), record.list_size, record.tree_seed,
+                self.customer, cycleid)
+        tree = merkle.build_tree(*args)
+        if tree.root != record.voucher_root:
+            tree = merkle.build_dense_tree(*args)
         if tree.root != record.voucher_root:
             raise CorruptionError("regenerated tree root does not match submission")
         proof = merkle.prove_inclusion(tree, evidence.voucher)

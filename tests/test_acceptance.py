@@ -214,7 +214,7 @@ def test_06_merkle_oracle_equivalence():
             for i in range(count)
         ]
         seed = rng.bytes(32)
-        tree = merkle.build_tree(vouchers, n, seed, 7, cycleid)
+        tree = merkle.build_dense_tree(vouchers, n, seed, 7, cycleid)
         assert len(tree.leaves) == n, f"N={n}: leaf count {len(tree.leaves)}"
         assert tree.root == _oracle_root(_oracle_leaves(vouchers, n, seed)), f"N={n}"
         for v in vouchers:

@@ -316,6 +316,34 @@ class TestRefusals:
         assert (_snapshot(deployed["insurer"]), _snapshot(deployed["client"])) == before
 
 
+class TestPinnedInsurerKey:
+    def test_register_refuses_a_contract_from_another_insurer(self, runner, tmp_path):
+        """With --insurer-key, a contract naming another insurer's key is
+        refused and no customer state is saved; the key it names is taken."""
+        cert = tmp_path / "bob.der"
+        _invoke(runner, "simserver", "init", "--domain", "bob.example.org",
+                "--out", str(tmp_path / "bob.simserver"), "--cert-out", str(cert),
+                "--seed", "1")
+        keys = {}
+        for name, seed in (("pinned", "2"), ("other", "4")):
+            _invoke(runner, "insurer", "init", "--state-dir", str(tmp_path / name),
+                    "--cert", str(cert), "--seed", seed)
+            keys[name] = str(tmp_path / f"{name}.pk")
+            _invoke(runner, "insurer", "export-key", "--state-dir", str(tmp_path / name),
+                    "--out", keys[name])
+        refused = tmp_path / "refused"
+        result = _invoke(runner, "client", "register", "--state-dir", str(refused),
+                         "--insurer-dir", str(tmp_path / "other"),
+                         "--insurer-key", keys["pinned"], "--seed", "3")
+        assert result.exit_code == 1
+        assert "pinned insurer key" in result.stderr
+        assert not refused.exists()
+        result = _invoke(runner, "client", "register", "--state-dir", str(tmp_path / "client"),
+                         "--insurer-dir", str(tmp_path / "pinned"),
+                         "--insurer-key", keys["pinned"], "--seed", "3")
+        assert result.exit_code == 0
+
+
 class TestFileModes:
     def test_key_files_only_their_owner_reads(self, runner, tmp_path, permissive_umask):
         """The insurer log, whose SETUP frame holds the signing secret, and

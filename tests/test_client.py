@@ -176,6 +176,30 @@ class TestUpdateCycle:
                 RewritingChannel(), 86_400, rng=rng, group=crypto.TOY_GROUP
             )
 
+    def test_contract_with_another_insurer_key_refused(self, world):
+        """With the insurer's key pinned, a REGISTER answer whose contract
+        names another key is refused; the real one is taken."""
+        insurer, _, channel, _, _, rng = world
+        stranger = crypto.generate_sig_keypair(crypto.SCHEME_ED25519, rng).public
+
+        class RewritingChannel:
+            def request(self, payload):
+                response = channel.request(payload)
+                if payload[0] == wire.REQ_REGISTER:
+                    (contract,) = REGISTER_RESPONSE.decode_body(response)
+                    return REGISTER_RESPONSE.encode_body(
+                        (dataclasses.replace(contract, pk_in=stranger),)
+                    )
+                return response
+
+        pinned = insurer.keypair.public
+        with pytest.raises(InsurerMisbehavior, match="pinned insurer key"):
+            ClientState.register(RewritingChannel(), 86_400, rng=rng,
+                                 group=crypto.TOY_GROUP, insurer_key=pinned)
+        client = ClientState.register(channel, 86_400, rng=rng,
+                                      group=crypto.TOY_GROUP, insurer_key=pinned)
+        assert client.contract.pk_in == pinned
+
     def test_client_with_wrong_trapdoor_accepts_good_countersignatures(self, world):
         """A state whose y is not g^x checks the insurer's signatures the
         two-base way and still takes them as good."""
@@ -371,6 +395,21 @@ class TestSubmitCycle:
         )
         assert rebuilt.root == record.voucher_root
 
+    def test_submit_builds_the_tree_once_through_the_module(self, world, monkeypatch):
+        """The submit commits the root of one merkle.build_tree call over
+        list_size leaves, looked up on the module at call time."""
+        _, servers, channel, client, clock, rng = world
+        calls, build = [], merkle.build_tree
+        monkeypatch.setattr(
+            merkle, "build_tree", lambda *args: calls.append(args) or build(*args)
+        )
+        client.do_update_cycle(channel, now=clock.now)
+        for d in DOMAINS[:2]:
+            client.browse(d, servers[d], clock.now, rng)
+        record = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        assert [args[1] for args in calls] == [record.list_size]
+        assert build(*calls[0]).root == record.voucher_root
+
     def test_coverage_self_monitoring_agrees(self, world):
         _, _, channel, client, clock, _ = world
         client.do_update_cycle(channel, now=clock.now)
@@ -448,6 +487,15 @@ class TestClaims:
         assert claim.cycleid == record.cycleid
         leaf = merkle.leaf_digest(claim.evidence.voucher)
         assert merkle.verify_inclusion(claim.voucher_root, leaf, claim.proof)
+
+    def test_claim_on_a_new_cycle_never_builds_the_dense_tree(self, world, monkeypatch):
+        record = self._vouch_and_close(world)
+        client = world[3]
+        calls = []
+        monkeypatch.setattr(merkle, "build_dense_tree", lambda *args: calls.append(args))
+        claim = client.assemble_claim(record.cycleid, DOMAINS[0])
+        assert calls == []
+        assert claim.voucher_root == record.voucher_root
 
     def test_claim_submitted_past_the_term_is_update_late(self, world):
         insurer, client = world[0], world[3]

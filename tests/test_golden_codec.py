@@ -15,6 +15,12 @@ regenerated, and each must still load to the same state.
 tests/fixtures/client_dir_v1.json holds the same deployment's client files
 as written when state.tlv held the whole list and there was no list.tlv;
 it is not regenerated either, and must still load to the same state.
+tests/fixtures/dense_tree_v1.json holds the artifacts that changed when new
+cycles moved from the dense voucher tree to the sparse one (each cycle's
+root, so the records, messages, logs and claim that carry it), plus the
+client files, as the dense tree gave them.  It is not regenerated: its
+insurer log must replay, its claim must be accepted, and its client files
+must reload and give the same claim through the dense builder.
 
 Regenerate the fixture file (only when a layout change is intended):
 
@@ -30,7 +36,7 @@ import tempfile
 
 import pytest
 
-from conninsure import crypto, tlssim, wire
+from conninsure import crypto, judge, merkle, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import CorruptionError
 from conninsure.insurer import (
@@ -222,6 +228,14 @@ OLD_LOGS = sorted(
 
 
 @pytest.fixture(scope="module")
+def dense(golden):
+    """The deployment's artifacts as the dense voucher tree gave them."""
+    with open(fixture_path("dense_tree_v1.json")) as fh:
+        frozen = {name: bytes.fromhex(blob) for name, blob in json.load(fh).items()}
+    return {**golden, **frozen}
+
+
+@pytest.fixture(scope="module")
 def client_dir_v1():
     with open(fixture_path("client_dir_v1.json")) as fh:
         return {name: bytes.fromhex(blob) for name, blob in json.load(fh).items()}
@@ -307,10 +321,41 @@ def test_insurer_log_fixture_replays(built, golden, tmp_path):
 
 
 @pytest.mark.parametrize("name", OLD_LOGS)
-def test_old_insurer_log_fixture_replays(golden, tmp_path, name):
+def test_old_insurer_log_fixture_replays(dense, tmp_path, name):
     """A log in a format no longer written loads to the state the current
-    log does."""
-    _assert_loads_to_golden(load_hex_fixture(name), tmp_path / "insurer.log", golden)
+    log format did when the deployment's roots came from the dense tree."""
+    _assert_loads_to_golden(load_hex_fixture(name), tmp_path / "insurer.log", dense)
+
+
+def test_dense_tree_insurer_log_replays(dense, tmp_path):
+    _assert_loads_to_golden(dense["insurer_log"], tmp_path / "insurer.log", dense)
+
+
+def test_dense_tree_claim_is_accepted(built, dense):
+    _, live, _ = built
+    claim = Claim.from_bytes(dense["claim"])
+    assert judge.verify_claim(claim, live.keypair.public, True) is judge.Verdict.ACCEPT
+
+
+def test_dense_tree_client_files_claim_through_the_dense_builder(
+    dense, tmp_path, monkeypatch
+):
+    """Client files whose cycles have dense roots reload and save to the
+    same bytes, and a claim on such a cycle builds the dense tree once and
+    is the claim the dense tree gave."""
+    calls = []
+    dense_builder = merkle.build_dense_tree
+    monkeypatch.setattr(
+        merkle, "build_dense_tree", lambda *args: calls.append(args) or dense_builder(*args)
+    )
+    _write_client_files(tmp_path, dense, CLIENT_FILES)
+    loaded = ClientState.load(str(tmp_path))
+    loaded.save(str(tmp_path))
+    for name in CLIENT_FILES:
+        assert (tmp_path / name).read_bytes() == dense[_artifact(name)]
+    claim = loaded.assemble_claim(loaded.archive[0].cycleid, DOMAINS[1])
+    assert claim.to_bytes() == dense["claim"]
+    assert len(calls) == 1
 
 
 def _split_last_frame(log: bytes) -> tuple[bytes, bytes]:
@@ -400,21 +445,24 @@ def test_client_file_fixtures_reload(built, golden, tmp_path):
         assert (tmp_path / name).read_bytes() == golden[_artifact(name)]
 
 
-def test_client_files_before_the_list_log_migrate(built, golden, client_dir_v1, tmp_path):
+def test_client_files_before_the_list_log_migrate(dense, client_dir_v1, tmp_path):
     """Client files from when state.tlv held the whole list load to the
-    same state.  The next save writes list.tlv as one base frame and
-    state.tlv without the list, and those reload to the same state."""
-    _, _, live = built
+    state the client files of their time (with dense roots) load to.  The
+    next save writes list.tlv as one base frame and state.tlv without the
+    list, and those reload to the same state."""
+    (tmp_path / "dense").mkdir()
+    _write_client_files(tmp_path / "dense", dense, CLIENT_FILES)
+    same = ClientState.load(str(tmp_path / "dense"))
     _write_client_files(tmp_path, client_dir_v1, CLIENT_FILES[:3])
     loaded = ClientState.load(str(tmp_path))
-    _assert_same_client(loaded, live)
+    _assert_same_client(loaded, same)
     loaded.save(str(tmp_path))
-    assert (tmp_path / "state.tlv").read_bytes() == golden["state_tlv"]
+    assert (tmp_path / "state.tlv").read_bytes() == dense["state_tlv"]
     for name in ("archive.tlv", "rollback.tlv"):
         assert (tmp_path / name).read_bytes() == client_dir_v1[_artifact(name)]
     (base,) = wire.iter_frames((tmp_path / "list.tlv").read_bytes())
-    assert LIST_DELTA.decode(base) == ((), live.certs, live.current_index)
-    _assert_same_client(ClientState.load(str(tmp_path)), live)
+    assert LIST_DELTA.decode(base) == ((), same.certs, same.current_index)
+    _assert_same_client(ClientState.load(str(tmp_path)), same)
 
 
 def _write_fixture():

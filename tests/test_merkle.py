@@ -1,8 +1,10 @@
-"""Padded Merkle tree against an independent naive oracle.
+"""Padded Merkle trees against independent naive oracles.
 
-The oracle below reimplements padding-voucher derivation, the Fisher-Yates
-permutation, and the recursive root rule directly from their definitions,
-sharing no code with conninsure.merkle.
+The oracles below reimplement, directly from their definitions and sharing
+no code with conninsure.merkle: for the dense builder, padding-voucher
+derivation, the Fisher-Yates permutation and the recursive root rule; for
+the sparse builder, the partial Fisher-Yates draw of the real leaf
+positions and the per-range PRF value of every subtree without a real leaf.
 """
 
 import hashlib
@@ -92,6 +94,63 @@ def _oracle_path(leaves, index):
     return _oracle_path(leaves[k:], index - k) + [(_oracle_root(leaves[:k]), True)]
 
 
+def _oracle_positions(n, k, seed):
+    """The first k entries of range(n) after the first k steps of a
+    Fisher-Yates shuffle on the whole array, from the "slot" stream."""
+    order = list(range(n))
+    state = (b"", 0)
+    for i in range(k):
+        j, state = _oracle_stream_below(seed, b"slot", state, n - i)
+        order[i], order[i + j] = order[i + j], order[i]
+    return order[:k]
+
+
+def _oracle_sparse(vouchers, n, seed):
+    """(positions, root, paths) of the sparse tree, each node recomputed
+    from its leaf range: PRF(seed, "node" || lo || hi) for a range with no
+    real leaf, else the leaf or node hash.  paths maps each real position
+    to its audit path, leaf to root."""
+    positions = _oracle_positions(n, len(vouchers), seed)
+    real = dict(zip(positions, vouchers))
+    below = [0] * (n + 1)  # below[i]: real positions under i
+    for i in range(n):
+        below[i + 1] = below[i] + (i in real)
+    memo = {}
+
+    def half(size):
+        k = 1
+        while k * 2 < size:
+            k *= 2
+        return k
+
+    def value(lo, hi):
+        if (lo, hi) not in memo:
+            if below[hi] == below[lo]:
+                memo[lo, hi] = _oracle_h(
+                    seed + b"node" + lo.to_bytes(4, "big") + hi.to_bytes(4, "big")
+                )
+            elif hi - lo == 1:
+                memo[lo, hi] = _oracle_h(b"\x00" + real[lo].to_bytes())
+            else:
+                mid = lo + half(hi - lo)
+                memo[lo, hi] = _oracle_h(b"\x01" + value(lo, mid) + value(mid, hi))
+        return memo[lo, hi]
+
+    def path(lo, hi, index):
+        if hi - lo == 1:
+            return []
+        mid = lo + half(hi - lo)
+        if index < mid:
+            return path(lo, mid, index) + [(value(mid, hi), False)]
+        return path(mid, hi, index) + [(value(lo, mid), True)]
+
+    return positions, value(0, n), {p: path(0, n, p) for p in positions}
+
+
+def _pattern(path):
+    return [is_left for _, is_left in path]
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -104,15 +163,15 @@ class TestBuildTree:
     def test_deterministic_rebuild(self):
         vouchers = _vouchers(3)
         seed = b"\x07" * 32
-        t1 = merkle.build_tree(vouchers, 8, seed, CUSTOMER, CYCLEID)
-        t2 = merkle.build_tree(vouchers, 8, seed, CUSTOMER, CYCLEID)
+        t1 = merkle.build_dense_tree(vouchers, 8, seed, CUSTOMER, CYCLEID)
+        t2 = merkle.build_dense_tree(vouchers, 8, seed, CUSTOMER, CYCLEID)
         assert t1.root == t2.root
         assert t1.leaves == t2.leaves
 
     def test_oracle_equivalence_n4(self):
         vouchers = _vouchers(2)
         seed = b"\x09" * 32
-        tree = merkle.build_tree(vouchers, 4, seed, CUSTOMER, CYCLEID)
+        tree = merkle.build_dense_tree(vouchers, 4, seed, CUSTOMER, CYCLEID)
         assert tree.root == _oracle_root(_oracle_leaves(vouchers, 4, seed))
 
     def test_oracle_equivalence_all_sizes(self):
@@ -121,7 +180,7 @@ class TestBuildTree:
             count = rng.below(n + 1)
             vouchers = _vouchers(count, rng)
             seed = rng.bytes(32)
-            tree = merkle.build_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
+            tree = merkle.build_dense_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
             assert tree.root == _oracle_root(_oracle_leaves(vouchers, n, seed)), n
 
     def test_bottom_up_tree_equals_recursive_split(self):
@@ -131,7 +190,7 @@ class TestBuildTree:
         for n in range(1, 301):
             vouchers = _vouchers(rng.below(min(n, 6) + 1), rng)
             seed = rng.bytes(32)
-            tree = merkle.build_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
+            tree = merkle.build_dense_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
             leaves = _oracle_leaves(vouchers, n, seed)
             assert tree.leaves == leaves, n
             assert tree.root == _oracle_root(leaves), n
@@ -145,12 +204,12 @@ class TestBuildTree:
             Voucher(CUSTOMER, f"v{i}.example.org", CYCLEID, bytes([i]) * 32)
             for i in range(2)
         ]
-        tree = merkle.build_tree(vouchers, 4, b"\x11" * 32, CUSTOMER, CYCLEID)
+        tree = merkle.build_dense_tree(vouchers, 4, b"\x11" * 32, CUSTOMER, CYCLEID)
         assert tree.root == load_hex_fixture("merkle_4leaf_golden.hex")
 
     def test_leaf_count_always_n(self):
         for real in (0, 3, 7):
-            tree = merkle.build_tree(_vouchers(real), 7, b"\x02" * 32, CUSTOMER, CYCLEID)
+            tree = merkle.build_dense_tree(_vouchers(real), 7, b"\x02" * 32, CUSTOMER, CYCLEID)
             assert len(tree.leaves) == 7
 
     def test_capacity_error(self):
@@ -172,6 +231,62 @@ class TestBuildTree:
         assert merkle.leaf_digest(
             Voucher(CUSTOMER, "a.example", CYCLEID, blob)
         ) != merkle.node_digest(blob, blob)
+
+
+class TestSparseTree:
+    def test_oracle_equivalence_every_k(self):
+        """For n in 1..64 and every k <= n: the positions are k distinct
+        leaves of range(n), and the root and every path are the oracle's.
+        Each path has the length and left/right pattern of the dense
+        tree's path for the same (n, index)."""
+        rng = RandomSource(33)
+        for n in range(1, 65):
+            dummy = [bytes(32)] * n
+            patterns = [_pattern(_oracle_path(dummy, i)) for i in range(n)]
+            vouchers = _vouchers(n, rng)
+            for k in range(n + 1):
+                seed = rng.bytes(32)
+                tree = merkle.build_tree(vouchers[:k], n, seed, CUSTOMER, CYCLEID)
+                positions, root, paths = _oracle_sparse(vouchers[:k], n, seed)
+                assert tree.root == root, (n, k)
+                proofs = [merkle.prove_inclusion(tree, v) for v in vouchers[:k]]
+                assert [proof.leaf_index for proof in proofs] == positions, (n, k)
+                assert len(set(positions)) == k
+                assert all(0 <= p < n for p in positions)
+                for proof in proofs:
+                    assert list(proof.path) == paths[proof.leaf_index], (n, k)
+                    assert _pattern(proof.path) == patterns[proof.leaf_index], (n, k)
+
+    def test_positions_are_uniform(self):
+        """Over 2 400 fixed seeds, each of the 5 draws on 12 leaves, and all
+        of them together, passes a chi-square test at p = 0.001 (critical
+        value 31.26 for 11 degrees of freedom)."""
+        n, k, seeds = 12, 5, 2400
+        rng = RandomSource(34)
+        counts = [[0] * n for _ in range(k)]
+        for _ in range(seeds):
+            for draw, position in enumerate(merkle.leaf_positions(n, k, rng.bytes(32))):
+                counts[draw][position] += 1
+        total = [sum(column) for column in zip(*counts)]
+        for observed in counts + [total]:
+            expected = sum(observed) / n
+            chi2 = sum((o - expected) ** 2 / expected for o in observed)
+            assert chi2 < 31.26, observed
+
+    def test_errors_match_the_dense_builder(self):
+        alien = Voucher(CUSTOMER + 1, "x.example.org", CYCLEID, b"\x01" * 32)
+        stray = Voucher(CUSTOMER, "y.example.org", bytes(32), b"\x02" * 32)
+        cases = [
+            ([], 0), ([], -3), (_vouchers(1), 0), (_vouchers(5), 4),
+            ([alien], 2), ([stray], 2), (_vouchers(2) + [alien], 2),
+        ]
+        for vouchers, n in cases:
+            raised = []
+            for build in (merkle.build_tree, merkle.build_dense_tree):
+                with pytest.raises((CapacityError, ParameterError)) as info:
+                    build(vouchers, n, b"\x00" * 32, CUSTOMER, CYCLEID)
+                raised.append((type(info.value), str(info.value)))
+            assert raised[0] == raised[1], (len(vouchers), n)
 
 
 class TestInclusionProofs:
@@ -252,6 +367,6 @@ class TestPaddingShape:
 
     def test_tree_shape_reveals_only_n(self):
         # Same N, wildly different |V|: identical leaf counts and proof shape.
-        t_empty = merkle.build_tree([], 12, b"\x0e" * 32, CUSTOMER, CYCLEID)
-        t_full = merkle.build_tree(_vouchers(12), 12, b"\x0e" * 32, CUSTOMER, CYCLEID)
+        t_empty = merkle.build_dense_tree([], 12, b"\x0e" * 32, CUSTOMER, CYCLEID)
+        t_full = merkle.build_dense_tree(_vouchers(12), 12, b"\x0e" * 32, CUSTOMER, CYCLEID)
         assert len(t_empty.leaves) == len(t_full.leaves) == 12
