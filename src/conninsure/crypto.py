@@ -153,17 +153,6 @@ def prf(key: bytes, message: bytes) -> bytes:
     return hash_h(key + message)
 
 
-def hash_h_each(prefix: bytes, suffixes) -> list[bytes]:
-    """[hash_h(prefix + s) for s in suffixes], hashing the shared prefix once."""
-    state = hashlib.sha256(_H_PREFIX + prefix)
-    out = []
-    for suffix in suffixes:
-        h = state.copy()
-        h.update(suffix)
-        out.append(h.digest())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Standard signature scheme
 # ---------------------------------------------------------------------------

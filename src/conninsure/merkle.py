@@ -7,7 +7,9 @@ letting the client discard it after submission.
 
 Leaf digest: h(0x00 || voucher encoding); internal node: h(0x01 || L || R).
 A tree of arbitrary size n splits at the largest power of two strictly
-below n, log-structured (the RFC 6962 shape).
+below n, log-structured (the RFC 6962 shape).  One recursion builds both
+trees below and collects each real leaf's audit path on the way up; a
+subtree that holds no real leaf takes a value its builder gives.
 
 `build_tree`, the builder for new cycles, computes only the subtrees that
 hold a real voucher, in O(k log N):
@@ -15,9 +17,7 @@ hold a real voucher, in O(k log N):
   of range(N), its swaps kept in a dict, each draw by rejection sampling
   from the byte stream PRF(seed, "slot" || u32 counter);
 - a subtree over leaves lo..hi-1 that holds no real leaf has the value
-  PRF(seed, "node" || u32 lo || u32 hi), a single leaf included;
-- every other node is node_digest of its children, and each real leaf's
-  audit path is collected on the way up.
+  PRF(seed, "node" || u32 lo || u32 hi), a single leaf included.
 
 Why a root and one path reveal only N: the path's length and left/right
 pattern are those of leaf index i in any tree of N leaves, and i is uniform
@@ -29,19 +29,19 @@ the path looks the same for every k <= N.  For the same seed the root
 differs from the dense tree's.
 
 `build_dense_tree` is the builder of earlier cycles, whose archived roots
-stay claimable: it tops the real vouchers up with N - k padding vouchers,
-one PRF each, permutes all N by a full Fisher-Yates shuffle under
-PRF(seed, "perm" || u32 counter), and hashes every node bottom-up (each
-level pairs neighbours, and an odd last node moves up unchanged, which
-gives the same shape).  It is O(N).
+stay claimable: it tops the real vouchers up with N - k pad_vouchers,
+permutes all N by a full Fisher-Yates shuffle under PRF(seed, "perm" ||
+u32 counter) and hashes every leaf.  A padding-only subtree takes its root
+bottom-up (each level pairs neighbours, and an odd last node moves up
+unchanged, which gives the same shape).  It is O(N).
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .crypto import hash_h, hash_h_each, prf
+from .crypto import hash_h, prf
 from .errors import CapacityError, NotFoundError, ParameterError
-from .model import PAD_DOMAIN, VOUCHER_R_LEN, InclusionProof, Voucher
+from .model import PAD_DOMAIN, InclusionProof, Voucher
 from .wire import u32
 
 _LEAF_PREFIX = b"\x00"
@@ -96,17 +96,6 @@ def permutation(n: int, seed: bytes) -> list[int]:
     return order
 
 
-def _pad_leaves(customer: int, cycleid: bytes, seed: bytes, count: int) -> list[bytes]:
-    """leaf_digest(pad_voucher(customer, cycleid, seed, i)) for i < count.
-    Padding vouchers differ only in their trailing r, so each leaf is the
-    tree's encoded prefix plus its PRF bytes."""
-    blank = Voucher(customer, PAD_DOMAIN, cycleid, bytes(VOUCHER_R_LEN)).to_bytes()
-    prefix = _LEAF_PREFIX + blank[:-VOUCHER_R_LEN]
-    # prf(seed, m) is hash_h(seed + m), so one shared-prefix pass gives all.
-    rs = hash_h_each(seed, [b"pad" + u32(i) for i in range(count)])
-    return hash_h_each(prefix, rs)
-
-
 def leaf_positions(n: int, k: int, seed: bytes) -> list[int]:
     """k distinct positions (k <= n), uniform over range(n): the first k
     steps of a Fisher-Yates shuffle of range(n), each index drawn from the
@@ -149,21 +138,10 @@ def _check_cycle(vouchers: list[Voucher], n: int, customer: int, cycleid: bytes)
             raise ParameterError("voucher does not belong to this cycle")
 
 
-def build_tree(
-    vouchers: list[Voucher],
-    n: int,
-    seed: bytes,
-    customer: int,
-    cycleid: bytes,
-) -> PaddedMerkleTree:
-    """Build one cycle's padded tree, computing only the subtrees that hold
-    a real voucher.
-
-    n must equal the cycle's certificate-list size; it bounds the real
-    voucher count and fixes the leaf count regardless of it.
-    """
-    _check_cycle(vouchers, n, customer, cycleid)
-    positions = leaf_positions(n, len(vouchers), seed)
+def _build(vouchers: list[Voucher], positions: list[int], n: int, empty):
+    """(root, proofs) of the tree over n leaves with vouchers[i] at
+    positions[i]; a subtree over leaves lo..hi-1 that holds no voucher has
+    the value empty(lo, hi)."""
     order = sorted(range(len(vouchers)), key=positions.__getitem__)
     spots = [positions[i] for i in order]
     paths = [[] for _ in vouchers]
@@ -172,7 +150,7 @@ def build_tree(
         """The root over leaves lo..hi-1, which hold the real leaves
         order[first:last]; appends its sibling to each of their paths."""
         if first == last:
-            return prf(seed, b"node" + u32(lo) + u32(hi))
+            return empty(lo, hi)
         if hi - lo == 1:
             return leaf_digest(vouchers[order[first]])
         mid = lo + _split(hi - lo)
@@ -190,6 +168,27 @@ def build_tree(
         v.to_bytes(): InclusionProof(leaf_index=pos, path=tuple(path))
         for v, pos, path in zip(vouchers, positions, paths)
     }
+    return root, proofs
+
+
+def build_tree(
+    vouchers: list[Voucher],
+    n: int,
+    seed: bytes,
+    customer: int,
+    cycleid: bytes,
+) -> PaddedMerkleTree:
+    """Build one cycle's padded tree, computing only the subtrees that hold
+    a real voucher.
+
+    n must equal the cycle's certificate-list size; it bounds the real
+    voucher count and fixes the leaf count regardless of it.
+    """
+    _check_cycle(vouchers, n, customer, cycleid)
+    positions = leaf_positions(n, len(vouchers), seed)
+    root, proofs = _build(
+        vouchers, positions, n, lambda lo, hi: prf(seed, b"node" + u32(lo) + u32(hi))
+    )
     return PaddedMerkleTree(root, proofs)
 
 
@@ -204,32 +203,24 @@ def build_dense_tree(
     leaf and node, from the same arguments."""
     _check_cycle(vouchers, n, customer, cycleid)
     entries = [leaf_digest(v) for v in vouchers]
-    entries += _pad_leaves(customer, cycleid, seed, n - len(vouchers))
+    for i in range(n - len(vouchers)):
+        entries.append(leaf_digest(pad_voucher(customer, cycleid, seed, i)))
     order = permutation(n, seed)
     leaves = [b""] * n
     for src, dst in enumerate(order):
         leaves[dst] = entries[src]
 
-    levels = [leaves]
-    level = leaves
-    while len(level) > 1:
-        up = list(map(node_digest, level[0::2], level[1::2]))
-        if len(level) % 2:
-            up.append(level[-1])
-        levels.append(up)
-        level = up
+    def padding_root(lo: int, hi: int) -> bytes:
+        level = leaves[lo:hi]
+        while len(level) > 1:
+            up = list(map(node_digest, level[0::2], level[1::2]))
+            if len(level) % 2:  # the odd last node moves up unchanged
+                up.append(level[-1])
+            level = up
+        return level[0]
 
-    proofs = {}
-    for v, pos in zip(vouchers, order):
-        path = []
-        index = pos
-        for nodes in levels[:-1]:
-            sibling = index ^ 1
-            if sibling < len(nodes):  # else the node moves up unchanged
-                path.append((nodes[sibling], sibling < index))
-            index //= 2
-        proofs[v.to_bytes()] = InclusionProof(leaf_index=pos, path=tuple(path))
-    return DenseMerkleTree(level[0], proofs, leaves)
+    root, proofs = _build(vouchers, order[: len(vouchers)], n, padding_root)
+    return DenseMerkleTree(root, proofs, leaves)
 
 
 def prove_inclusion(tree: PaddedMerkleTree, voucher: Voucher) -> InclusionProof:

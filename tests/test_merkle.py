@@ -184,20 +184,22 @@ class TestBuildTree:
             assert tree.root == _oracle_root(_oracle_leaves(vouchers, n, seed)), n
 
     def test_bottom_up_tree_equals_recursive_split(self):
-        """The root and every real leaf's audit path equal the recursive
-        largest-power-of-two split, for every size up to 300."""
+        """The leaves, the root and every real leaf's audit path equal the
+        recursive largest-power-of-two split: for every k <= n up to
+        n = 64, and for one k <= 6 at each larger size up to 300."""
         rng = RandomSource(32)
         for n in range(1, 301):
-            vouchers = _vouchers(rng.below(min(n, 6) + 1), rng)
-            seed = rng.bytes(32)
-            tree = merkle.build_dense_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
-            leaves = _oracle_leaves(vouchers, n, seed)
-            assert tree.leaves == leaves, n
-            assert tree.root == _oracle_root(leaves), n
-            for v in vouchers:
-                proof = merkle.prove_inclusion(tree, v)
-                assert leaves[proof.leaf_index] == merkle.leaf_digest(v)
-                assert list(proof.path) == _oracle_path(leaves, proof.leaf_index), n
+            for k in range(n + 1) if n <= 64 else [rng.below(7)]:
+                vouchers = _vouchers(k, rng)
+                seed = rng.bytes(32)
+                tree = merkle.build_dense_tree(vouchers, n, seed, CUSTOMER, CYCLEID)
+                leaves = _oracle_leaves(vouchers, n, seed)
+                assert tree.leaves == leaves, (n, k)
+                assert tree.root == _oracle_root(leaves), (n, k)
+                for v in vouchers:
+                    proof = merkle.prove_inclusion(tree, v)
+                    assert leaves[proof.leaf_index] == merkle.leaf_digest(v)
+                    assert list(proof.path) == _oracle_path(leaves, proof.leaf_index), (n, k)
 
     def test_golden_4leaf_root(self):
         vouchers = [
