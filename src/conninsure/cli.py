@@ -441,10 +441,7 @@ def simserver_init(domain, out, cert_out, seed):
 
 
 def _load_sim_server(path: str) -> SimServer:
-    with open(path, "rb") as fh:
-        domain, scheme_id, cert, secret = _SIM_SERVER.decode_body(
-            wire.only_frame(fh.read())
-        )
+    domain, scheme_id, cert, secret = wire.read_single_frame(path, _SIM_SERVER.decode_body)
     return SimServer(domain, cert, secret, scheme_id)
 
 

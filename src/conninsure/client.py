@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from . import crypto, merkle, tlssim, wire
 from .errors import (
     CorruptionError,
-    EncodingError,
-    EvidenceError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
@@ -123,13 +121,6 @@ class ClientState:
         """The list downloaded in the latest cycle."""
         return self.listing.certs
 
-    def _held_digest(self) -> bytes:
-        """Digest of the list this client holds, from its latest cycle's
-        record; empty if it holds none (or no record matches it)."""
-        if self.archive and self.archive[-1].cycle_index == self.current_index:
-            return self.archive[-1].cert_digest
-        return b""
-
     def _verify_countersignature(
         self, payload: bytes, chsig: crypto.ChameleonSignature, context: bytes
     ) -> None:
@@ -181,7 +172,7 @@ class ClientState:
         """Run the certificate-list download exchange and open a cycle."""
         if self.open_cycle is not None:
             raise SequencingError("previous cycle not submitted yet")
-        held = self._held_digest()
+        held = self.listing.digest if self.listing.certs else b""
         cycleid, base, removed, appended = BEGIN_CYCLE_RESPONSE.decode_body(
             channel.request(BEGIN_CYCLE_REQUEST.encode((self.customer, held)))
         )
@@ -389,10 +380,8 @@ class ClientState:
         is not empty is the layout from before list.tlv: its list is used,
         and the next save writes list.tlv."""
         state_path = os.path.join(directory, STATE_FILE)
-        with open(state_path, "rb") as fh:
-            body = wire.only_frame(fh.read())
         (public, secret, params, x, y, contract, certs, current_index, warnings,
-         open_cycle) = _STATE.decode_body(body)
+         open_cycle) = wire.read_single_frame(state_path, _STATE.decode_body)
         state = cls(
             crypto.SigKeyPair(public, secret),
             crypto.ChameleonKeyPair(params, x, y),
@@ -470,12 +459,9 @@ def _roll_back(certs: list[bytes], start: int, stop: int, entries) -> list[bytes
 def _checked(record: CycleRecord) -> CycleRecord:
     """record, once each of its evidences holds.  Evidence with an invalid
     signature is never held: like a value its type refuses, it makes the
-    frame that stores it fail to decode (EncodingError)."""
+    frame that stores it fail to decode (EvidenceError)."""
     for evidence in record.evidences.values():
-        try:
-            tlssim.validate_evidence(evidence)
-        except EvidenceError as exc:
-            raise EncodingError(str(exc)) from exc
+        tlssim.validate_evidence(evidence)
     return record
 
 

@@ -11,10 +11,10 @@ Every state change is one log event: check, then append, then apply.
 `_check`, one rule set per event kind, reads only the state and the event.
 An operation runs it before its signature and recency checks, appends the
 event and fsyncs it, and only then applies it to memory with `_apply`,
-which raises nothing; `load` replays each event through the same two.  A
-log is its SETUP frame, holding the initial state, then one frame per
-event.  Older logs may hold older event kinds, which `load` turns into
-current ones, and SNAPSHOT frames, each checked against the state replayed
+which raises nothing; `load` replays each frame after SETUP through
+`_replay`, which runs the same two.  A log is its SETUP frame, holding the
+initial state, then one frame per event.  Older logs may hold older event
+kinds, which `_replay` turns into current ones, and SNAPSHOT frames, each checked against the state replayed
 to it.  A signed message inside a logged ACK or SUBMIT is not checked.
 The request dispatcher maps every failure to an error response.  A single
 re-entrant lock serializes all state-changing operations, which gives
@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 from . import crypto, wire
 from .errors import (
-    CIError,
     CorruptionError,
     EncodingError,
     ExpiredContractError,
@@ -192,16 +191,19 @@ def _decode_event(payload: bytes) -> tuple:
     return tag, _EVENTS[tag].decode_body(body)
 
 
+def _decode_setup(payload: bytes) -> tuple:
+    """The values of a log's first frame, which must be SETUP."""
+    tag, value = _decode_event(payload)
+    if tag != wire.LOG_SETUP:
+        raise CorruptionError("log does not start with SETUP")
+    return value
+
+
 def setup_public_key(log_path: str) -> crypto.PublicKey:
     """The insurer's public key, from the log's first frame, which must be
     SETUP.  Nothing after that frame is read, and the log is not changed."""
     payload = wire.read_first_frame(log_path)
-    tag, value = wire.decode_frame(_decode_event, log_path, 0, payload)
-    if tag != wire.LOG_SETUP:
-        raise CorruptionError(
-            f"{log_path}: frame at byte offset 0: log does not start with SETUP"
-        )
-    return value[0]
+    return wire.decode_frame(_decode_setup, log_path, 0, payload)[0]
 
 
 @wire.codec(
@@ -279,6 +281,7 @@ class Insurer:
         self.policy_days = policy_days
         self.recency_window = recency_window
         self.rng = rng
+        # REGISTER's rule keeps these customers 1..N, so the next is N + 1.
         self.contracts: dict[int, Contract] = {}
         self.open_cycles: dict[int, _OpenCycle] = {}
         # The list each customer last downloaded: the base of its next delta.
@@ -287,7 +290,6 @@ class Insurer:
         self._records_by_ch: dict[bytes, ChameleonRecord] = {}
         self._records_by_digest: dict[bytes, ChameleonRecord] = {}
         self._used_cycleids: set[bytes] = set()
-        self._next_customer = 1
         self._lock = threading.RLock()
         self._log_path: str | None = None
         self._log_broken = False
@@ -324,32 +326,12 @@ class Insurer:
         # Older versions let others read the log, whose SETUP holds the key.
         if os.stat(log_path).st_mode & 0o077:
             os.chmod(log_path, 0o600)
-        insurer = None
-        for offset, payload in wire.read_log(log_path):
-            tag, value = wire.decode_frame(_decode_event, log_path, offset, payload)
-            try:
-                if insurer is None:
-                    if tag != wire.LOG_SETUP:
-                        raise CorruptionError("log does not start with SETUP")
-                    insurer = cls._from_setup(value, rng)
-                elif tag == wire.LOG_SETUP:
-                    raise CorruptionError("a second SETUP")
-                elif tag == wire.LOG_SNAPSHOT:
-                    # Old logs hold copies of the state; each must be the
-                    # state its events replay to.
-                    if not insurer._is_state(value):
-                        raise CorruptionError("SNAPSHOT disagrees with the events before it")
-                else:
-                    if tag in _OLD_EVENTS:
-                        tag, value = insurer._current_event(tag, value)
-                    insurer._check(tag, value)
-                    insurer._apply(tag, value)
-            except CIError as exc:
-                raise CorruptionError(
-                    f"{log_path}: frame at byte offset {offset}: {exc}"
-                ) from None
-        if insurer is None:
+        frames = wire.read_log(log_path)
+        if not frames:
             raise EncodingError(f"{log_path}: log holds no frame")
+        insurer = wire.decode_frame(lambda p: cls._from_setup(p, rng), log_path, *frames[0])
+        for offset, payload in frames[1:]:
+            wire.decode_frame(insurer._replay, log_path, offset, payload)
         insurer._log_path = log_path
         return insurer
 
@@ -379,7 +361,7 @@ class Insurer:
             self.cert_version,
             self.policy_days,
             self.recency_window,
-            self._next_customer,
+            len(self.contracts) + 1,
             self.contracts,
             self.open_cycles,
             self.records,
@@ -406,9 +388,9 @@ class Insurer:
             return _SNAPSHOT.encode_body(self._snapshot_values())
 
     @classmethod
-    def _from_setup(cls, values: tuple, rng: RandomSource) -> "Insurer":
+    def _from_setup(cls, payload: bytes, rng: RandomSource) -> "Insurer":
         (public, secret, certs, cert_version, policy_days, recency_window,
-         next_customer, contracts, open_cycles, records, used) = values
+         next_customer, contracts, open_cycles, records, used) = _decode_setup(payload)
         if cert_version or next_customer != 1 or contracts or open_cycles or records or used:
             raise CorruptionError("SETUP holds more than the initial state")
         if not certs:
@@ -416,6 +398,22 @@ class Insurer:
         return cls(
             crypto.SigKeyPair(public, secret), certs, policy_days, recency_window, rng
         )
+
+    def _replay(self, payload: bytes) -> None:
+        """Replay one log frame after SETUP."""
+        tag, value = _decode_event(payload)
+        if tag == wire.LOG_SETUP:
+            raise CorruptionError("a second SETUP")
+        if tag == wire.LOG_SNAPSHOT:
+            # Old logs hold copies of the state; each must be the state its
+            # events replay to.
+            if not self._is_state(value):
+                raise CorruptionError("SNAPSHOT disagrees with the events before it")
+            return
+        if tag in _OLD_EVENTS:
+            tag, value = self._current_event(tag, value)
+        self._check(tag, value)
+        self._apply(tag, value)
 
     def _current_event(self, tag: int, value) -> tuple:
         """(tag, value) of the current event that an older one stands for."""
@@ -434,7 +432,7 @@ class Insurer:
         only its customer, so an operation checks before it countersigns."""
         if tag == wire.LOG_REGISTER:
             (contract,) = value
-            if contract.customer != self._next_customer:
+            if contract.customer != len(self.contracts) + 1:
                 raise ParameterError(f"customer {contract.customer} is not the next customer")
             if contract.pk_in != self.keypair.public:
                 raise ParameterError("contract names another insurer")
@@ -471,7 +469,6 @@ class Insurer:
         if tag == wire.LOG_REGISTER:
             (contract,) = value
             self.contracts[contract.customer] = contract
-            self._next_customer = contract.customer + 1
         elif tag == wire.LOG_UPDATE_CERTS:
             removed, appended, version = value
             self.listing = self.listing.updated(removed, appended)
@@ -540,7 +537,7 @@ class Insurer:
             raise RegistrationRejected(problem)
         with self._lock:
             contract = Contract(
-                customer=self._next_customer,
+                customer=len(self.contracts) + 1,
                 pk_in=self.keypair.public,
                 pk_a=request.pk_a,
                 chameleon=request.chameleon,

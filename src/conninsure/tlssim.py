@@ -48,8 +48,6 @@ def signed_params_bytes(
     client_random: bytes, server_random: bytes, server_dh_params: bytes
 ) -> bytes:
     """The exact byte string the server signs: no more, no less."""
-    if len(client_random) != 32 or len(server_random) != 32:
-        raise ParameterError("handshake randoms must be 32 bytes")
     return client_random + server_random + server_dh_params
 
 

@@ -18,15 +18,10 @@ from .insurer import ERROR_RESPONSE, EXCEPTION_BY_CODE, Insurer, handle_request
 
 def unwrap_response(response: bytes) -> bytes:
     """Return the OK payload or raise the transported error."""
-    tag, body, end = wire.unpack(response)
-    if end != len(response):
-        raise EncodingError("trailing bytes after response")
-    if tag == wire.RESP_OK:
-        return body
-    if tag == wire.RESP_ERR:
-        code, message = ERROR_RESPONSE.decode_body(body)
+    if response and response[0] == wire.RESP_ERR:
+        code, message = ERROR_RESPONSE.decode(response)
         raise EXCEPTION_BY_CODE.get(code, CIError)(message)
-    raise EncodingError(f"unknown response tag 0x{tag:02x}")
+    return wire.unpack_exact(response, wire.RESP_OK)
 
 
 class InProcessChannel:

@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import crypto
-from .errors import CorruptionError, EncodingError, ParameterError
+from .errors import CIError, CorruptionError, EncodingError, ParameterError
 
 # Tag table. Published so independent implementations can interoperate.
 TAG_UINT = 0x01          # 8-byte big-endian unsigned integer
@@ -636,11 +636,11 @@ def _write_durably(fh, data: bytes, path: str) -> None:
 
 def decode_frame(decode, path: str, offset: int, payload: bytes):
     """decode(payload) for a whole frame of the log at path.  A frame that
-    does not decode is corruption, not a crash leftover: its EncodingError
-    is raised as CorruptionError naming the frame's byte offset."""
+    decode refuses is corruption, not a crash leftover: its error, whatever
+    its kind, is raised as CorruptionError naming the frame's byte offset."""
     try:
         return decode(payload)
-    except EncodingError as exc:
+    except CIError as exc:
         raise CorruptionError(f"{path}: frame at byte offset {offset}: {exc}") from exc
 
 
@@ -650,3 +650,13 @@ def only_frame(data: bytes) -> bytes:
     if len(frames) != 1:
         raise EncodingError(f"expected one frame, found {len(frames)}")
     return frames[0]
+
+
+def read_single_frame(path: str, decode):
+    """decode(payload) of the file at path, which must hold exactly one
+    frame.  Its EncodingError names the file."""
+    try:
+        with open(path, "rb") as fh:
+            return decode(only_frame(fh.read()))
+    except EncodingError as exc:
+        raise EncodingError(f"{path}: {exc}") from exc

@@ -422,7 +422,7 @@ class TestErrorExits:
         result = _invoke(runner, "client", "update", "--state-dir", deployed["client"],
                          "--insurer-dir", deployed["insurer"])
         assert result.exit_code == 3
-        assert result.stderr.startswith("error: ")
+        assert result.stderr.startswith("error: ") and "state.tlv" in result.stderr
 
     def test_missing_insurer_log_is_an_error_line(self, runner, deployed, tmp_path):
         result = _invoke(runner, "client", "update", "--state-dir", deployed["client"],

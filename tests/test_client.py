@@ -34,7 +34,7 @@ from conninsure.insurer import (
     SUBMIT_VOUCHERS_RESPONSE,
     Insurer,
 )
-from conninsure.model import PAD_DOMAIN
+from conninsure.model import PAD_DOMAIN, CycleRecord
 from conninsure.rand import RandomSource
 from conninsure.scenario import SimClock
 from conninsure.transport import InProcessChannel
@@ -652,6 +652,89 @@ def _next_cycle_covered(world, client, directory: str, i: int) -> None:
     reloaded = ClientState.load(directory)
     assert reloaded.certs == client.certs
     assert _claim(reloaded, record) == _claim(client, record)
+
+
+def _rewrite_list(directory, frames) -> None:
+    wire.replace_frames(os.path.join(directory, LIST_FILE), list(map(LIST_DELTA.encode, frames)))
+
+
+def _skip_a_cycle(directory, world) -> None:
+    """list.tlv with its delta frame renumbered from cycle 2 to 3."""
+    base, (removed, appended, _) = _list_frames(directory)
+    _rewrite_list(directory, [base, (removed, appended, 3)])
+
+
+def _rewrite_first_archived(directory, change) -> None:
+    path = os.path.join(directory, ARCHIVE_FILE)
+    with open(path, "rb") as fh:
+        records = [CycleRecord.from_bytes(payload) for payload in wire.iter_frames(fh.read())]
+    records[0] = change(records[0])
+    wire.replace_frames(path, [record.to_bytes() for record in records])
+
+
+def _unlisted_evidence(world, record):
+    """record with its evidence for DOMAINS[0] replaced by one for the same
+    voucher, validly signed by a server whose certificate is not listed."""
+    clock, rng = world[4:]
+    evidence = record.evidences[DOMAINS[0]]
+    outsider = tlssim.SimServer.create(DOMAINS[0], rng=rng, now=clock.now)
+    transcript = outsider.handshake(evidence.transcript.client_random, clock.now, rng)
+    forged = tlssim.extract_evidence(transcript, evidence.voucher, outsider.presented_cert)
+    return dataclasses.replace(record, evidences={DOMAINS[0]: forged})
+
+
+# Edits of a saved directory of two cycles: (edit, error, message).
+TAMPERED = {
+    "list-skips-a-cycle": (
+        _skip_a_cycle, CorruptionError,
+        r"list\.tlv: frame at byte offset \d+ does not follow cycle 1",
+    ),
+    "list-ends-early": (
+        lambda directory, world: _rewrite_list(directory, _list_frames(directory)[:1]),
+        CorruptionError, r"list\.tlv ends at cycle 1, state at 2",
+    ),
+    "rollback-missing": (
+        lambda directory, world: wire.replace_frames(
+            os.path.join(directory, ROLLBACK_FILE), []
+        ),
+        CorruptionError, "rollback delta for cycle 2 is missing",
+    ),
+    "archived-digest": (
+        lambda directory, world: _rewrite_first_archived(
+            directory, lambda record: dataclasses.replace(record, cert_digest=bytes(32))
+        ),
+        CorruptionError, "reconstructed list does not match the cycle digest",
+    ),
+    "archived-seed": (
+        lambda directory, world: _rewrite_first_archived(
+            directory, lambda record: dataclasses.replace(record, tree_seed=bytes(32))
+        ),
+        CorruptionError, "regenerated tree root does not match submission",
+    ),
+    "archived-unlisted-cert": (
+        lambda directory, world: _rewrite_first_archived(
+            directory, lambda record: _unlisted_evidence(world, record)
+        ),
+        NotFoundError, "presented certificate is not in that cycle's list",
+    ),
+}
+
+
+class TestTamperedFiles:
+    @pytest.mark.parametrize("case", sorted(TAMPERED))
+    def test_tampered_file_is_refused(self, tmp_path, world, case):
+        """Two cycles saved, then one file edited: loading the state, or the
+        claim on the first cycle after it, refuses the edit."""
+        tamper, error, match = TAMPERED[case]
+        directory = str(tmp_path)
+        client = world[3]
+        records = []
+        for i in range(2):
+            records.append(_closed_cycle(world, client, i))
+            client.save(directory)
+        tamper(directory, world)
+        with pytest.raises(error, match=match):
+            _claim(ClientState.load(directory), records[0])
 
 
 class TestSaveFaults:

@@ -7,11 +7,14 @@ import pytest
 
 from support import short_r_voucher
 from conninsure import crypto, judge, tlssim
+from conninsure.client import ClientState
 from conninsure.errors import ClaimFormatError, ParameterError
+from conninsure.insurer import Insurer
 from conninsure.judge import Ruling, Verdict
 from conninsure.model import Claim, Voucher
 from conninsure.rand import RandomSource
-from conninsure.scenario import run_scenario
+from conninsure.scenario import SimClock, run_scenario
+from conninsure.transport import InProcessChannel
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +255,31 @@ class TestSubjectMatching:
             is Verdict.BAD_CERT_SIG
         )
 
+    def test_vetted_cert_for_another_name_is_domain_mismatch(self):
+        """browse checks that the presented certificate is listed, not that
+        it names the domain: a visit to a.example.org answered with
+        b.example.org's vetted certificate earns a voucher, and a claim on
+        it is DOMAIN_MISMATCH."""
+        rng = RandomSource(43)
+        clock = SimClock()
+        a, b = (
+            tlssim.SimServer.create(d, rng=rng, now=clock.now)
+            for d in ("a.example.org", "b.example.org")
+        )
+        insurer = Insurer.setup([a.presented_cert, b.presented_cert], rng=rng)
+        channel = InProcessChannel(insurer, now_fn=clock)
+        client = ClientState.register(
+            channel, requested_delta_t=86_400, rng=rng, group=crypto.TOY_GROUP
+        )
+        client.do_update_cycle(channel, now=clock.now)
+        assert client.browse("a.example.org", b, clock.now, rng).status == "vouched"
+        record = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        claim = client.assemble_claim(record.cycleid, "a.example.org")
+        assert (
+            judge.verify_claim(claim, insurer.keypair.public, True)
+            is Verdict.DOMAIN_MISMATCH
+        )
+
 
 class TestResolveDenial:
     @pytest.fixture
@@ -293,6 +321,18 @@ class TestResolveDenial:
         ruling = judge.resolve_denial(
             insurer_keypair.public, prod_chameleon.public, message, sig,
             record=fake_record,
+        )
+        assert ruling is Ruling.INSURER_BOUND
+
+    def test_recorded_r_out_of_range_binds_insurer(
+        self, insurer_keypair, prod_chameleon, signed_pair
+    ):
+        """A record whose r is not below q has no chameleon hash, so it can
+        show no collision."""
+        message, sig = signed_pair
+        ruling = judge.resolve_denial(
+            insurer_keypair.public, prod_chameleon.public, message, sig,
+            record=(message, prod_chameleon.params.q),
         )
         assert ruling is Ruling.INSURER_BOUND
 
