@@ -286,13 +286,15 @@ class ClientState:
         raise NotFoundError("no archived cycle with this cycleid")
 
     def assemble_claim(self, cycleid: bytes, domain: str) -> Claim:
-        """Rebuild the cycle's tree from its seed and bundle a claim file."""
+        """Check the saved evidence, rebuild the cycle's tree from its seed
+        and bundle a claim file."""
         if domain == PAD_DOMAIN:
             raise ParameterError("cannot claim on a padding leaf")
         record = self._archived(cycleid)
         evidence = record.evidences.get(domain)
         if evidence is None:
             raise NotFoundError(f"no voucher for {domain} in that cycle")
+        tlssim.validate_evidence(evidence)
         certs = self.reconstruct_list(record.cycle_index)
         if wire.cert_list_digest(certs) != record.cert_digest:
             raise CorruptionError("reconstructed list does not match the cycle digest")
@@ -378,7 +380,8 @@ class ClientState:
     def load(cls, directory: str) -> "ClientState":
         """The state that save wrote to directory.  A state.tlv whose certs
         is not empty is the layout from before list.tlv: its list is used,
-        and the next save writes list.tlv."""
+        and the next save writes list.tlv.  No saved evidence is checked
+        here: assemble_claim checks the one it claims on."""
         state_path = os.path.join(directory, STATE_FILE)
         (public, secret, params, x, y, contract, certs, current_index, warnings,
          open_cycle) = wire.read_single_frame(state_path, _STATE.decode_body)
@@ -396,16 +399,12 @@ class ClientState:
             state.listing = CertList(certs)
         else:
             state._load_list(os.path.join(directory, LIST_FILE))
-        state.archive = _read_log(
-            directory, ARCHIVE_FILE, lambda payload: _checked(CycleRecord.from_bytes(payload))
-        )
+        state.archive = _read_log(directory, ARCHIVE_FILE, CycleRecord.from_bytes)
         state._archived_on_disk = len(state.archive)
         # Archived yet open: a save crashed before it replaced state.tlv.
         archived = {record.cycleid for record in state.archive}
         if state.open_cycle is not None and state.open_cycle.cycleid in archived:
             state.open_cycle = None
-        if state.open_cycle is not None:  # state.tlv's one frame, at offset 0
-            wire.decode_frame(_checked, state_path, 0, state.open_cycle)
         return state
 
     def _load_list(self, path: str) -> None:
@@ -454,15 +453,6 @@ def _roll_back(certs: list[bytes], start: int, stop: int, entries) -> list[bytes
             raise CorruptionError(f"rollback delta for cycle {i} is missing")
         certs = apply_rollback(certs, delta)
     return certs
-
-
-def _checked(record: CycleRecord) -> CycleRecord:
-    """record, once each of its evidences holds.  Evidence with an invalid
-    signature is never held: like a value its type refuses, it makes the
-    frame that stores it fail to decode (EvidenceError)."""
-    for evidence in record.evidences.values():
-        tlssim.validate_evidence(evidence)
-    return record
 
 
 def _read_log(directory: str, name: str, decode) -> list:

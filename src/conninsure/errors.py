@@ -46,7 +46,8 @@ class RegistrationRejected(CIError):
 
 
 class CorruptionError(CIError):
-    """Stored state is internally inconsistent (rollback mismatch)."""
+    """A stored frame or record does not decode or does not fit its state,
+    or a failed write left bytes in a file that could not be taken back."""
 
 
 class EvidenceError(CIError):

@@ -14,8 +14,9 @@ event and fsyncs it, and only then applies it to memory with `_apply`,
 which raises nothing; `load` replays each frame after SETUP through
 `_replay`, which runs the same two.  A log is its SETUP frame, holding the
 initial state, then one frame per event.  Older logs may hold older event
-kinds, which `_replay` turns into current ones, and SNAPSHOT frames, each checked against the state replayed
-to it.  A signed message inside a logged ACK or SUBMIT is not checked.
+kinds, which `_replay` turns into current ones, and SNAPSHOT frames, each
+checked against the state replayed to it.  A signed message inside a
+logged ACK or SUBMIT is not checked.
 The request dispatcher maps every failure to an error response.  A single
 re-entrant lock serializes all state-changing operations, which gives
 record-log appends a total order and per-contract serialization for free.

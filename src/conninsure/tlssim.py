@@ -15,7 +15,7 @@ from datetime import datetime, timedelta, timezone
 
 from . import crypto
 from .errors import EncodingError, EvidenceError, KeyFormatError, ParameterError
-from .model import HandshakeTranscript, Voucher
+from .model import HandshakeTranscript, Voucher, VoucherEvidence
 from .rand import DEFAULT, RandomSource
 
 # (HashAlgorithm, SignatureAlgorithm) ids from the TLS registries:
@@ -230,8 +230,6 @@ def extract_evidence(
     transcript: HandshakeTranscript, voucher: Voucher, presented_cert: bytes
 ):
     """Bundle transcript + voucher + certificate, refusing invalid evidence."""
-    from .model import VoucherEvidence
-
     evidence = VoucherEvidence(presented_cert, voucher, transcript)
     validate_evidence(evidence)
     return evidence

@@ -37,6 +37,18 @@ def short_r_voucher(voucher):
     return bad
 
 
+def flip_signature_bit(record, domain):
+    """record with one bit of domain's server signature flipped."""
+    evidence = record.evidences[domain]
+    signature = bytearray(evidence.transcript.signature)
+    signature[0] ^= 1
+    transcript = dataclasses.replace(evidence.transcript, signature=bytes(signature))
+    return dataclasses.replace(
+        record,
+        evidences={**record.evidences, domain: dataclasses.replace(evidence, transcript=transcript)},
+    )
+
+
 def count_powers(monkeypatch) -> list[str]:
     """From now on, the list returned gets "comb" for each FixedBaseComb
     built and "modexp" for each crypto.modexp call."""

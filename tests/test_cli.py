@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from support import count_powers, count_written, unchecked_proof
+from support import count_powers, count_written, flip_signature_bit, unchecked_proof
 from conninsure import cli, crypto, wire
 from conninsure.cli import main
 from conninsure.insurer import Insurer
-from conninsure.model import Claim, registration_context
+from conninsure.model import Claim, CycleRecord, registration_context
 from conninsure.transport import InsurerServer
 
 
@@ -430,8 +430,47 @@ class TestErrorExits:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: ") and "insurer.log" in result.stderr
 
+    def test_damaged_evidence_fails_only_its_claim(self, runner, deployed, tmp_path):
+        """An archived evidence whose server signature does not verify stops
+        the claim on it, and no other command."""
+        client, insurer = deployed["client"], deployed["insurer"]
+        cycleids = []
+        for seed in ("4", "5"):
+            update = _invoke(runner, "client", "update", "--state-dir", client,
+                             "--insurer-dir", insurer, "--json")
+            cycleids.append(json.loads(update.output)["cycleid"])
+            assert _invoke(runner, "client", "browse", "--state-dir", client,
+                           "--domain", "bob.example.org", "--seed", seed,
+                           "--server-file", str(tmp_path / "bob.simserver")).exit_code == 0
+            assert _invoke(runner, "client", "submit", "--state-dir", client,
+                           "--insurer-dir", insurer, "--seed", seed).exit_code == 0
+        archive = os.path.join(client, "archive.tlv")
+        records = [CycleRecord.from_bytes(p) for p in wire.iter_frames(Path(archive).read_bytes())]
+        records[0] = flip_signature_bit(records[0], "bob.example.org")
+        wire.replace_frames(archive, [record.to_bytes() for record in records])
+
+        def claim(cycleid):
+            return _invoke(runner, "client", "claim", "--state-dir", client,
+                           "--cycleid", cycleid, "--domain", "bob.example.org",
+                           "--out", str(tmp_path / f"{cycleid}.ciclaim"))
+
+        assert _invoke(runner, "client", "update", "--state-dir", client,
+                       "--insurer-dir", insurer).exit_code == 0
+        assert claim(cycleids[1]).exit_code == 0
+        damaged = claim(cycleids[0])
+        assert damaged.exit_code == 1
+        assert damaged.stderr == "error: server signature does not verify\n"
+        assert "Traceback" not in damaged.output + damaged.stderr
+        assert not (tmp_path / f"{cycleids[0]}.ciclaim").exists()
+
 
 class TestUsageErrors:
+    def test_update_without_an_insurer_exits_2(self, runner, deployed):
+        result = _invoke(runner, "client", "update", "--state-dir", deployed["client"])
+        assert result.exit_code == 2
+        assert "need --connect HOST:PORT or --insurer-dir DIR" in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+
     @pytest.mark.parametrize(
         "cycleid", ["zz", "ab" * 31, "ab" * 33], ids=["not-hex", "short", "long"]
     )

@@ -2,8 +2,9 @@
 rollback fidelity, and on-disk state determinism."""
 
 import dataclasses
+import errno
+import json
 import os
-import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from support import (
     count_written,
     fail_once,
     fail_write,
+    fixture_path,
+    flip_signature_bit,
     io_error,
     short_r_voucher,
     torn_write,
@@ -21,6 +24,7 @@ from conninsure.client import ARCHIVE_FILE, LIST_FILE, ROLLBACK_FILE, STATE_FILE
 from conninsure.errors import (
     CorruptionError,
     EncodingError,
+    EvidenceError,
     InsurerMisbehavior,
     NotFoundError,
     ParameterError,
@@ -40,18 +44,6 @@ from conninsure.scenario import SimClock
 from conninsure.transport import InProcessChannel
 
 DOMAINS = [f"d{i:03d}.example.org" for i in range(4)]
-
-
-def _flip_signature_bit(record, domain):
-    """record with one bit of domain's server signature flipped."""
-    evidence = record.evidences[domain]
-    signature = bytearray(evidence.transcript.signature)
-    signature[0] ^= 1
-    transcript = dataclasses.replace(evidence.transcript, signature=bytes(signature))
-    return dataclasses.replace(
-        record,
-        evidences={**record.evidences, domain: dataclasses.replace(evidence, transcript=transcript)},
-    )
 
 
 @pytest.fixture
@@ -553,27 +545,69 @@ class TestPersistence:
 
     @pytest.mark.parametrize("name", [ARCHIVE_FILE, STATE_FILE])
     def test_saved_evidence_that_does_not_verify_names_the_frame(self, tmp_path, world, name):
-        """A saved evidence whose server signature fails is corruption of the
-        frame that holds it: the second frame of archive.tlv, or the one
-        frame of state.tlv for the open cycle."""
+        """A saved evidence whose server signature fails, in archive.tlv or
+        in state.tlv's open cycle, is checked where a claim uses it, not at
+        load: the directory loads, the claim on that evidence is refused,
+        and a claim on an intact cycle still assembles."""
         _, servers, channel, client, clock, rng = world
         client.do_update_cycle(channel, now=clock.now)
-        client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        intact = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
         client.save(str(tmp_path))
-        offset = os.path.getsize(tmp_path / ARCHIVE_FILE) if name == ARCHIVE_FILE else 0
         client.do_update_cycle(channel, now=clock.now)
         client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
         if name == ARCHIVE_FILE:
             client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
-            client.archive[-1] = _flip_signature_bit(client.archive[-1], DOMAINS[0])
+            client.archive[-1] = flip_signature_bit(client.archive[-1], DOMAINS[0])
         else:
-            client.open_cycle = _flip_signature_bit(client.open_cycle, DOMAINS[0])
+            client.open_cycle = flip_signature_bit(client.open_cycle, DOMAINS[0])
         client.save(str(tmp_path))
-        with pytest.raises(
-            CorruptionError,
-            match=rf"{re.escape(name)}: frame at byte offset {offset}: server signature does not verify",
-        ):
-            ClientState.load(str(tmp_path))
+
+        reloaded = ClientState.load(str(tmp_path))
+        if name == STATE_FILE:
+            reloaded.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        with pytest.raises(EvidenceError, match="server signature does not verify"):
+            reloaded.assemble_claim(reloaded.archive[-1].cycleid, DOMAINS[0])
+        assert _claim(reloaded, intact) == _claim(client, intact)
+
+    def test_load_checks_no_evidence_and_a_claim_checks_one(
+        self, tmp_path, world, monkeypatch
+    ):
+        """Loading three archived cycles and an open one verifies no server
+        signature; a claim verifies one, that of the evidence it carries."""
+        _, servers, channel, client, clock, rng = world
+        client.do_update_cycle(channel, now=clock.now)
+        for d in DOMAINS[:3]:
+            client.browse(d, servers[d], clock.now, rng)
+        first = client.submit_cycle(channel, now=clock.advance(3600), rng=rng)
+        for i in range(2):
+            _closed_cycle(world, client, i)
+        client.do_update_cycle(channel, now=clock.now)
+        client.browse(DOMAINS[0], servers[DOMAINS[0]], clock.now, rng)
+        client.save(str(tmp_path))
+        calls = []
+        real_verify = tlssim.verify_transcript_signature
+        monkeypatch.setattr(
+            tlssim, "verify_transcript_signature",
+            lambda *a: calls.append(1) or real_verify(*a),
+        )
+        reloaded = ClientState.load(str(tmp_path))
+        assert len(reloaded.archive) == 3 and reloaded.open_cycle.evidences
+        assert calls == []
+        reloaded.assemble_claim(first.cycleid, DOMAINS[1])
+        assert len(calls) == 1
+
+    def test_state_file_alone_loads_with_empty_logs(self, tmp_path):
+        """The first layout's save wrote state.tlv before archive.tlv and
+        rollback.tlv, so a crash could leave state.tlv alone: it loads with
+        no archived cycle and no rollback delta."""
+        with open(fixture_path("client_dir_v1.json")) as fh:
+            state = bytes.fromhex(json.load(fh)["state_tlv"])
+        (tmp_path / STATE_FILE).write_bytes(state)
+        loaded = ClientState.load(str(tmp_path))
+        assert (loaded.archive, loaded.rollback_entries) == ([], [])
+        assert loaded.current_index == 3
+        assert loaded.reconstruct_list(3) == loaded.certs != []
 
     def test_archived_voucher_its_type_refuses_names_the_frame(self, tmp_path, world):
         """A decoded value that Voucher refuses is corruption of the frame
@@ -800,6 +834,35 @@ class TestSaveFaults:
         assert [_claim(reloaded, record) for record in saved] == claims
         _next_cycle_covered(world, reloaded, directory, 2)
         assert [index for _, _, index in _list_frames(directory)] == [2]
+
+    def test_list_frame_past_the_registration_is_taken_back(
+        self, tmp_path, world, monkeypatch
+    ):
+        """The same when only the registration was saved: load takes the
+        list back to cycle 0, the empty list, and the next save rewrites
+        list.tlv whole."""
+        directory = str(tmp_path)
+        client = world[3]
+        client.save(directory)
+        _closed_cycle(world, client, 0)
+        real_replace = wire.os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == STATE_FILE:
+                raise OSError(errno.EIO, "injected I/O error")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(wire.os, "replace", replace)
+        with pytest.raises(OSError, match="injected"):
+            client.save(directory)
+        monkeypatch.undo()
+        assert _list_frames(directory) == [((), client.certs, 1)]
+
+        reloaded = ClientState.load(directory)
+        assert (reloaded.current_index, reloaded.certs) == (0, [])
+        _next_cycle_covered(world, reloaded, directory, 1)
+        assert _list_frames(directory) == [((), reloaded.certs, 1)]
+        assert reloaded.certs != client.certs
 
     def test_save_after_a_failed_cut_rewrites_the_list(self, tmp_path, world, monkeypatch):
         """An append to list.tlv that tears and cannot be cut back raises
