@@ -8,11 +8,11 @@ Exit codes: 0 success / claim accepted; 2 usage; 3 parse or encoding error;
 anything else.
 """
 
+import contextlib
 import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 
 import click
 
@@ -24,6 +24,7 @@ from .errors import (
     CIError,
     ClaimFormatError,
     EncodingError,
+    KeyFormatError,
     NotFoundError,
     ParameterError,
     RecencyError,
@@ -55,6 +56,7 @@ VERDICT_EXIT = {
 _ERROR_EXIT = [
     (ClaimFormatError, 3),
     (EncodingError, 3),
+    (KeyFormatError, 3),
     (SequencingError, 4),
     (RecencyError, 5),
     (SignatureInvalid, 6),
@@ -93,24 +95,13 @@ def _read_insurer_key(path: str) -> crypto.PublicKey:
         return wire.PUBLIC_KEY.decode(fh.read())
 
 
-@contextmanager
 def _client_channel(connect: tuple[str, int] | None, insurer_dir: str | None):
-    """Either a TCP channel or an in-process channel over on-disk state;
-    both the channel and an in-process insurer are closed on exit."""
-    insurer = None
+    """Either a TCP channel or an in-process channel over on-disk state."""
     if connect:
-        channel = SocketChannel(*connect)
-    elif insurer_dir:
-        insurer = Insurer.load(os.path.join(insurer_dir, "insurer.log"))
-        channel = InProcessChannel(insurer)
-    else:
-        raise click.UsageError("need --connect HOST:PORT or --insurer-dir DIR")
-    try:
-        yield channel
-    finally:
-        channel.close()
-        if insurer:
-            insurer.close()
+        return SocketChannel(*connect)
+    if insurer_dir:
+        return InProcessChannel(Insurer.load(os.path.join(insurer_dir, "insurer.log")))
+    raise click.UsageError("need --connect HOST:PORT or --insurer-dir DIR")
 
 
 @click.group(cls=_Main)
@@ -245,7 +236,6 @@ def insurer_init(state_dir, cert_files, seed, as_json):
     ins = Insurer.setup(
         certs, rng=RandomSource(seed), log_path=os.path.join(state_dir, "insurer.log")
     )
-    ins.close()
     _emit({"state_dir": state_dir, "certs": len(certs),
            "scheme": crypto.SCHEME_NAMES[ins.keypair.scheme_id]}, as_json)
 
@@ -268,16 +258,9 @@ def insurer_export_key(state_dir, out):
 def insurer_serve(state_dir, host, port):
     """Serve the insurer over the framed TCP channel (Ctrl-C to stop)."""
     ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
-    server = InsurerServer(ins, host, port)
-    click.echo(f"serving on {server.address[0]}:{server.address[1]}")
-    try:
+    with InsurerServer(ins, host, port) as server, contextlib.suppress(KeyboardInterrupt):
+        click.echo(f"serving on {server.address[0]}:{server.address[1]}")
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-        ins.close()
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +305,7 @@ def client_register(state_dir, connect, insurer_dir, delta_t, insurer_key, seed,
     if os.path.exists(os.path.join(state_dir, STATE_FILE)):
         raise ParameterError(f"{state_dir} already holds a customer's state")
     pinned = _read_insurer_key(insurer_key) if insurer_key else None
-    with _client_channel(connect, insurer_dir) as channel:
+    with contextlib.closing(_client_channel(connect, insurer_dir)) as channel:
         state = ClientState.register(channel, delta_t, rng=RandomSource(seed),
                                      insurer_key=pinned)
     state.save(state_dir)
@@ -337,7 +320,7 @@ def client_register(state_dir, connect, insurer_dir, delta_t, insurer_key, seed,
 def client_update(state_dir, connect, insurer_dir, as_json):
     """Download the certificate list and open an update cycle."""
     state = ClientState.load(state_dir)
-    with _client_channel(connect, insurer_dir) as channel:
+    with contextlib.closing(_client_channel(connect, insurer_dir)) as channel:
         record = state.do_update_cycle(channel, now=int(time.time()))
     state.save(state_dir)
     _emit({"cycle": record.cycle_index, "cycleid": record.cycleid.hex(),
@@ -368,7 +351,7 @@ def client_browse(state_dir, domain, server_file, seed, as_json):
 def client_submit(state_dir, connect, insurer_dir, seed, as_json):
     """Commit the cycle's vouchers and close the cycle."""
     state = ClientState.load(state_dir)
-    with _client_channel(connect, insurer_dir) as channel:
+    with contextlib.closing(_client_channel(connect, insurer_dir)) as channel:
         record = state.submit_cycle(channel, now=int(time.time()), rng=RandomSource(seed))
     state.save(state_dir)
     _emit({"cycle": record.cycle_index, "root": record.voucher_root.hex(),
@@ -442,6 +425,7 @@ def simserver_init(domain, out, cert_out, seed):
 
 def _load_sim_server(path: str) -> SimServer:
     domain, scheme_id, cert, secret = wire.read_single_frame(path, _SIM_SERVER.decode_body)
+    crypto.private_key(scheme_id, secret)  # KeyFormatError for an unusable scheme or secret
     return SimServer(domain, cert, secret, scheme_id)
 
 

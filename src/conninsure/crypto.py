@@ -5,8 +5,10 @@ proof of trapdoor knowledge.
 All group arithmetic happens in a prime-order subgroup of Z_p^*, one of
 GROUPS.  The hot kernel is modular exponentiation, and every cache here is
 a functools.lru_cache holding public values only, so none changes a
-result.  Every power of the generator g goes through generator_comb, one
-fixed-base comb per group (FixedBaseComb, Lim-Lee; 8 teeth, 2 tables).
+result.  Every power of the generator g that this module computes goes
+through generator_comb, one fixed-base comb per group (FixedBaseComb,
+Lim-Lee; 8 teeth, 2 tables); the simulated servers' DH keygen
+(tlssim.SimServer.key_exchange) raises g by modexp, a test-harness cost.
 A recipient key y gets its comb (6 teeth, 2 tables) from recipient_comb,
 which keeps RECIPIENT_COMB_CAPACITY keys; the first chameleon hash toward
 a key builds it.  A chameleon hash g^h(m) * y^r is one pass over the

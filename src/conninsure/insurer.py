@@ -337,7 +337,9 @@ class Insurer:
         return insurer
 
     def close(self) -> None:
-        """Stop logging: later changes are made in memory only."""
+        """Stop logging, for a caller done with this insurer (tests and
+        perfbench): later changes are made in memory only.  A served insurer
+        is never closed, so a connection still open keeps logging."""
         self._log_path = None
 
     def _commit(self, tag: int, value) -> None:

@@ -129,8 +129,6 @@ def verify_claim_bytes(
     """Parse and verify a .ciclaim document; parse errors raise, rejects return."""
     try:
         claim = Claim.from_bytes(data)
-    except ClaimFormatError:
-        raise
     except Exception as exc:
         raise ClaimFormatError(f"claim does not parse: {exc}") from exc
     return verify_claim(claim, pk_in, rogue_asserted)

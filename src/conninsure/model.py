@@ -1,5 +1,6 @@
 """Domain types shared by insurer, client, and judge: contracts, cycles,
-vouchers, claims, and the rollback deltas that keep client storage small.
+vouchers, claims, and the rollback deltas from which the client rebuilds
+an older cycle's list for a claim.
 
 These are immutable value records; mutation happens only inside the
 insurer/client stores, each serialized per contract.
@@ -54,6 +55,8 @@ def application_problem(
         return "update-interval bound must be positive"
     if chameleon.params not in crypto.GROUPS:
         return "chameleon key names an unknown group"
+    if pk_a.scheme_id not in crypto.SCHEME_NAMES:
+        return f"applicant key names unknown scheme id {pk_a.scheme_id}"
     if not crypto.verify_trapdoor(
         chameleon.y, chameleon.params, registration_context(pk_a), proof
     ):

@@ -113,3 +113,10 @@ def claim_mutations(claim):
     yield "tls_signature", Verdict.BAD_TLS_SIG, with_transcript(
         signature=_flip(t.signature)
     )
+    yield "tls_algorithm_unknown", Verdict.BAD_TLS_SIG, with_transcript(
+        hash_alg=0, sig_alg=0
+    )
+    # sha256/rsa on the Ed25519 certificate of every claim these get.
+    yield "tls_algorithm_of_another_scheme", Verdict.BAD_TLS_SIG, with_transcript(
+        hash_alg=4, sig_alg=1
+    )

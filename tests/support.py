@@ -29,12 +29,18 @@ def record_ch(insurer, record) -> bytes:
     )
 
 
-def short_r_voucher(voucher):
-    """A copy of voucher with a 31-byte r, which Voucher refuses to build;
-    it still encodes, as a corrupt file or a hostile claim would carry it."""
-    bad = dataclasses.replace(voucher)
-    object.__setattr__(bad, "r", voucher.r[:31])
+def one_byte_short(record, field: str):
+    """A copy of record with field one byte short, which its type may
+    refuse to build; it still encodes, as a corrupt file or a hostile claim
+    would carry it."""
+    bad = dataclasses.replace(record)
+    object.__setattr__(bad, field, getattr(record, field)[:-1])
     return bad
+
+
+def short_r_voucher(voucher):
+    """A copy of voucher with a 31-byte r, which Voucher refuses to build."""
+    return one_byte_short(voucher, "r")
 
 
 def flip_signature_bit(record, domain):

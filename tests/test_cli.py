@@ -12,9 +12,11 @@ from click.testing import CliRunner
 from support import count_powers, count_written, flip_signature_bit, unchecked_proof
 from conninsure import cli, crypto, wire
 from conninsure.cli import main
+from conninsure.client import ClientState
 from conninsure.insurer import Insurer
 from conninsure.model import Claim, CycleRecord, registration_context
-from conninsure.transport import InsurerServer
+from conninsure.rand import RandomSource
+from conninsure.transport import InProcessChannel, InsurerServer
 
 
 @pytest.fixture
@@ -405,15 +407,65 @@ class TestErrorExits:
     """Every command maps a protocol error to its exit code, and a file it
     cannot read to 1, with an error: line and no traceback."""
 
-    def test_junk_insurer_key_is_a_parse_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("junk", ["not-a-key", "scheme-99"])
+    def test_junk_insurer_key_is_a_parse_error(self, runner, tmp_path, junk):
+        """A key file that does not decode, or names a scheme crypto does
+        not know."""
         claim, key = str(tmp_path / "case.ciclaim"), str(tmp_path / "insurer.pk")
         _invoke(runner, "simulate", "--scenario", "mitm", "--cycles", "2",
                 "--domains", "3", "--seed", "5", "--rogue-cycle", "2",
                 "--claim-out", claim, "--insurer-key-out", key)
+        alien = crypto.PublicKey(99, cli._read_insurer_key(key).data)
         with open(key, "wb") as fh:
-            fh.write(b"not a key")
+            fh.write(b"not a key" if junk == "not-a-key" else wire.PUBLIC_KEY.encode(alien))
         result = _invoke(runner, "judge", "verify", claim, "--insurer-key", key)
         assert result.exit_code == 3
+        assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "scheme_id, secret", [(crypto.SCHEME_RSA_SHA256, b"junk"), (99, bytes(32))],
+        ids=["rsa-secret", "scheme-99"],
+    )
+    def test_unusable_simulated_server_key_is_a_parse_error(
+        self, runner, deployed, tmp_path, scheme_id, secret
+    ):
+        """A simulated-server file whose key crypto cannot use, for the
+        listed certificate of a cycle in progress."""
+        client = deployed["client"]
+        assert _invoke(runner, "client", "update", "--state-dir", client,
+                       "--insurer-dir", deployed["insurer"]).exit_code == 0
+        server_file = tmp_path / "broken.simserver"
+        cert = Path(deployed["bob.der"]).read_bytes()
+        body = cli._SIM_SERVER.encode_body(("bob.example.org", scheme_id, cert, secret))
+        wire.replace_frames(str(server_file), [body])
+        result = _invoke(runner, "client", "browse", "--state-dir", client,
+                         "--domain", "bob.example.org", "--server-file", str(server_file))
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output + result.stderr
+
+    def test_empty_insurer_log_is_a_parse_error(self, runner, tmp_path):
+        (tmp_path / "insurer.log").write_bytes(b"")
+        result = _invoke(runner, "insurer", "serve", "--state-dir", str(tmp_path),
+                         "--port", "0")
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ") and "log holds no frame" in result.stderr
+
+    def test_zero_update_bound_is_a_rejected_registration(self, runner, deployed, tmp_path):
+        client = tmp_path / "zero"
+        result = _invoke(runner, "client", "register", "--state-dir", str(client),
+                         "--insurer-dir", deployed["insurer"], "--delta-t", "0")
+        assert result.exit_code == 7
+        assert "update-interval bound must be positive" in result.stderr
+        assert not client.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("bench", "chameleon", "--iterations", "50"),
+        ("estimate", "storage", "--k", "400"),
+    ], ids=["bench-iterations", "estimate-validity"])
+    def test_parameter_out_of_its_range_exits_9(self, runner, args):
+        result = _invoke(runner, *args)
+        assert result.exit_code == 9
         assert result.stderr.startswith("error: ")
 
     def test_junk_state_file_is_a_parse_error(self, runner, deployed):
@@ -570,3 +622,26 @@ class TestServedChannel:
                          "--port", "0")
         assert result.exit_code == 0
         assert servers[0].socket.fileno() == -1
+
+    def test_serve_logs_what_it_answers_after_an_interrupt(self, runner, deployed, monkeypatch):
+        """After Ctrl-C, the insurer a still-open connection talks to keeps
+        logging: a REGISTER it answers is in the log."""
+        servers = []
+
+        class Interrupted(InsurerServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
+
+            def service_actions(self):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "InsurerServer", Interrupted)
+        result = _invoke(runner, "insurer", "serve", "--state-dir", deployed["insurer"],
+                         "--port", "0")
+        assert result.exit_code == 0
+        channel = InProcessChannel(servers[0].insurer)
+        state = ClientState.register(channel, 86_400, rng=RandomSource(6),
+                                     group=crypto.TOY_GROUP)
+        reloaded = Insurer.load(os.path.join(deployed["insurer"], "insurer.log"))
+        assert reloaded.contracts[state.customer] == state.contract

@@ -38,7 +38,7 @@ from conninsure.insurer import (
     SUBMIT_VOUCHERS_RESPONSE,
     Insurer,
 )
-from conninsure.model import PAD_DOMAIN, CycleRecord
+from conninsure.model import PAD_DOMAIN, CycleRecord, RollbackEntry
 from conninsure.rand import RandomSource
 from conninsure.scenario import SimClock
 from conninsure.transport import InProcessChannel
@@ -148,10 +148,17 @@ class TestUpdateCycle:
             client.submit_cycle(flipping, now=clock.advance(60), rng=rng)
         assert client.archive == []
 
-    def test_contract_with_another_delta_t_refused(self, world):
-        """A REGISTER answer whose update bound was rewritten in transit is
-        refused: no signature in the contract binds delta_t."""
+    @pytest.mark.parametrize("field, match", [
+        ("delta_t", "requested delta_t"),
+        ("pk_a", "does not embed the applicant's keys"),
+    ], ids=["delta_t", "pk_a"])
+    def test_contract_rewritten_in_transit_refused(self, world, field, match):
+        """A REGISTER answer whose update bound or applicant key was
+        rewritten in transit is refused: no signature in the contract binds
+        either."""
         _, _, channel, _, _, rng = world
+        stranger = crypto.generate_sig_keypair(crypto.SCHEME_ED25519, RandomSource(44)).public
+        rewritten = {"delta_t": 1, "pk_a": stranger}[field]
 
         class RewritingChannel:
             def request(self, payload):
@@ -159,11 +166,11 @@ class TestUpdateCycle:
                 if payload[0] == wire.REQ_REGISTER:
                     (contract,) = REGISTER_RESPONSE.decode_body(response)
                     return REGISTER_RESPONSE.encode_body(
-                        (dataclasses.replace(contract, delta_t=1),)
+                        (dataclasses.replace(contract, **{field: rewritten}),)
                     )
                 return response
 
-        with pytest.raises(InsurerMisbehavior, match="requested delta_t"):
+        with pytest.raises(InsurerMisbehavior, match=match):
             ClientState.register(
                 RewritingChannel(), 86_400, rng=rng, group=crypto.TOY_GROUP
             )
@@ -706,6 +713,20 @@ def _rewrite_first_archived(directory, change) -> None:
     wire.replace_frames(path, [record.to_bytes() for record in records])
 
 
+def _remove_past_the_list(directory, world) -> None:
+    """rollback.tlv with each delta putting back a certificate at a
+    position past the end of the list it rebuilds."""
+    path = os.path.join(directory, ROLLBACK_FILE)
+    with open(path, "rb") as fh:
+        entries = [RollbackEntry.from_bytes(payload) for payload in wire.iter_frames(fh.read())]
+    wire.replace_frames(path, [
+        dataclasses.replace(
+            entry, delta=dataclasses.replace(entry.delta, removed=((99, b"gone"),))
+        ).to_bytes()
+        for entry in entries
+    ])
+
+
 def _unlisted_evidence(world, record):
     """record with its evidence for DOMAINS[0] replaced by one for the same
     voucher, validly signed by a server whose certificate is not listed."""
@@ -726,6 +747,9 @@ TAMPERED = {
     "list-ends-early": (
         lambda directory, world: _rewrite_list(directory, _list_frames(directory)[:1]),
         CorruptionError, r"list\.tlv ends at cycle 1, state at 2",
+    ),
+    "rollback-removed-past-the-list": (
+        _remove_past_the_list, CorruptionError, "removed-cert position 99 out of range",
     ),
     "rollback-missing": (
         lambda directory, world: wire.replace_frames(

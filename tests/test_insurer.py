@@ -42,6 +42,7 @@ from conninsure.insurer import (
     BEGIN_CYCLE_REQUEST,
     BEGIN_CYCLE_RESPONSE,
     DEFAULT_POLICY_DAYS,
+    ERR_ENCODING,
     ERR_EXPIRED,
     ERR_INTERNAL,
     ERR_NOT_FOUND,
@@ -264,11 +265,12 @@ class TestRegistration:
 
     def test_unknown_group_or_key_refused_before_any_power(self, insurer, monkeypatch):
         """A chameleon key on g squared of the 2048/256 group or on an
-        8192-bit modulus, with a proof whose challenge holds, or a key with
-        y = 2^2048 gets ERR_REGISTRATION, and the insurer builds no comb and
-        calls no modexp for it."""
+        8192-bit modulus, with a proof whose challenge holds, a key with
+        y = 2^2048, or an applicant key of a scheme crypto does not know,
+        with a proof bound to it, gets ERR_REGISTRATION, and the insurer
+        builds no comb and calls no modexp for it."""
         params = crypto.GROUP_2048_256
-        _, _, good = _registration(RandomSource(41), params)
+        _, chameleon, good = _registration(RandomSource(41), params)
         y, context = good.chameleon.y, registration_context(good.pk_a)
         requests = [
             dataclasses.replace(
@@ -284,6 +286,9 @@ class TestRegistration:
         requests.append(
             dataclasses.replace(good, chameleon=crypto.ChameleonPublicKey(params, 1 << 2048))
         )
+        alien = crypto.PublicKey(99, good.pk_a.data)
+        proof = crypto.prove_trapdoor(chameleon, registration_context(alien), RandomSource(42))
+        requests.append(dataclasses.replace(good, pk_a=alien, trapdoor_proof=proof))
         crypto.generator_comb.cache_clear()
         powers = count_powers(monkeypatch)
         for request in requests:
@@ -772,6 +777,13 @@ class TestEndpointSurfaces:
         bogus = wire.pack(0x7F, b"")
         tag, body, _ = wire.unpack(handle_request(insurer, bogus, NOW))
         assert tag == wire.RESP_ERR
+
+    @pytest.mark.parametrize("request_bytes", [
+        BEGIN_CYCLE_REQUEST.encode((1, b"")) + b"\x00",
+        b"\x10\x00\x00",
+    ], ids=["byte-after-the-item", "shorter-than-a-header"])
+    def test_malformed_request_is_encoding_error(self, insurer, request_bytes):
+        assert _error_code(handle_request(insurer, request_bytes, NOW)) == ERR_ENCODING
 
 
 # The insurer's five state changes, in protocol order.

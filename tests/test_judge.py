@@ -2,10 +2,11 @@
 single-field mutation, and denial resolution through the record log."""
 
 import dataclasses
+from datetime import datetime
 
 import pytest
 
-from support import short_r_voucher
+from support import one_byte_short, short_r_voucher
 from conninsure import crypto, judge, tlssim
 from conninsure.client import ClientState
 from conninsure.errors import ClaimFormatError, ParameterError
@@ -188,6 +189,41 @@ class TestVerifyClaim:
         with pytest.raises(ClaimFormatError, match="voucher randomness must be 32 bytes"):
             judge.verify_claim_bytes(bad.to_bytes(), report.insurer_public, True)
 
+    @pytest.mark.parametrize("field, match", [
+        ("voucher.cycleid", "cycleid must be 32 bytes"),
+        ("transcript.client_random", "handshake randoms must be 32 bytes"),
+        ("proof.sibling", "digest field must be 32 bytes"),
+    ])
+    def test_field_one_byte_short_is_parse_error(self, mitm_world, field, match):
+        report, claim = mitm_world
+        e = claim.evidence
+        (sibling, right), *rest = claim.proof.path
+        bad = {
+            "voucher.cycleid": dataclasses.replace(claim, evidence=dataclasses.replace(
+                e, voucher=one_byte_short(e.voucher, "cycleid"))),
+            "transcript.client_random": dataclasses.replace(claim, evidence=dataclasses.replace(
+                e, transcript=one_byte_short(e.transcript, "client_random"))),
+            "proof.sibling": dataclasses.replace(claim, proof=dataclasses.replace(
+                claim.proof, path=((sibling[:-1], right), *rest))),
+        }[field]
+        with pytest.raises(ClaimFormatError, match=match):
+            judge.verify_claim_bytes(bad.to_bytes(), report.insurer_public, True)
+
+    @pytest.mark.parametrize("terms, match", [
+        (lambda contract: {"t_end": contract.t0}, "contract validity term is empty"),
+        (lambda contract: {"pk_a": crypto.PublicKey(99, contract.pk_a.data)},
+         "unknown scheme id 99"),
+    ], ids=["empty-term", "applicant-key-scheme-99"])
+    def test_contract_the_insurer_could_not_sign_is_format_error(
+        self, mitm_world, terms, match
+    ):
+        report, claim = mitm_world
+        contract = dataclasses.replace(claim.contract, **terms(claim.contract))
+        with pytest.raises(ClaimFormatError, match=match):
+            judge.verify_claim(
+                dataclasses.replace(claim, contract=contract), report.insurer_public, True
+            )
+
     def test_empty_certs_is_format_error(self, mitm_world):
         report, claim = mitm_world
         hollow = dataclasses.replace(claim, certs=())
@@ -236,6 +272,30 @@ class TestSubjectMatching:
     def test_wrong_domain_rejected(self, rng):
         cert, _ = tlssim.make_self_signed_cert("bob.example.org", rng=rng, now=0)
         assert not judge.cert_matches_domain(cert, "eve.example.org")
+
+    def test_names_without_a_san_extension_are_the_common_name(self):
+        from cryptography import x509
+        from cryptography.hazmat.primitives import serialization
+        from cryptography.hazmat.primitives.asymmetric import ed25519
+        from cryptography.x509.oid import NameOID
+
+        key = ed25519.Ed25519PrivateKey.from_private_bytes(bytes(32))
+        name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "Bob.Example.Org")])
+        cert = (
+            x509.CertificateBuilder()
+            .subject_name(name)
+            .issuer_name(name)
+            .public_key(key.public_key())
+            .serial_number(1)
+            .not_valid_before(datetime(2024, 1, 1))
+            .not_valid_after(datetime(2025, 1, 1))
+            .sign(key, None)
+        )
+        der = cert.public_bytes(serialization.Encoding.DER)
+        assert judge.certificate_names(der) == ["bob.example.org"]
+
+    def test_junk_certificate_matches_no_domain(self):
+        assert not judge.cert_matches_domain(b"junk", "bob.example.org")
 
     def test_domain_mismatch_verdict(self, mitm_world, rng):
         """Evidence signed by a cert for the wrong name trips the last check."""

@@ -167,6 +167,21 @@ def test_oversized_request_frame_closes_its_connection(served_insurer):
         channel.close()
 
 
+def test_empty_request_frame_is_answered_and_its_connection_kept(served_insurer):
+    """A zero-length request frame gets ERR_ENCODING, and the same
+    connection then serves a registration."""
+    _, address = served_insurer
+    channel = SocketChannel(*address)
+    try:
+        with pytest.raises(EncodingError, match="truncated TLV header"):
+            channel.request(b"")
+        rng = RandomSource(77)
+        client = ClientState.register(channel, 86_400, rng=rng, group=crypto.TOY_GROUP)
+        assert client.customer == 1
+    finally:
+        channel.close()
+
+
 def test_idle_connection_is_closed(served_insurer, monkeypatch):
     """A connection that sends nothing is closed once a read waits longer
     than IDLE_TIMEOUT; another connection is still served."""
