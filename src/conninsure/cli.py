@@ -9,6 +9,7 @@ anything else.
 """
 
 import contextlib
+import fcntl
 import json
 import os
 import sys
@@ -100,8 +101,21 @@ def _client_channel(connect: tuple[str, int] | None, insurer_dir: str | None):
     if connect:
         return SocketChannel(*connect)
     if insurer_dir:
-        return InProcessChannel(Insurer.load(os.path.join(insurer_dir, "insurer.log")))
+        return InProcessChannel(_load_locked(insurer_dir))
     raise click.UsageError("need --connect HOST:PORT or --insurer-dir DIR")
+
+
+def _load_locked(state_dir: str) -> Insurer:
+    """Insurer.load of the log in state_dir, which the command holds an
+    exclusive lock on until it ends, so that the log has one writer.  A log
+    that another process holds is an error."""
+    path = os.path.join(state_dir, "insurer.log")
+    fh = click.get_current_context().with_resource(open(path, "rb"))
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise CIError(f"{path} is in use by another process") from None
+    return Insurer.load(path)
 
 
 @click.group(cls=_Main)
@@ -257,7 +271,7 @@ def insurer_export_key(state_dir, out):
 @click.option("--port", default=7465, show_default=True, type=click.IntRange(0, 65535))
 def insurer_serve(state_dir, host, port):
     """Serve the insurer over the framed TCP channel (Ctrl-C to stop)."""
-    ins = Insurer.load(os.path.join(state_dir, "insurer.log"))
+    ins = _load_locked(state_dir)
     with InsurerServer(ins, host, port) as server, contextlib.suppress(KeyboardInterrupt):
         click.echo(f"serving on {server.address[0]}:{server.address[1]}")
         server.serve_forever()

@@ -11,6 +11,15 @@ Each compound layout is declared once, as a field table: a `Record` of
 ordered (attribute name, field kind) pairs from which both the encoder and
 the decoder are derived.  Decoders accept only canonical encodings, so
 decode followed by encode returns the input bytes.
+
+Decoders read any bytes-like buffer in place: each field is parsed at its
+offset into the buffer, and only a leaf value (a byte string, text or
+integer) is copied out, once; no decoded value holds a view of the buffer.
+The functions that slice a payload out of a buffer (iter_frames, unpack,
+unpack_exact) give a payload of _VIEW_MIN bytes or more as a memoryview of
+the buffer, and a smaller one as a copy.  So a large file or response,
+such as a whole certificate list, is decoded where it was read, and each
+certificate in it is copied once.
 """
 
 import contextlib
@@ -77,6 +86,7 @@ LOG_SUBMIT_VOUCHERS_HCH = 0x3B
 _MAX_LEN = 0xFFFFFFFF
 _HEADER = struct.Struct(">BI")
 _LENGTH = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 _DIGEST_ENTRY = struct.Struct(">II32s")
 
 SIGNED_PAYLOAD_LABELS = ("Certificates", "Vouchers")
@@ -90,60 +100,98 @@ def pack(tag: int, payload: bytes) -> bytes:
     return _HEADER.pack(tag, len(payload)) + payload
 
 
-def unpack(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
+def unpack(data, offset: int = 0) -> tuple[int, bytes | memoryview, int]:
     """Decode one TLV item starting at offset; returns (tag, value, end)."""
-    if offset + 5 > len(data):
-        raise EncodingError("truncated TLV header")
-    tag = data[offset]
-    (length,) = struct.unpack_from(">I", data, offset + 1)
-    end = offset + 5 + length
-    if end > len(data):
-        raise EncodingError("truncated TLV value")
-    return tag, data[offset + 5 : end], end
+    tag, start, end = _item(data, offset, len(data))
+    return tag, _payload(data, start, end), end
 
 
-def unpack_exact(data: bytes, expected_tag: int) -> bytes:
+def unpack_exact(data, expected_tag: int) -> bytes | memoryview:
     """Decode a single TLV item that must span the whole buffer."""
-    tag, value, end = unpack(data)
+    return _payload(data, 5, _exact(data, expected_tag))
+
+
+# A payload of this many bytes or more is sliced out of its buffer as a
+# view, read in place; a smaller one is copied, since one copy of a small
+# payload costs less than reading each of its fields through a view.
+_VIEW_MIN = 64 << 10
+
+
+def _payload(buf, start: int, end: int) -> bytes | memoryview:
+    """buf[start:end], the payload of a frame or item."""
+    if end - start < _VIEW_MIN:
+        return buf[start:end]
+    return memoryview(buf)[start:end]
+
+
+def _exact(data, expected_tag: int) -> int:
+    """The end of the value of the one TLV item that spans data."""
+    tag, _, end = _item(data, 0, len(data))
     if tag != expected_tag:
         raise EncodingError(f"expected tag 0x{expected_tag:02x}, got 0x{tag:02x}")
     if end != len(data):
         raise EncodingError("trailing bytes after TLV item")
-    return value
+    return end
 
 
-def fields(payload: bytes, *expected_tags: int) -> list[bytes]:
+def _item(buf, offset: int, end: int) -> tuple[int, int, int]:
+    """(tag, value start, value end) of the TLV item at offset, which must
+    end by end."""
+    if offset + 5 > end:
+        raise EncodingError("truncated TLV header")
+    tag, length = _HEADER.unpack_from(buf, offset)
+    offset += 5
+    if offset + length > end:
+        raise EncodingError("truncated TLV value")
+    return tag, offset, offset + length
+
+
+def fields(payload, *expected_tags: int) -> list[bytes]:
     """Split a compound payload into exactly the expected ordered fields."""
-    return _split(payload, [(tag, None) for tag in expected_tags])
+    return _split(payload, 0, len(payload), [(tag, None) for tag in expected_tags])
 
 
-def _split(data: bytes, parsers) -> list:
-    """Parse data as exactly one item per (tag, parse) pair, in order."""
+def _split(buf, start: int, end: int, parsers) -> list:
+    """Parse buf[start:end] as exactly one item per (tag, parse) pair, in
+    order, each by parse(buf, value start, value end); parse None copies
+    the value out as bytes (from a buffer other than bytes, through a
+    view)."""
     values = []
-    offset = 0
-    try:
-        for tag, parse in parsers:
-            got, length = _HEADER.unpack_from(data, offset)
-            if got != tag:
-                raise EncodingError(f"expected field tag 0x{tag:02x}, got 0x{got:02x}")
-            start = offset + 5
-            offset = start + length
-            value = data[start:offset]
-            if len(value) != length:
-                raise EncodingError("truncated TLV value")
-            values.append(value if parse is None else parse(value))
-    except struct.error:
-        raise EncodingError("truncated TLV header") from None
-    if offset != len(data):
+    offset = start
+    view = type(buf) is not bytes
+    if view:
+        buf = memoryview(buf)
+    for tag, parse in parsers:
+        if offset + 5 > end:
+            raise EncodingError("truncated TLV header")
+        got, length = _HEADER.unpack_from(buf, offset)
+        if got != tag:
+            raise EncodingError(f"expected field tag 0x{tag:02x}, got 0x{got:02x}")
+        first = offset + 5
+        offset = first + length
+        if offset > end:
+            raise EncodingError("truncated TLV value")
+        if parse is not None:
+            values.append(parse(buf, first, offset))
+        else:
+            values.append(buf[first:offset].tobytes() if view else buf[first:offset])
+    if offset != end:
         raise EncodingError("trailing bytes after last field")
     return values
 
 
-def iter_items(payload: bytes):
+def _bytes(buf, start: int, end: int) -> bytes:
+    """buf[start:end] as bytes of its own: a slice of bytes already is
+    one, a slice of another buffer (a view) is copied out."""
+    value = buf[start:end]
+    return value if type(value) is bytes else bytes(value)
+
+
+def iter_items(payload):
     offset = 0
     while offset < len(payload):
-        tag, value, offset = unpack(payload, offset)
-        yield tag, value
+        tag, start, offset = _item(payload, offset, len(payload))
+        yield tag, _bytes(payload, start, offset)
 
 
 def u64(value: int) -> bytes:
@@ -152,10 +200,14 @@ def u64(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
-def decode_u64(data: bytes) -> int:
-    if len(data) != 8:
+def decode_u64(data) -> int:
+    return _parse_u64(data, 0, len(data))
+
+
+def _parse_u64(buf, start: int, end: int) -> int:
+    if end - start != 8:
         raise EncodingError("u64 field must be 8 bytes")
-    return struct.unpack(">Q", data)[0]
+    return _U64.unpack_from(buf, start)[0]
 
 
 def u32(value: int) -> bytes:
@@ -173,10 +225,14 @@ def varint(value: int) -> bytes:
     return value.to_bytes((value.bit_length() + 7) // 8, "big")
 
 
-def decode_varint(data: bytes) -> int:
-    if data and data[0] == 0:
+def decode_varint(data) -> int:
+    return _parse_varint(data, 0, len(data))
+
+
+def _parse_varint(buf, start: int, end: int) -> int:
+    if end > start and buf[start] == 0:
         raise EncodingError("non-minimal integer encoding")
-    return int.from_bytes(data, "big")
+    return int.from_bytes(buf[start:end], "big")
 
 
 def text(value: str) -> bytes:
@@ -186,9 +242,9 @@ def text(value: str) -> bytes:
         raise EncodingError(f"non-ASCII text: {exc}") from exc
 
 
-def decode_text(data: bytes) -> str:
+def _parse_text(buf, start: int, end: int) -> str:
     try:
-        return data.decode("ascii")
+        return str(buf[start:end], "ascii")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"non-ASCII text field: {exc}") from exc
 
@@ -204,30 +260,36 @@ def encode_list(items: list[bytes]) -> bytes:
     return b"".join(chain((head,), chain.from_iterable(zip(headers, items))))
 
 
-def decode_list(payload: bytes) -> list[bytes]:
-    """The byte strings of a TAG_LIST payload: the value of the list's
-    item, without its header."""
-    return _list_items(payload, TAG_BYTES, None)
+def decode_list(payload, start: int = 0, end: int | None = None) -> list[bytes]:
+    """The byte strings of a TAG_LIST payload, the value of the list's item
+    without its header: payload[start:end], read in place."""
+    return _list_items(payload, start, len(payload) if end is None else end, TAG_BYTES, None)
 
 
-def _list_items(payload: bytes, item_tag: int, parse) -> list:
+def _list_items(buf, start: int, end: int, item_tag: int, parse) -> list:
+    """The items of buf[start:end], each of item_tag, as _split parses them.
+    Every item's header is checked before any item is parsed."""
     out = []
-    offset = 0
-    size = len(payload)
     header = _HEADER.unpack_from
-    try:
-        while offset < size:
-            tag, length = header(payload, offset)
-            if tag != item_tag:
-                raise EncodingError(f"unexpected list item tag 0x{tag:02x}")
-            start = offset + 5
-            offset = start + length
-            if offset > size:
-                raise EncodingError("truncated TLV value")
-            out.append(payload[start:offset])
-    except struct.error:
-        raise EncodingError("truncated TLV header") from None
-    return out if parse is None else [parse(value) for value in out]
+    offset = start
+    view = type(buf) is not bytes
+    if view:
+        buf = memoryview(buf)
+    while offset < end:
+        if offset + 5 > end:
+            raise EncodingError("truncated TLV header")
+        tag, length = header(buf, offset)
+        if tag != item_tag:
+            raise EncodingError(f"unexpected list item tag 0x{tag:02x}")
+        first = offset + 5
+        offset = first + length
+        if offset > end:
+            raise EncodingError("truncated TLV value")
+        if parse is not None:
+            out.append((first, offset))
+        else:
+            out.append(buf[first:offset].tobytes() if view else buf[first:offset])
+    return out if parse is None else [parse(buf, s, e) for s, e in out]
 
 
 # ---------------------------------------------------------------------------
@@ -237,54 +299,57 @@ def _list_items(payload: bytes, item_tag: int, parse) -> list:
 
 class Kind(NamedTuple):
     """How one field's value maps to one TLV item: item(value) returns the
-    whole item, parse(payload) the value (None: the payload is the value)."""
+    whole item, parse(buf, start, end) the value of the item whose value
+    is buf[start:end] (None: that value, copied out as bytes)."""
 
     tag: int
     item: Callable
     parse: Callable | None
 
 
-def _parse_bool(data: bytes) -> bool:
-    value = decode_u64(data)
+def _parse_bool(buf, start: int, end: int) -> bool:
+    value = _parse_u64(buf, start, end)
     if value > 1:
         raise EncodingError("boolean field must be 0 or 1")
     return value == 1
 
 
-def _parse_opt_u64(data: bytes) -> int | None:
-    value = decode_u64(data)
+def _parse_opt_u64(buf, start: int, end: int) -> int | None:
+    value = _parse_u64(buf, start, end)
     return None if value == 0 else value - 1
 
 
-def _parse_opt_bool(data: bytes) -> bool | None:
-    value = decode_u64(data)
+def _parse_opt_bool(buf, start: int, end: int) -> bool | None:
+    value = _parse_u64(buf, start, end)
     if value > 2:
         raise EncodingError("optional boolean field must be 0, 1 or 2")
     return None if value == 0 else value == 2
 
 
-def _parse_digest(data: bytes) -> bytes:
-    if len(data) != DIGEST_LEN:
+def _parse_digest(buf, start: int, end: int) -> bytes:
+    if end - start != DIGEST_LEN:
         raise EncodingError("digest field must be 32 bytes")
-    return data
+    return _bytes(buf, start, end)
 
 
-U64 = Kind(TAG_UINT, lambda v: pack(TAG_UINT, u64(v)), decode_u64)
+U64 = Kind(TAG_UINT, lambda v: pack(TAG_UINT, u64(v)), _parse_u64)
 BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v), None)
 DIGEST = Kind(TAG_BYTES, BYTES.item, _parse_digest)
-TEXT = Kind(TAG_TEXT, lambda v: pack(TAG_TEXT, text(v)), decode_text)
-VARINT = Kind(TAG_INT, lambda v: pack(TAG_INT, varint(v)), decode_varint)
+TEXT = Kind(TAG_TEXT, lambda v: pack(TAG_TEXT, text(v)), _parse_text)
+VARINT = Kind(TAG_INT, lambda v: pack(TAG_INT, varint(v)), _parse_varint)
 BOOL = Kind(TAG_UINT, lambda v: U64.item(1 if v else 0), _parse_bool)
 # Optional scalars: None is 0 (or empty), a value v is v + 1 (False 1, True 2).
 OPT_U64 = Kind(TAG_UINT, lambda v: U64.item(0 if v is None else v + 1), _parse_opt_u64)
 OPT_BOOL = Kind(
     TAG_UINT, lambda v: U64.item(0 if v is None else 1 + bool(v)), _parse_opt_bool
 )
-OPT_BYTES = Kind(TAG_BYTES, lambda v: pack(TAG_BYTES, v or b""), lambda b: b or None)
+OPT_BYTES = Kind(
+    TAG_BYTES, lambda v: pack(TAG_BYTES, v or b""), lambda b, s, e: _bytes(b, s, e) or None
+)
 # Lists of byte strings go through encode_list/decode_list, looked up at call
 # time, so wrappers installed on those two functions see every such list.
-BYTES_LIST = Kind(TAG_LIST, lambda v: encode_list(v), lambda b: decode_list(b))
-BYTES_TUPLE = Kind(TAG_LIST, BYTES_LIST.item, lambda b: tuple(decode_list(b)))
+BYTES_LIST = Kind(TAG_LIST, lambda v: encode_list(v), lambda b, s, e: decode_list(b, s, e))
+BYTES_TUPLE = Kind(TAG_LIST, BYTES_LIST.item, lambda b, s, e: tuple(decode_list(b, s, e)))
 
 
 def list_of(kind: Kind, key=None) -> Kind:
@@ -294,8 +359,8 @@ def list_of(kind: Kind, key=None) -> Kind:
     strictly increasing key order; the decoder rejects any other order.
     """
 
-    def parse_items(data: bytes):
-        out = _list_items(data, kind.tag, kind.parse)
+    def parse_items(buf, start: int, end: int):
+        out = _list_items(buf, start, end, kind.tag, kind.parse)
         if key is None:
             return tuple(out)
         keys = [key(value) for value in out]
@@ -324,7 +389,6 @@ class Record:
     def __init__(self, tag: int | None, constructor, *fields: tuple[str, Kind]):
         self.tag = tag
         self.item = self.encode
-        self.parse = self.decode_body
         names = [name for name, _ in fields]
         self._items = tuple(kind.item for _, kind in fields)
         self._parsers = tuple((kind.tag, kind.parse) for _, kind in fields)
@@ -354,15 +418,19 @@ class Record:
     def encode(self, value) -> bytes:
         return b"".join(self.encode_parts(value))
 
-    def decode_body(self, body: bytes):
-        values = _split(body, self._parsers)
+    def parse(self, buf, start: int, end: int):
+        """The value whose fields are buf[start:end]."""
+        values = _split(buf, start, end, self._parsers)
         try:
             return self._make(*values)
         except ParameterError as exc:  # a value the record type refuses
             raise EncodingError(str(exc)) from exc
 
-    def decode(self, data: bytes):
-        return self.decode_body(unpack_exact(data, self.tag))
+    def decode_body(self, body):
+        return self.parse(body, 0, len(body))
+
+    def decode(self, data):
+        return self.parse(data, 5, _exact(data, self.tag))
 
 
 def pair(*fields: tuple[str, Kind]) -> Record:
@@ -376,7 +444,7 @@ def optional(record: Record) -> Kind:
     return Kind(
         record.tag,
         lambda value: empty if value is None else record.encode(value),
-        lambda data: record.decode_body(data) if data else None,
+        lambda buf, start, end: record.parse(buf, start, end) if end > start else None,
     )
 
 
@@ -389,7 +457,7 @@ def codec(tag: int, *fields: tuple[str, Kind]):
         def to_bytes(self) -> bytes:
             return record.encode(self)
 
-        def from_bytes(cls, data: bytes):
+        def from_bytes(cls, data):
             return record.decode(data)
 
         cls.to_bytes = to_bytes
@@ -522,7 +590,8 @@ def read_frame(read_exact, limit: int | None = None) -> bytes:
 
 
 def iter_frames(data: bytes):
-    """Yield the payload of each frame in a buffer of back-to-back frames.
+    """Yield the payload of each frame in a buffer of back-to-back frames
+    (a large one as a view of data, see _VIEW_MIN).
 
     Stops at a clean end; a partial frame raises EncodingError with its
     byte offset.
@@ -535,7 +604,7 @@ def iter_frames(data: bytes):
             end += _LENGTH.unpack_from(data, offset)[0]
         if end > size:
             raise EncodingError(f"partial frame at byte offset {offset}")
-        yield data[offset + 4 : end]
+        yield _payload(data, offset + 4, end)
         offset = end
 
 

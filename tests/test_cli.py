@@ -1,6 +1,7 @@
 """CLI integration: every subcommand, exit codes, and the served-TCP path."""
 
 import dataclasses
+import fcntl
 import json
 import os
 import stat
@@ -645,3 +646,54 @@ class TestServedChannel:
                                      group=crypto.TOY_GROUP)
         reloaded = Insurer.load(os.path.join(deployed["insurer"], "insurer.log"))
         assert reloaded.contracts[state.customer] == state.contract
+
+
+class TestOneWriter:
+    """insurer serve and a client command with --insurer-dir lock the log
+    while they use it, so a second writer refuses to start."""
+
+    @staticmethod
+    def _interrupted_server(monkeypatch, on_serve):
+        class Interrupted(InsurerServer):
+            def service_actions(self):
+                on_serve(self)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "InsurerServer", Interrupted)
+
+    @pytest.mark.parametrize("command", ["insurer-serve", "client-update"])
+    def test_log_another_process_holds_is_refused(self, runner, deployed, monkeypatch,
+                                                  command):
+        self._interrupted_server(monkeypatch, lambda server: None)
+        log = os.path.join(deployed["insurer"], "insurer.log")
+        before = Path(log).read_bytes()
+        if command == "insurer-serve":
+            args = ("insurer", "serve", "--state-dir", deployed["insurer"], "--port", "0")
+        else:
+            args = ("client", "update", "--state-dir", deployed["client"],
+                    "--insurer-dir", deployed["insurer"])
+        with open(log, "rb") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            result = _invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {log} is in use by another process\n"
+        assert Path(log).read_bytes() == before
+
+    def test_serve_holds_the_lock_until_it_ends(self, runner, deployed, monkeypatch):
+        log = os.path.join(deployed["insurer"], "insurer.log")
+        refused = []
+
+        def try_lock(server):
+            with open(log, "rb") as second:
+                try:
+                    fcntl.flock(second, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    refused.append(True)
+
+        self._interrupted_server(monkeypatch, try_lock)
+        result = _invoke(runner, "insurer", "serve", "--state-dir", deployed["insurer"],
+                         "--port", "0")
+        assert result.exit_code == 0 and refused == [True]
+        update = _invoke(runner, "client", "update", "--state-dir", deployed["client"],
+                         "--insurer-dir", deployed["insurer"])
+        assert update.exit_code == 0

@@ -40,11 +40,16 @@ from conninsure import crypto, judge, merkle, tlssim, wire
 from conninsure.client import ClientState
 from conninsure.errors import CorruptionError
 from conninsure.insurer import (
+    ACK_CERTS_RESPONSE,
     BEGIN_CYCLE_REQUEST,
+    BEGIN_CYCLE_RESPONSE,
     LIST_DELTA,
+    REGISTER_RESPONSE,
+    SUBMIT_VOUCHERS_RESPONSE,
     Insurer,
     RegistrationRequest,
     handle_request,
+    setup_public_key,
 )
 from conninsure.model import (
     Claim,
@@ -57,7 +62,7 @@ from conninsure.model import (
     VoucherEvidence,
 )
 from conninsure.rand import RandomSource
-from conninsure.transport import unwrap_response
+from conninsure.transport import InProcessChannel, unwrap_response
 from support import fixture_path, load_hex_fixture, record_ch
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_codec.json")
@@ -463,6 +468,104 @@ def test_client_files_before_the_list_log_migrate(dense, client_dir_v1, tmp_path
     (base,) = wire.iter_frames((tmp_path / "list.tlv").read_bytes())
     assert LIST_DELTA.decode(base) == ((), same.certs, same.current_index)
     _assert_same_client(ClientState.load(str(tmp_path)), same)
+
+
+def _views(value) -> list[str]:
+    """Where a memoryview sits in value: in a container, or in an attribute
+    of an object of this package's types, at any depth."""
+    found, seen, stack = [], set(), [(value, "value")]
+    while stack:
+        obj, where = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, memoryview):
+            found.append(where)
+        elif isinstance(obj, dict):
+            stack += [(key, f"{where} key {key!r}") for key in obj]
+            stack += [(item, f"{where}[{key!r}]") for key, item in obj.items()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += [(item, f"{where}[{i}]") for i, item in enumerate(obj)]
+        elif type(obj).__module__.startswith("conninsure."):
+            names = list(getattr(obj, "__dict__", ()))
+            names += [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+            stack += [(getattr(obj, n), f"{where}.{n}") for n in names if hasattr(obj, n)]
+    return found
+
+
+_RESPONSES = {
+    "register_response": REGISTER_RESPONSE,
+    "begin_cycle_delta_response": BEGIN_CYCLE_RESPONSE,
+    "begin_cycle_removal_response": BEGIN_CYCLE_RESPONSE,
+    "ack_certs_response": ACK_CERTS_RESPONSE,
+    "submit_vouchers_response": SUBMIT_VOUCHERS_RESPONSE,
+}
+
+
+def test_no_decoded_value_holds_a_view(golden, client_dir_v1, tmp_path):
+    """Decoders read a buffer in place and copy each leaf out, so nothing
+    they return keeps the buffer alive: one leaked view would pin a whole
+    log file's buffer for as long as the value lives."""
+    decoded = {}
+    for name, record_type in RECORD_TYPES.items():
+        decoded[name] = record_type.from_bytes(golden[name])
+        decoded[f"{name} from a view"] = record_type.from_bytes(memoryview(golden[name]))
+    claim = memoryview(b"\x00" + golden["claim"] + b"\x00")[1:-1]
+    decoded["claim from a view inside a larger buffer"] = Claim.from_bytes(claim)
+    for name, response in _RESPONSES.items():
+        decoded[name] = response.decode_body(unwrap_response(golden[name]))
+    logs = {"insurer_log": golden["insurer_log"]}
+    logs.update((name, load_hex_fixture(name)) for name in OLD_LOGS)
+    for name, log in logs.items():
+        path = tmp_path / name
+        path.write_bytes(log)
+        decoded[name] = Insurer.load(str(path))
+        decoded[name].close()
+        decoded[f"{name} key"] = setup_public_key(str(path))
+    for name, files, names in [("client files", golden, CLIENT_FILES),
+                               ("client_dir_v1", client_dir_v1, CLIENT_FILES[:3])]:
+        (tmp_path / name).mkdir()
+        _write_client_files(tmp_path / name, files, names)
+        decoded[name] = ClientState.load(str(tmp_path / name))
+    assert len(decoded) == 2 * len(RECORD_TYPES) + 1 + len(_RESPONSES) + 2 * len(logs) + 2
+    assert _views(decoded) == []
+    assert _views({"a": [memoryview(b"x")]}) == ["value['a'][0]"]
+
+
+def test_large_payloads_are_read_in_place_and_leave_no_view(tmp_path):
+    """A list larger than wire._VIEW_MIN reaches the decoders as a view of
+    the buffer it was read into: in the insurer log's SETUP, in the
+    whole-list download and in the client's list.tlv.  What they decode
+    holds no view, and equals what was written."""
+    server = tlssim.SimServer.create(
+        DOMAINS[0], rng=RandomSource(101), now=START, dh_group=crypto.TOY_GROUP
+    )
+    certs = [server.presented_cert] + [bytes([i]) * 2000 for i in range(1, 40)]
+    log = str(tmp_path / "insurer.log")
+    insurer = Insurer.setup(certs, rng=RandomSource(102), log_path=log)
+    channel = InProcessChannel(insurer, now_fn=lambda: START + 600)
+    payloads = []
+    request = channel.request
+    channel.request = lambda payload: payloads.append(request(payload)) or payloads[-1]
+    client = ClientState.register(
+        channel, requested_delta_t=3600, rng=RandomSource(103), group=crypto.TOY_GROUP
+    )
+    client.do_update_cycle(channel, now=START + 600)
+    client.save(str(tmp_path / "client"))
+    insurer.close()
+
+    (download,) = [p for p in payloads if len(p) > wire._VIEW_MIN]
+    setup = next(wire.iter_frames((tmp_path / "insurer.log").read_bytes()))
+    (base,) = wire.iter_frames((tmp_path / "client" / "list.tlv").read_bytes())
+    assert [type(p) for p in (download, setup, base)] == [memoryview] * 3
+    del payloads, download, setup, base
+    loaded = {
+        "insurer": Insurer.load(log),
+        "client": ClientState.load(str(tmp_path / "client")),
+        "key": setup_public_key(log),
+    }
+    assert loaded["insurer"].certs == certs and loaded["client"].certs == certs
+    assert _views(loaded) == [] and _views(client) == []
 
 
 def _write_fixture():

@@ -253,3 +253,83 @@ class TestFraming:
         with open(path, "rb") as fh:
             frames = list(wire.iter_frames(fh.read()))
         assert frames == [record.encode(value), b"x", b"y", record.encode(value)]
+
+
+# A record of a u64 and a list of byte strings, and an item of it.
+_RECORD = wire.pair(("n", wire.U64), ("certs", wire.BYTES_LIST))
+_N = wire.U64.item(7)
+_CERTS = wire.encode_list([b"abc", b"de"])
+_LIST_ITEMS = _CERTS[5:]
+
+
+@pytest.mark.parametrize("wrap", [bytes, memoryview])
+class TestRefusals:
+    """Each decoder refuses a truncated header, a truncated value and
+    trailing bytes with the same EncodingError message, whether it reads
+    bytes or a view of a larger buffer."""
+
+    def test_unpack(self, wrap):
+        item = wire.pack(wire.TAG_BYTES, b"abcdef")
+        for data, message in [
+            (item[:4], "truncated TLV header"),
+            (item[:-1], "truncated TLV value"),
+        ]:
+            with pytest.raises(EncodingError, match=f"^{message}$"):
+                wire.unpack(wrap(data))
+        with pytest.raises(EncodingError, match="^trailing bytes after TLV item$"):
+            wire.unpack_exact(wrap(item + b"\x00"), wire.TAG_BYTES)
+        assert wire.unpack(wrap(item + b"\x00")) == (wire.TAG_BYTES, b"abcdef", len(item))
+
+    @pytest.mark.parametrize("body, message", [
+        (_N + _CERTS[:4], "truncated TLV header"),
+        (_N + _CERTS[:-1], "truncated TLV value"),
+        (_N + _CERTS + b"\x00", "trailing bytes after last field"),
+        (_N, "truncated TLV header"),
+    ])
+    def test_record_field_split(self, wrap, body, message):
+        with pytest.raises(EncodingError, match=f"^{message}$"):
+            _RECORD.decode_body(wrap(body))
+        with pytest.raises(EncodingError, match=f"^{message}$"):
+            _RECORD.decode(wrap(wire.pack(wire.TAG_PAIR, body)))
+
+    def test_field_past_its_record_is_truncated(self, wrap):
+        """A nested record's last field that runs on into the bytes after
+        the record is refused, though the buffer holds those bytes."""
+        outer = wire.pair(("inner", _RECORD), ("tail", wire.BYTES))
+        inner = wire.pack(wire.TAG_PAIR, _N + _CERTS)
+        short = inner[:1] + struct.pack(">I", len(_N + _CERTS) - 1) + inner[5:]
+        with pytest.raises(EncodingError, match="^truncated TLV value$"):
+            outer.decode_body(wrap(short + wire.pack(wire.TAG_BYTES, b"")))
+
+    @pytest.mark.parametrize("items, message", [
+        (_LIST_ITEMS + b"\x02\x00", "truncated TLV header"),
+        (_LIST_ITEMS[:-1], "truncated TLV value"),
+        (_LIST_ITEMS + b"\x03\x00\x00\x00\x00", "unexpected list item tag 0x03"),
+    ])
+    def test_list_items(self, wrap, items, message):
+        with pytest.raises(EncodingError, match=f"^{message}$"):
+            wire.decode_list(wrap(items))
+        listed = wire.pack(wire.TAG_LIST, items)
+        with pytest.raises(EncodingError, match=f"^{message}$"):
+            _RECORD.decode_body(wrap(_N + listed))
+
+    def test_list_item_past_the_list_is_truncated(self, wrap):
+        """A list whose last item runs on into the next field is refused."""
+        cut = wire.pack(wire.TAG_LIST, _LIST_ITEMS)[:1] + struct.pack(">I", len(_LIST_ITEMS) - 1)
+        body = cut + _LIST_ITEMS + _N
+        record = wire.pair(("certs", wire.BYTES_LIST), ("n", wire.U64))
+        with pytest.raises(EncodingError, match="^truncated TLV value$"):
+            record.decode_body(wrap(body))
+
+    def test_iter_frames(self, wrap):
+        first = wire.frame(b"one")
+        for data, offset in [
+            (first + b"\x00\x00", 7),
+            (first + wire.frame(b"three")[:-1], 7),
+            (first + b"\x00", 7),
+        ]:
+            with pytest.raises(EncodingError, match=f"^partial frame at byte offset {offset}$"):
+                list(wire.iter_frames(wrap(data)))
+        with pytest.raises(EncodingError, match="^expected one frame, found 2$"):
+            wire.only_frame(wrap(first + wire.frame(b"")))
+        assert list(wire.iter_frames(wrap(first + first))) == [b"one", b"one"]
